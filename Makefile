@@ -94,10 +94,10 @@ load-smoke:
 # genuinely interleave even on smaller CI hosts, and any ordering bug
 # surfaces as a byte diff or a race report. The extended-families leg runs
 # the adversarial workloads (phase-flipping branches included) and an
-# imported CFG document across the stream on/off matrix; the tagged leg
-# pins the TAGE/perceptron grid byte-identical across stream on/off, both
-# kernel modes and shard counts; the cfgio leg is the importer/exporter
-# round-trip oracle on the same machinery.
+# imported CFG document through both kernel modes; the tagged leg pins the
+# TAGE/perceptron grid byte-identical across both kernel modes and shard
+# counts; the cfgio leg is the importer/exporter round-trip oracle on the
+# same machinery.
 suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS|TestShardedRunActuallyShards' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
@@ -112,7 +112,7 @@ benchhost:
 	@$(GO) run ./scripts/benchhost
 
 # report runs a small suite with run telemetry enabled, emitting a JSON
-# run report (per-shard spans, engine stats, trace-cache stats, the
+# run report (per-shard spans, engine, stream and executor stats, the
 # summary grid), then sanity-checks the report schema via the dedicated
 # test in cmd/baexp.
 report:
@@ -129,14 +129,17 @@ bench-suite:
 
 # bench-kernel compares the reference simulators against the compiled flat
 # kernel, both end-to-end (full suite runs) and on the simulation grid in
-# isolation (pre-recorded traces). These are the BENCH_kernel.json numbers.
+# isolation (pre-recorded traces: reference simulators fed one event at a
+# time versus the kernel over pre-packed batches). These are the
+# BENCH_kernel.json numbers.
 bench-kernel:
 	@$(MAKE) --no-print-directory benchhost
 	$(GO) test -bench 'Benchmark(SuiteKernel|SimulateGrid)' -benchtime 3x -run '^$$' .
 
-# bench-stream compares the recorded trace lifecycle (-stream=off) against
-# the streaming broadcast pipeline (-stream=on), end-to-end and on walker
-# generation in isolation. These are the BENCH_stream.json numbers.
+# bench-stream measures the streaming broadcast pipeline end-to-end (wall
+# time, allocated bytes, peak live trace bytes) and walker generation in
+# isolation (push-style Walker versus the compiled WalkSource). These are
+# the BENCH_stream.json numbers.
 bench-stream:
 	@$(MAKE) --no-print-directory benchhost
 	$(GO) test -bench 'Benchmark(SuiteStream|WalkerGenerate)' -benchtime 3x -run '^$$' .

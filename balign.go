@@ -248,7 +248,8 @@ type SuiteOptions struct {
 	MaxCombos int
 	// Programs restricts the suite (nil = all 24 programs).
 	Programs []string
-	// Archs selects the simulated architectures (nil = all seven).
+	// Archs selects the simulated architectures (nil = every registered
+	// architecture, predict.AllArchs).
 	Archs []ArchID
 	// Parallelism bounds concurrently executing experiment shards:
 	// 0 = runtime.GOMAXPROCS(0), 1 = the serial oracle path. Output is
@@ -262,11 +263,6 @@ type SuiteOptions struct {
 	// compiled struct-of-arrays kernel) or "ref" (the reference
 	// simulators). Output is byte-identical either way.
 	Kernel string
-	// Stream selects the trace lifecycle: "on" (default) generates each
-	// variant's stream once and broadcasts it to all architectures over a
-	// bounded buffer ring; "off" records whole traces and replays them per
-	// cell. Output is byte-identical either way.
-	Stream string
 }
 
 // RunSuite evaluates the {program x architecture x algorithm} grid on the
@@ -285,7 +281,7 @@ func RunSuite(opts SuiteOptions) ([]Summary, error) {
 		Programs:    opts.Programs,
 		Parallelism: opts.Parallelism,
 		Verbose:     opts.Verbose, Log: opts.Log,
-		Kernel: opts.Kernel, Stream: opts.Stream,
+		Kernel: opts.Kernel,
 	}
 	return experiments.Summaries(cfg, archs)
 }

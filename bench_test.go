@@ -18,7 +18,6 @@ import (
 	"balign/internal/kernel"
 	"balign/internal/obs"
 	"balign/internal/predict"
-	"balign/internal/sim"
 	"balign/internal/trace"
 	"balign/internal/workload"
 )
@@ -192,12 +191,12 @@ func BenchmarkSuiteKernelFlat(b *testing.B) {
 }
 
 // simulateGridFixture records one multi-program trace set once, so the
-// SimulateGrid benchmarks time pure simulation (the executor's run phase)
-// with trace generation and alignment excluded.
+// SimulateGrid benchmarks time pure simulation with trace generation and
+// alignment excluded.
 func simulateGridFixture(b *testing.B) (units []struct {
-	prog *ir.Program
-	prof *balign.Profile
-	rec  *sim.Recorded
+	prog   *ir.Program
+	prof   *balign.Profile
+	events []trace.Event
 }) {
 	b.Helper()
 	for _, name := range []string{"ora", "compress", "espresso", "db++", "doduc", "li"} {
@@ -209,59 +208,50 @@ func simulateGridFixture(b *testing.B) (units []struct {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec, err := sim.Record(func(sink trace.Sink) (uint64, error) {
-			return w.Run(w.Prog, pf, sink, nil)
-		})
-		if err != nil {
+		var rec trace.Recorder
+		if _, err := w.Run(w.Prog, pf, &rec, nil); err != nil {
 			b.Fatal(err)
 		}
 		units = append(units, struct {
-			prog *ir.Program
-			prof *balign.Profile
-			rec  *sim.Recorded
-		}{w.Prog, pf, rec})
+			prog   *ir.Program
+			prof   *balign.Profile
+			events []trace.Event
+		}{w.Prog, pf, rec.Events})
 	}
 	return units
 }
 
-// benchSimulateGrid replays every recorded trace through every architecture
-// on the given executor mode.
-func benchSimulateGrid(b *testing.B, mode string) {
+// BenchmarkSimulateGridRef times the {program x architecture} simulation
+// grid over pre-recorded traces on the reference simulators, fed one event
+// at a time.
+func BenchmarkSimulateGridRef(b *testing.B) {
 	units := simulateGridFixture(b)
 	archs := predict.AllArchs()
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := sim.NewExecutor(mode, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		events = 0
 		for _, u := range units {
 			for _, arch := range archs {
-				if _, err := x.Simulate(arch, u.prog, u.prof, u.rec); err != nil {
+				s, err := predict.NewSimulator(arch, u.prog, u.prof)
+				if err != nil {
 					b.Fatal(err)
 				}
+				for _, e := range u.events {
+					s.Event(e)
+				}
+				events += s.Result().Events
 			}
 		}
-		events = x.Stats().Events
 	}
 	b.ReportMetric(float64(events)/float64(len(units)*len(archs)), "events/cell")
 }
 
-// BenchmarkSimulateGridRef times the {program x architecture} simulation
-// grid over pre-recorded traces on the reference simulators.
-func BenchmarkSimulateGridRef(b *testing.B) { benchSimulateGrid(b, "ref") }
-
-// BenchmarkSimulateGridFlat times the same grid on the compiled flat
-// kernel. The ratio to BenchmarkSimulateGridRef is the kernel's simulation
-// speedup.
-func BenchmarkSimulateGridFlat(b *testing.B) { benchSimulateGrid(b, "flat") }
-
 // BenchmarkSimulateGridFlatBatch times the same grid through the packed
 // batch path (kernel.RunBatch over pre-packed int32 batches) — the
-// representation every streamed cell consumes in production (-stream=on,
-// the default). Per event this loads one int32 op instead of copying a
-// 48-byte Event, so it is the executor's true steady-state ns/event.
+// representation every streamed cell consumes in production. Per event
+// this loads one int32 op instead of copying a 48-byte Event, so it is the
+// executor's true steady-state ns/event.
 func BenchmarkSimulateGridFlatBatch(b *testing.B) {
 	units := simulateGridFixture(b)
 	archs := predict.AllArchs()
@@ -279,7 +269,7 @@ func BenchmarkSimulateGridFlatBatch(b *testing.B) {
 		}
 		var batches []*trace.Batch
 		cur := &trace.Batch{}
-		for _, e := range u.rec.Events {
+		for _, e := range u.events {
 			if err := lay.Append(cur, e); err != nil {
 				b.Fatal(err)
 			}
@@ -337,8 +327,8 @@ func walkerBenchFixture(b *testing.B) (*workload.Workload, *trace.Layout, uint64
 }
 
 // BenchmarkWalkerGenerate measures push-style synthetic trace generation —
-// the Walker driving a per-event sink, as the recorded path's generator
-// does.
+// the Walker driving a per-event sink, as profiling and the i-cache pass
+// do.
 func BenchmarkWalkerGenerate(b *testing.B) {
 	w, _, events := walkerBenchFixture(b)
 	sink := trace.SinkFunc(func(trace.Event) {})
@@ -378,16 +368,16 @@ func BenchmarkWalkerGenerateStream(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*events), "ns/event")
 }
 
-// benchSuiteStream runs the end-to-end evaluation grid in the given stream
-// mode, reporting the heap-allocation delta per op (runtime.ReadMemStats)
-// and the run's peak live trace bytes (the streaming ring's high-water
-// gauge, or the recorded cache's).
-func benchSuiteStream(b *testing.B, mode string) {
+// BenchmarkSuiteStreamOn runs the evaluation grid through the streamed
+// broadcast pipeline: each variant's stream is generated once into a
+// bounded buffer ring and fanned out to all architectures. It reports the
+// heap-allocation delta per op (runtime.ReadMemStats) and the run's peak
+// live trace bytes (the ring's high-water gauge).
+func BenchmarkSuiteStreamOn(b *testing.B) {
 	cfg := experiments.Config{
 		Scale: 0.1, Window: 10,
 		Programs:    []string{"ora", "compress", "espresso", "db++", "doduc", "li"},
 		Parallelism: 1,
-		Stream:      mode,
 	}
 	var peak int64
 	var ms runtime.MemStats
@@ -401,30 +391,13 @@ func benchSuiteStream(b *testing.B, mode string) {
 		if _, err := experiments.Summaries(cfg, predict.AllArchs()); err != nil {
 			b.Fatal(err)
 		}
-		g := rec.Report().Gauges
-		if mode == "off" {
-			peak = g["sim.cache.peak_live_bytes"]
-		} else {
-			peak = g["sim.stream.peak_live_bytes"]
-		}
+		peak = rec.Report().Gauges["sim.stream.peak_live_bytes"]
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.TotalAlloc-alloc0)/float64(b.N), "allocbytes/op")
 	b.ReportMetric(float64(peak), "peak_trace_bytes")
 }
-
-// BenchmarkSuiteStreamOff runs the evaluation grid through the recorded
-// trace cache (-stream=off): each variant's whole trace is materialized and
-// replayed once per architecture.
-func BenchmarkSuiteStreamOff(b *testing.B) { benchSuiteStream(b, "off") }
-
-// BenchmarkSuiteStreamOn runs the same grid through the streamed broadcast
-// pipeline (-stream=on, the default): each variant's stream is generated
-// once into a bounded buffer ring and fanned out to all architectures. The
-// output is byte-identical to BenchmarkSuiteStreamOff; compare ns/op for
-// the end-to-end speedup and peak_trace_bytes for the memory bound.
-func BenchmarkSuiteStreamOn(b *testing.B) { benchSuiteStream(b, "on") }
 
 // BenchmarkSuiteStreamOnWorkers runs the streamed grid under GOMAXPROCS=4
 // with a 16-worker budget: the engine splits it between variant-level
@@ -441,7 +414,6 @@ func BenchmarkSuiteStreamOnWorkers(b *testing.B) {
 		Scale: 0.1, Window: 10,
 		Programs: []string{"ora", "compress", "espresso", "db++", "doduc", "li"},
 		Workers:  16,
-		Stream:   "on",
 	}
 	var peak, stalls int64
 	b.ResetTimer()

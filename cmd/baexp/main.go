@@ -24,14 +24,9 @@
 //	-kernel s    simulation executor: flat (default, the compiled
 //	             struct-of-arrays kernel) or ref (the interface-dispatched
 //	             reference simulators); output is identical either way
-//	-stream s    trace lifecycle: on (default, generate each variant's
-//	             stream once and broadcast batches to all architectures
-//	             over a bounded buffer ring) or off (record whole traces
-//	             and replay per cell); output is identical either way
-
 //	-v           log per-shard progress to stderr
-//	-report f    write a JSON run report (timing spans, engine and trace-
-//	             cache stats, counters, the suite summary grid) to file f
+//	-report f    write a JSON run report (timing spans, engine, stream and
+//	             executor stats, counters, the suite summary grid) to file f
 //	-pprof addr  serve net/http/pprof and expvar on addr (e.g. :6060) for
 //	             the duration of the run; /debug/vars includes the live
 //	             run report under "baexp"
@@ -74,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "total worker budget split across variants and stream shards (0 = unbudgeted)")
 	shards := fs.Int("shards", 0, "intra-variant stream shards per architecture (0 = derive from -workers, 1 = unsharded)")
 	kernelMode := fs.String("kernel", "flat", "simulation executor: flat (compiled kernel) or ref (reference simulators)")
-	streamMode := fs.String("stream", "on", "trace lifecycle: on (streamed broadcast) or off (record then replay)")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
 	report := fs.String("report", "", "write a JSON run report to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address")
@@ -85,14 +79,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if _, err := sim.ParseKernelMode(*kernelMode); err != nil {
 		return err
 	}
-	if _, err := sim.ParseStreamMode(*streamMode); err != nil {
-		return err
-	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Window: *window,
 		Parallelism: *parallel, Workers: *workers, Shards: *shards,
 		Verbose: *verbose, Log: stderr,
-		Kernel: *kernelMode, Stream: *streamMode,
+		Kernel: *kernelMode,
 	}
 	if *programs != "" {
 		cfg.Programs = strings.Split(*programs, ",")

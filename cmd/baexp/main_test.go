@@ -102,14 +102,6 @@ type runReport struct {
 			BusyNs      int64  `json:"busy_ns"`
 			QueueWaitNs int64  `json:"queue_wait_ns"`
 		} `json:"engine"`
-		TraceCache struct {
-			Hits           uint64 `json:"hits"`
-			Misses         uint64 `json:"misses"`
-			Freed          uint64 `json:"freed"`
-			Live           int    `json:"live"`
-			PeakLiveBytes  uint64 `json:"peak_live_bytes"`
-			PeakLiveEvents uint64 `json:"peak_live_events"`
-		} `json:"trace_cache"`
 		Stream struct {
 			Broadcasts    uint64 `json:"broadcasts"`
 			Batches       uint64 `json:"batches"`
@@ -121,7 +113,6 @@ type runReport struct {
 		} `json:"stream"`
 		Executor struct {
 			Mode        string `json:"mode"`
-			Cells       uint64 `json:"cells"`
 			StreamCells uint64 `json:"stream_cells"`
 			Events      uint64 `json:"events"`
 			CompileNs   int64  `json:"compile_ns"`
@@ -136,15 +127,14 @@ type runReport struct {
 	} `json:"sections"`
 }
 
-// reportFor runs a tiny suite with -report plus extra flags and decodes the
-// resulting document, checking the parts common to both stream modes.
-func reportFor(t *testing.T, extra ...string) *runReport {
+// reportFor runs a tiny suite with -report and decodes the resulting
+// document, checking its engine, executor and grid sections.
+func reportFor(t *testing.T) *runReport {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "report.json")
 	var out, errBuf bytes.Buffer
-	args := append([]string{"-scale", "0.02", "-window", "5", "-programs", "ora",
-		"-parallel", "2", "-report", path}, extra...)
-	args = append(args, "suite")
+	args := []string{"-scale", "0.02", "-window", "5", "-programs", "ora",
+		"-parallel", "2", "-report", path, "suite"}
 	if err := run(args, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +178,7 @@ func reportFor(t *testing.T, extra ...string) *runReport {
 		t.Errorf("engine stats malformed: %+v", eng)
 	}
 	// The executor section must report the kernel mode and split simulation
-	// cost into compile and run phases (so cache-hit replays can't be
+	// cost into compile and run phases (so per-consumer setup can't be
 	// misattributed to simulation time).
 	ex := rep.Sections.Executor
 	if ex.Mode != "flat" {
@@ -215,9 +205,8 @@ func reportFor(t *testing.T, extra ...string) *runReport {
 
 // TestRunReportSchema is the run-report schema check `make report` relies
 // on: a suite run with -report must emit one JSON document carrying the
-// summary grid, per-shard timing spans, engine stats and — in the default
-// streaming mode — broadcast-stage stats and ring gauges, under the stable
-// field names asserted here.
+// summary grid, per-shard timing spans, engine stats, broadcast-stage stats
+// and ring gauges, under the stable field names asserted here.
 func TestRunReportSchema(t *testing.T) {
 	rep := reportFor(t)
 	if rep.Counters["sim.stream.broadcasts"] == 0 || rep.Counters["sim.stream.batches"] == 0 {
@@ -236,44 +225,10 @@ func TestRunReportSchema(t *testing.T) {
 	if ss.LiveBuffers != 0 || ss.LiveBytes != 0 {
 		t.Errorf("stream ring leaked: %+v", ss)
 	}
-	// Streaming bypasses the trace cache entirely...
-	if tc := rep.Sections.TraceCache; tc.Misses != 0 || tc.Live != 0 {
-		t.Errorf("streaming run touched the trace cache: %+v", tc)
-	}
-	// ...and counts consumers as stream cells, not recorded-replay cells.
+	// Every (architecture, algorithm) consumer counts as one stream cell.
 	ex := rep.Sections.Executor
-	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want || ex.Cells != 0 {
-		t.Errorf("executor cells = %d recorded / %d streamed, want 0 / %d",
-			ex.Cells, ex.StreamCells, want)
-	}
-}
-
-// TestRunReportSchemaRecorded pins the -stream=off escape hatch: the same
-// run must route through the refcounted trace cache and report its
-// occupancy, including the peak gauges the streaming ring is measured
-// against.
-func TestRunReportSchemaRecorded(t *testing.T) {
-	rep := reportFor(t, "-stream", "off")
-	if rep.Counters["sim.cache.misses"] == 0 {
-		t.Errorf("cache counters missing: %v", rep.Counters)
-	}
-	if _, ok := rep.Gauges["sim.cache.live"]; !ok {
-		t.Errorf("cache occupancy gauges missing: %v", rep.Gauges)
-	}
-	tc := rep.Sections.TraceCache
-	if tc.Misses == 0 || tc.Freed != tc.Misses || tc.Live != 0 {
-		t.Errorf("trace-cache stats malformed: %+v", tc)
-	}
-	if tc.PeakLiveBytes == 0 || tc.PeakLiveEvents == 0 {
-		t.Errorf("trace-cache peak gauges missing: %+v", tc)
-	}
-	ex := rep.Sections.Executor
-	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.Cells != want || ex.StreamCells != 0 {
-		t.Errorf("executor cells = %d recorded / %d streamed, want %d / 0",
-			ex.Cells, ex.StreamCells, want)
-	}
-	if ss := rep.Sections.Stream; ss.Broadcasts != 0 {
-		t.Errorf("recorded run broadcast streams: %+v", ss)
+	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want {
+		t.Errorf("executor stream cells = %d, want %d", ex.StreamCells, want)
 	}
 }
 

@@ -11,8 +11,8 @@
 //
 //	balignd [-addr :8421] [-addr-file path] [-inflight 8] [-queue-wait 250ms]
 //	        [-timeout 60s] [-max-body 8388608] [-cache-entries 256]
-//	        [-cache-bytes 67108864] [-kernel flat|ref] [-stream on|off]
-//	        [-parallel N] [-drain 30s] [-shards N] [-backends url,url] [-v]
+//	        [-cache-bytes 67108864] [-kernel flat|ref] [-parallel N]
+//	        [-drain 30s] [-shards N] [-backends url,url] [-v]
 //
 // With -shards N the process becomes a supervisor: it spawns N
 // shared-nothing balignd shard processes (each with its own result cache
@@ -68,7 +68,6 @@ func run(args []string, stderr io.Writer) error {
 	cacheEntries := fs.Int("cache-entries", serve.DefaultCacheEntries, "result cache entry bound (-1 disables the cache)")
 	cacheBytes := fs.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache byte bound")
 	kernel := fs.String("kernel", "", "simulation executor: flat | ref (default flat)")
-	stream := fs.String("stream", "", "trace lifecycle: on (streamed) | off (recorded) (default on)")
 	parallel := fs.Int("parallel", 0, "per-request experiment-engine shards (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for in-flight work")
 	verbose := fs.Bool("v", false, "write the telemetry report to stderr on exit")
@@ -99,7 +98,6 @@ func run(args []string, stderr io.Writer) error {
 			cacheEntries: *cacheEntries,
 			cacheBytes:   *cacheBytes,
 			kernel:       *kernel,
-			stream:       *stream,
 			parallel:     *parallel,
 			drain:        *drain,
 		}
@@ -117,7 +115,6 @@ func run(args []string, stderr io.Writer) error {
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheBytes,
 		Kernel:       *kernel,
-		Stream:       *stream,
 		Parallelism:  *parallel,
 		Obs:          rec,
 	})

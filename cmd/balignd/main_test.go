@@ -31,7 +31,6 @@ func TestMain(m *testing.M) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	cases := [][]string{
 		{"-kernel", "bogus"},
-		{"-stream", "sideways"},
 		{"-not-a-flag"},
 		{"-shards", "2", "-backends", "http://127.0.0.1:1"},
 		{"-backends", "http://ok, "},

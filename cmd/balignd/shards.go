@@ -36,7 +36,6 @@ type shardTuning struct {
 	cacheEntries int
 	cacheBytes   int64
 	kernel       string
-	stream       string
 	parallel     int
 	drain        time.Duration
 }
@@ -56,9 +55,6 @@ func (t shardTuning) args(addrFile string) []string {
 	}
 	if t.kernel != "" {
 		a = append(a, "-kernel", t.kernel)
-	}
-	if t.stream != "" {
-		a = append(a, "-stream", t.stream)
 	}
 	return a
 }

@@ -13,9 +13,7 @@
 // spans, engine stats, counters, the measured attribute rows) to f; with
 // -pprof addr it serves net/http/pprof and expvar on addr while the
 // measurement runs. -kernel flat|ref selects the compiled flat simulation
-// kernel (default) or the reference simulators; -stream on|off selects the
-// streamed-broadcast trace lifecycle (default) or record-then-replay;
-// -workers/-shards budget the worker goroutines across variant-level
+// kernel (default) or the reference simulators; -workers/-shards budget the worker goroutines across variant-level
 // parallelism and intra-variant stream shards. None of these flags change
 // any measured output.
 package main
@@ -52,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "total worker budget split across variants and stream shards (0 = unbudgeted)")
 	shards := fs.Int("shards", 0, "intra-variant stream shards per architecture (0 = derive from -workers, 1 = unsharded)")
 	kernelMode := fs.String("kernel", "flat", "simulation executor: flat (compiled kernel) or ref (reference simulators)")
-	streamMode := fs.String("stream", "on", "trace lifecycle: on (streamed broadcast) or off (record then replay)")
 	report := fs.String("report", "", "write a JSON run report to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address")
 	if err := fs.Parse(args); err != nil {
@@ -68,13 +65,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if _, err := sim.ParseKernelMode(*kernelMode); err != nil {
 		return err
 	}
-	if _, err := sim.ParseStreamMode(*streamMode); err != nil {
-		return err
-	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed,
 		Parallelism: *parallel, Workers: *workers, Shards: *shards,
-		Kernel: *kernelMode, Stream: *streamMode,
+		Kernel: *kernelMode,
 	}
 	switch {
 	case *bench != "":

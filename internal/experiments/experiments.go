@@ -8,12 +8,9 @@
 // runs on the parallel experiment engine in internal/sim: alignment and
 // profiling are prepared per program, then each variant's event stream is
 // generated once and broadcast batch-by-batch to all of its architectures'
-// kernels (Config.Stream = "on", the default, holding only a bounded
-// buffer ring in memory), or recorded whole into a shared refcounted cache
-// and replayed per cell (Config.Stream = "off", the pre-streaming escape
-// hatch). Results reduce in canonical order, so every mode and parallelism
-// setting produces byte-identical output; the differential oracle tests
-// enforce this.
+// kernels, holding only a bounded buffer ring in memory. Results reduce in
+// canonical order, so every kernel mode and parallelism setting produces
+// byte-identical output; the differential oracle tests enforce this.
 package experiments
 
 import (
@@ -80,13 +77,6 @@ type Config struct {
 	// interface-dispatched reference simulators. Both produce byte-identical
 	// results — the kernel oracle tests enforce this.
 	Kernel string
-	// Stream selects how variant traces reach their simulators: "on"
-	// (default) generates each variant's stream once and broadcasts its
-	// batches to every architecture concurrently, holding only a bounded
-	// buffer ring; "off" records whole traces into the refcounted cache and
-	// replays them per cell — the pre-streaming escape hatch. Both produce
-	// byte-identical results — the streaming oracle tests enforce this.
-	Stream string
 	// Parallelism bounds the number of concurrently executing experiment
 	// shards. 0 means runtime.GOMAXPROCS(0); 1 selects the serial oracle
 	// path. Results are byte-identical at every setting.
@@ -96,8 +86,8 @@ type Config struct {
 	// Config.splitWorkers). 0 leaves Parallelism and Shards in charge.
 	// Results are byte-identical at every setting.
 	Workers int
-	// Shards is the intra-variant stream shard count: in flat streaming
-	// mode each architecture consumer fans out to this many kernel shards
+	// Shards is the intra-variant stream shard count: in flat kernel mode
+	// each architecture consumer fans out to this many kernel shards
 	// that split the variant's batches round-robin and merge exactly
 	// (sim.Executor.SetShards). 0 derives the count from Workers (1 when
 	// Workers is also unset); 1 disables intra-variant sharding. Results
@@ -108,9 +98,9 @@ type Config struct {
 	Verbose bool
 	// Log receives -v progress output; nil discards it.
 	Log io.Writer
-	// Obs receives run telemetry: per-shard engine spans, trace-cache
-	// counters and gauges, per-procedure alignment timings, and attached
-	// "engine" / "trace_cache" / "grid" report sections. Nil (the
+	// Obs receives run telemetry: per-shard engine spans, stream counters
+	// and gauges, per-procedure alignment timings, and attached "engine" /
+	// "stream" / "executor" / "grid" report sections. Nil (the
 	// default) disables telemetry at zero cost. Telemetry is
 	// observation-only, so results are byte-identical with it on or off —
 	// the differential oracle tests assert this.
@@ -457,7 +447,7 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 	// replay per variant covers all of its cells; running it here (in the
 	// sequential per-program preparation, from the same deterministic
 	// generators as the simulation phase) keeps reports byte-identical at
-	// every parallelism and in both stream modes.
+	// every parallelism.
 	icStart := cfg.Obs.Now()
 	for _, key := range u.keys {
 		v := u.variants[key]
@@ -476,17 +466,6 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 	return u, nil
 }
 
-// cacheKey names a variant's recorded trace in the shared cache.
-func (u *evalUnit) cacheKey(key string) string { return u.w.Name + "/" + key }
-
-// record generates the variant's trace once.
-func (u *evalUnit) record(key string) (*sim.Recorded, error) {
-	v := u.variants[key]
-	return sim.Record(func(sink trace.Sink) (uint64, error) {
-		return u.w.Run(v.prog, v.prof, sink, nil)
-	})
-}
-
 // makeCell derives one cell's paper metrics from its exact simulation
 // result; instrs is the traced variant's retired-instruction count.
 func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
@@ -499,23 +478,6 @@ func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
 		BEP:          bep,
 		Res:          r,
 	}
-}
-
-// runCell simulates one (architecture, algorithm) cell by running the
-// executor over the variant's cached trace — the recorded-mode (StreamOff)
-// cell path.
-func runCell(u *evalUnit, key string, spec simSpec, cache *sim.TraceCache, exec *sim.Executor) (Cell, error) {
-	ck := u.cacheKey(key)
-	rec, err := cache.Acquire(ck, func() (*sim.Recorded, error) { return u.record(key) })
-	defer cache.Release(ck)
-	if err != nil {
-		return Cell{}, fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
-	}
-	r, err := exec.Simulate(spec.arch, u.variants[key].prog, u.variants[key].prof, rec)
-	if err != nil {
-		return Cell{}, err
-	}
-	return makeCell(u.origInstrs, rec.Instrs, r), nil
 }
 
 // runVariant simulates every cell of one variant in a single streamed
@@ -559,24 +521,16 @@ type cellSlot struct {
 
 // evaluatePrograms runs the full evaluation grid over the given workloads:
 // a preparation pass (profile + alignments, sharded per program), then the
-// flat {program x architecture x algorithm} cell grid (sharded per cell,
-// replaying each variant's cached trace), then a canonical-order reduction.
+// flat {program x architecture x algorithm} cell grid (sharded per variant,
+// each variant's stream generated once and broadcast to its cells), then a
+// canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
-	smode, err := sim.ParseStreamMode(cfg.Stream)
-	if err != nil {
-		return nil, err
-	}
 	// Split the worker budget between variant-level parallelism and
 	// intra-variant stream shards, then pin the resolved parallelism so
 	// every engine this run builds sees the same bound.
 	par, shards := cfg.splitWorkers(len(archs))
 	cfg.Parallelism = par
-	if smode != sim.StreamOn {
-		shards = 1
-	}
 	eng := cfg.engine()
-	cache := sim.NewTraceCache()
-	cache.Observe(cfg.Obs)
 	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
 	if err != nil {
 		return nil, err
@@ -610,11 +564,9 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	}
 
 	// Phase 2: the cell grid, in canonical slot order (unit, then variant
-	// key, then spec). Streaming mode shards one task per variant — each
-	// generates its stream once and broadcasts it to all of the variant's
-	// architectures, filling the variant's contiguous slot range. Recorded
-	// mode shards one task per cell, with refcounts preset so every
-	// variant's cached trace is freed right after its last cell replays it.
+	// key, then spec), sharded one task per variant: each generates its
+	// stream once and broadcasts it to all of the variant's architectures,
+	// filling the variant's contiguous slot range.
 	var slots []cellSlot
 	type variantTask struct {
 		unit int
@@ -624,9 +576,6 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	var vtasks []variantTask
 	for ui, u := range units {
 		for _, key := range u.keys {
-			if smode == sim.StreamOff {
-				cache.AddRefs(u.cacheKey(key), len(u.specs[key]))
-			}
 			vtasks = append(vtasks, variantTask{unit: ui, key: key, base: len(slots)})
 			for _, spec := range u.specs[key] {
 				slots = append(slots, cellSlot{unit: ui, key: key, spec: spec})
@@ -634,36 +583,15 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		}
 	}
 	cells := make([]Cell, len(slots))
-	var tasks []sim.Task
-	if smode == sim.StreamOn {
-		tasks = make([]sim.Task, len(vtasks))
-		for i := range vtasks {
-			vt := vtasks[i]
-			u := units[vt.unit]
-			tasks[i] = sim.Task{
-				Label: fmt.Sprintf("%s/%s", u.w.Name, vt.key),
-				Run: func(ctx context.Context) error {
-					return runVariant(ctx, u, vt.key, str, exec, cells, vt.base)
-				},
-			}
-		}
-	} else {
-		tasks = make([]sim.Task, len(slots))
-		for i := range slots {
-			i := i
-			s := slots[i]
-			u := units[s.unit]
-			tasks[i] = sim.Task{
-				Label: fmt.Sprintf("%s/%s/%s", u.w.Name, s.spec.arch, s.spec.algo),
-				Run: func(context.Context) error {
-					c, err := runCell(u, s.key, s.spec, cache, exec)
-					if err != nil {
-						return err
-					}
-					cells[i] = c
-					return nil
-				},
-			}
+	tasks := make([]sim.Task, len(vtasks))
+	for i := range vtasks {
+		vt := vtasks[i]
+		u := units[vt.unit]
+		tasks[i] = sim.Task{
+			Label: fmt.Sprintf("%s/%s", u.w.Name, vt.key),
+			Run: func(ctx context.Context) error {
+				return runVariant(ctx, u, vt.key, str, exec, cells, vt.base)
+			},
 		}
 	}
 	if err := eng.Run(cfg.Ctx, tasks); err != nil {
@@ -690,19 +618,13 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		r.Cells[s.spec.arch][s.spec.algo] = c
 	}
 
-	st, cst, sst := eng.Stats(), cache.Stats(), str.Stats()
-	if smode == sim.StreamOn {
-		eng.Logf("sim: %d programs, %d cells, busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
-			len(units), len(slots), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
-	} else {
-		eng.Logf("sim: %d programs, %d cells, busy %v; trace cache %d misses / %d hits, %d freed",
-			len(units), len(slots), st.Busy, cst.Misses, cst.Hits, cst.Freed)
-	}
-	// Snapshot the engine, cache and streamer into the run report. A
+	st, sst := eng.Stats(), str.Stats()
+	eng.Logf("sim: %d programs, %d cells, busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
+		len(units), len(slots), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
+	// Snapshot the engine, streamer and executor into the run report. A
 	// multi-grid run (baexp all) overwrites with each grid's final state;
 	// the report's counters still accumulate across grids.
 	cfg.Obs.Attach("engine", st)
-	cfg.Obs.Attach("trace_cache", cst)
 	cfg.Obs.Attach("stream", sst)
 	cfg.Obs.Attach("executor", exec.Stats())
 	return results, nil

@@ -16,20 +16,21 @@ const cfgFixture = "../../testdata/cfg/go_scanobject.dot"
 // TestExtendedFamiliesStreamParity extends the executor parity oracle to
 // the adversarial workload families and the CFG import path: the summary
 // grid over kmp/mp, phased, a melded kernel and an imported document must
-// be byte-identical across stream on/off and kernel flat/ref. The phased
-// family is the interesting leg — its hot branch flips direction at every
-// phase boundary, so any event reordering between the streamed and the
-// record-then-replay lifecycles changes predictor state and shows up as a
-// byte diff. make suite-smoke reruns this under GOMAXPROCS=4 and -race.
+// be byte-identical across kernel flat/ref. The phased family is the
+// interesting leg — its hot branch flips direction at every phase
+// boundary, so any event reordering between the flat kernel's packed
+// batches and the reference simulators' decoded events changes predictor
+// state and shows up as a byte diff. make suite-smoke reruns this under
+// GOMAXPROCS=4 and -race.
 func TestExtendedFamiliesStreamParity(t *testing.T) {
 	cfg := fastCfg("phased", "mp", "sc-meld")
 	cfg.CFG = []string{cfgFixture}
 	archs := predict.DynamicArchs()
 
-	run := func(label, stream, kernel string) string {
+	run := func(label, kernel string) string {
 		t.Helper()
 		c := cfg
-		c.Stream, c.Kernel = stream, kernel
+		c.Kernel = kernel
 		s, err := Summaries(c, archs)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -40,20 +41,12 @@ func TestExtendedFamiliesStreamParity(t *testing.T) {
 		return metrics.EncodeSummaries(s)
 	}
 
-	want := run("baseline", "on", "flat")
+	want := run("kernel=flat", "flat")
 	if !strings.Contains(want, "phased") || !strings.Contains(want, "go_scanobject") {
 		t.Fatalf("summary grid missing extended programs:\n%s", want)
 	}
-	for _, stream := range []string{"on", "off"} {
-		for _, kernel := range []string{"flat", "ref"} {
-			if stream == "on" && kernel == "flat" {
-				continue // the baseline itself
-			}
-			label := "stream=" + stream + " kernel=" + kernel
-			if got := run(label, stream, kernel); got != want {
-				t.Errorf("%s diverges:\n%s", label, firstDiff(want, got))
-			}
-		}
+	if got := run("kernel=ref", "ref"); got != want {
+		t.Errorf("kernel=ref diverges:\n%s", firstDiff(want, got))
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 
 // TestDeterminismAcrossGOMAXPROCS is the parallel-determinism oracle: the
 // whole-grid summary encoding must be byte-identical at GOMAXPROCS 1, 2 and
-// 8, in both stream modes, in both kernel modes, and at every intra-variant
-// shard count. Run under -race (make ci does) the GOMAXPROCS>1 legs also
+// 8, in both kernel modes, and at every intra-variant shard count. Run under -race (make ci does) the GOMAXPROCS>1 legs also
 // make the scheduler interleave producer, consumer and shard goroutines for
 // real, so ordering bugs surface as either a diff or a race report.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
@@ -40,18 +39,14 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(gmp)
-		for _, stream := range []string{"on", "off"} {
-			for _, kern := range []string{"flat", "ref"} {
-				label := fmt.Sprintf("gomaxprocs=%d stream=%s kernel=%s", gmp, stream, kern)
-				got := run(label, func(cfg *Config) {
-					cfg.Stream, cfg.Kernel = stream, kern
-				})
-				if got != want {
-					t.Errorf("%s diverges from serial oracle:\n%s", label, firstDiff(want, got))
-				}
+		for _, kern := range []string{"flat", "ref"} {
+			label := fmt.Sprintf("gomaxprocs=%d kernel=%s", gmp, kern)
+			got := run(label, func(cfg *Config) { cfg.Kernel = kern })
+			if got != want {
+				t.Errorf("%s diverges from serial oracle:\n%s", label, firstDiff(want, got))
 			}
 		}
-		// Intra-variant sharding legs: flat streaming with explicit shard
+		// Intra-variant sharding legs: the flat kernel with explicit shard
 		// counts and with a derived split from a worker budget.
 		for _, shards := range []int{2, 3} {
 			label := fmt.Sprintf("gomaxprocs=%d shards=%d", gmp, shards)

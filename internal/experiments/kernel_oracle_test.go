@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"balign/internal/core"
 	"balign/internal/kernel"
 	"balign/internal/metrics"
 	"balign/internal/predict"
+	"balign/internal/sim"
+	"balign/internal/trace"
 	"balign/internal/workload"
 )
 
@@ -46,68 +49,93 @@ func TestKernelMatchesReferenceGrid(t *testing.T) {
 	}
 }
 
-// TestKernelPerSiteParityAcrossGrid proves the stronger per-site guarantee
-// behind the byte-identical reports: for every workload kernel, every
-// aligned variant the grid evaluates (orig, Greedy in both chain orders,
-// Try15 per cost model — plus the paper's Cost heuristic), and every
-// architecture, the flat kernel's per-site penalty counts equal the
-// reference simulator's exactly.
+// gridVariants builds the named workload kernel's evaluation unit and
+// returns it with the keys of every variant the per-site oracles check:
+// the grid's variants (orig, Greedy in both chain orders, Try15 per cost
+// model) plus the paper's Cost heuristic under the FALLTHROUGH model,
+// which the tables ablate but evalUnit does not fan out.
+func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit, []string) {
+	t.Helper()
+	cfg := fastCfg(name)
+	w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatalf("ByName: %v", err)
+	}
+	u, err := newEvalUnit(w, archs, cfg)
+	if err != nil {
+		t.Fatalf("newEvalUnit: %v", err)
+	}
+	cm, _ := trynModelFor(predict.ArchFallthrough)
+	cres, err := core.AlignProgram(w.Prog, u.pf, core.Options{Algorithm: core.AlgoCost, Model: cm})
+	if err != nil {
+		t.Fatalf("AlignProgram(cost): %v", err)
+	}
+	u.variants["cost"] = &variant{prog: cres.Prog, prof: cres.Prof}
+	return u, append(append([]string{}, u.keys...), "cost")
+}
+
+// TestKernelPerSiteParityAcrossGrid proves the per-site guarantee behind
+// the byte-identical reports: for every workload kernel, every variant
+// gridVariants returns, and every architecture, a single streamed
+// generation broadcast to all flat kernels — the way the grid feeds them —
+// yields results and per-site penalty counts equal to the reference
+// simulator replaying the events the same workload pushes through w.Run.
 func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 	archs := predict.AllArchs()
 	for _, name := range kernelWorkloads {
 		t.Run(name, func(t *testing.T) {
-			cfg := fastCfg(name)
-			w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
-			if err != nil {
-				t.Fatalf("ByName: %v", err)
-			}
-			u, err := newEvalUnit(w, predict.AllArchs(), cfg)
-			if err != nil {
-				t.Fatalf("newEvalUnit: %v", err)
-			}
-			// The grid's variants, plus the Cost heuristic the tables
-			// ablate (not part of evalUnit's fan-out).
-			cm, _ := trynModelFor(predict.ArchFallthrough)
-			cres, err := core.AlignProgram(w.Prog, u.pf, core.Options{Algorithm: core.AlgoCost, Model: cm})
-			if err != nil {
-				t.Fatalf("AlignProgram(cost): %v", err)
-			}
-			u.variants["cost"] = &variant{prog: cres.Prog, prof: cres.Prof}
-			keys := append(append([]string{}, u.keys...), "cost")
-
+			u, keys := gridVariants(t, name, archs)
+			str := sim.NewStreamer(0, 0, nil)
 			for _, key := range keys {
 				v := u.variants[key]
-				rec, err := u.record(key)
+				var rec trace.Recorder
+				instrs, err := u.w.Run(v.prog, v.prof, &rec, nil)
 				if err != nil {
-					t.Fatalf("record %s: %v", key, err)
+					t.Fatalf("%s: Run: %v", key, err)
 				}
-				for _, arch := range archs {
-					k, err := kernel.Compile(v.prog, v.prof, arch, nil)
+				lay, err := trace.CompileLayout(v.prog)
+				if err != nil {
+					t.Fatalf("%s: CompileLayout: %v", key, err)
+				}
+				src, err := u.w.Stream(v.prog, v.prof, lay, str.BatchCap())
+				if err != nil {
+					t.Fatalf("%s: Stream: %v", key, err)
+				}
+
+				// One streamed generation fans out to every architecture...
+				kernels := make([]*kernel.Kernel, len(archs))
+				consumers := make([]func(*trace.Batch) error, len(archs))
+				for i, arch := range archs {
+					k, err := kernel.CompileArch(lay, v.prog, v.prof, arch, nil)
 					if err != nil {
-						t.Fatalf("%s/%s: Compile: %v", key, arch, err)
+						t.Fatalf("%s/%s: CompileArch: %v", key, arch, err)
 					}
-					if err := k.Run(rec.Events); err != nil {
-						t.Fatalf("%s/%s: Run: %v", key, arch, err)
-					}
-					sim, err := predict.NewSimulator(arch, v.prog, v.prof)
+					kernels[i] = k
+					consumers[i] = k.RunBatch
+				}
+				if err := str.Broadcast(nil, src, consumers); err != nil {
+					t.Fatalf("%s: Broadcast: %v", key, err)
+				}
+				if got := src.Instrs(); got != instrs {
+					t.Errorf("%s: streamed %d instrs, Run retired %d", key, got, instrs)
+				}
+				src.Close()
+
+				// ...and each must match the reference per-site attribution
+				// over the pushed events exactly.
+				for i, arch := range archs {
+					ref, err := predict.NewSimulator(arch, v.prog, v.prof)
 					if err != nil {
 						t.Fatalf("%s/%s: NewSimulator: %v", key, arch, err)
 					}
-					wantRes, wantCosts := kernel.ReferenceRun(sim, rec.Events)
-					if got := k.Result(); got != wantRes {
+					wantRes, wantCosts := kernel.ReferenceRun(ref, rec.Events)
+					if got := kernels[i].Result(); got != wantRes {
 						t.Errorf("%s/%s: Result mismatch:\n kernel    %+v\n reference %+v",
 							key, arch, got, wantRes)
 					}
-					gotCosts := k.SiteCosts()
-					if len(gotCosts) != len(wantCosts) {
-						t.Errorf("%s/%s: active site count: kernel %d, reference %d",
-							key, arch, len(gotCosts), len(wantCosts))
-					}
-					for pc, want := range wantCosts {
-						if got := gotCosts[pc]; got != want {
-							t.Errorf("%s/%s: site %#x: kernel %+v, reference %+v",
-								key, arch, pc, got, want)
-						}
+					if got := kernels[i].SiteCosts(); !reflect.DeepEqual(got, wantCosts) {
+						t.Errorf("%s/%s: per-site costs diverge (%d kernel sites, %d reference sites)",
+							key, arch, len(got), len(wantCosts))
 					}
 				}
 			}

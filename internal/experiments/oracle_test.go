@@ -102,7 +102,7 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 		if len(rep.Spans) == 0 {
 			t.Errorf("parallelism %d: no engine spans recorded", par)
 		}
-		if rep.Sections["engine"] == nil || rep.Sections["trace_cache"] == nil || rep.Sections["grid"] == nil {
+		if rep.Sections["engine"] == nil || rep.Sections["stream"] == nil || rep.Sections["grid"] == nil {
 			t.Errorf("parallelism %d: report sections missing: %v", par, rep.Sections)
 		}
 	}

@@ -18,11 +18,11 @@
 //     counter arrays, BTB lines with their LRU ticks, and a fixed-size
 //     return stack.
 //
-// Run then consumes trace events in batches with no interface dispatch in
-// the inner loop. The kernel is held to exact parity with the reference
-// simulators — identical predict.Result tallies and identical per-site
-// penalty counts on every event stream — by the differential oracles in
-// this package and in internal/experiments.
+// RunBatch then consumes packed trace batches (4 bytes per event) with no
+// interface dispatch in the inner loop. The kernel is held to exact parity
+// with the reference simulators — identical predict.Result tallies and
+// identical per-site penalty counts on every event stream — by the
+// differential oracles in this package and in internal/experiments.
 package kernel
 
 import (
@@ -75,8 +75,8 @@ func (c SiteCost) Cycles(misfetchPenalty, mispredictPenalty uint64) uint64 {
 }
 
 // Kernel is one compiled (program, architecture) simulation. Compile it
-// once, feed it event batches with Run, read totals with Result and the
-// per-site breakdown with SiteCosts. A Kernel is not safe for concurrent
+// once, feed it packed batches with RunBatch, read totals with Result and
+// the per-site breakdown with SiteCosts. A Kernel is not safe for concurrent
 // use; Reset rewinds it for another replay.
 type Kernel struct {
 	arch  predict.ArchID
@@ -85,14 +85,9 @@ type Kernel struct {
 
 	// Program tables: the per-program half of the compile, shared across
 	// every architecture kernel simulating the same program. lay owns the
-	// tables; base/siteOf/sites are its backing slices cached for the inner
-	// loops. siteOf packs each instruction slot's site id and static kind
-	// into one int32 (id<<siteShift | kind), so the inner loop resolves and
-	// validates an event with a single load; empty slots hold -1.
-	lay    *trace.Layout
-	base   uint64
-	siteOf []int32
-	sites  []Site // descriptor rows in (proc, block, instr) order
+	// tables; sites is its descriptor slice, cached for the inner loops.
+	lay   *trace.Layout
+	sites []Site // descriptor rows in (proc, block, instr) order
 
 	// Compact per-site hot tables, derived from sites at compile time so
 	// the batch inner loops never touch the 40-byte descriptor rows: a
@@ -149,11 +144,6 @@ type Kernel struct {
 
 	res predict.Result
 }
-
-// siteShift is the packed-slot split: the low bits hold the site's static
-// ir.Kind, the high bits its site id. It equals the trace package's
-// SlotShift because the slot table now lives there.
-const siteShift = trace.SlotShift
 
 // classFor resolves an architecture's registry descriptor and maps its
 // kernel kind to the devirtualized class. The registry is the single
@@ -235,7 +225,7 @@ func CompileArch(lay *trace.Layout, prog *ir.Program, prof *profile.Profile, arc
 
 	k := &Kernel{
 		arch: arch, class: cls, obs: rec,
-		lay: lay, base: lay.Base(), siteOf: lay.Slots(), sites: lay.Sites(),
+		lay: lay, sites: lay.Sites(),
 	}
 
 	n := len(k.sites)
@@ -320,7 +310,7 @@ func (k *Kernel) compileLikely(prog *ir.Program, prof *profile.Profile) {
 				continue
 			}
 			pc := b.TermAddr()
-			if si, ok := k.lookup(pc); ok && c.Taken > c.Fall {
+			if si, ok := k.lay.Lookup(pc); ok && c.Taken > c.Fall {
 				k.predOf[si] = 1
 			}
 		}
@@ -334,22 +324,6 @@ func newCounters(n int) []predict.Counter2 {
 		c[i] = predict.Counter2Init
 	}
 	return c
-}
-
-// lookup resolves a PC to its site id.
-func (k *Kernel) lookup(pc uint64) (int32, bool) {
-	if pc < k.base || (pc-k.base)%ir.InstrBytes != 0 {
-		return 0, false
-	}
-	slot := (pc - k.base) / ir.InstrBytes
-	if slot >= uint64(len(k.siteOf)) {
-		return 0, false
-	}
-	packed := k.siteOf[slot]
-	if packed < 0 {
-		return 0, false
-	}
-	return packed >> siteShift, true
 }
 
 // Arch returns the compiled architecture id.

@@ -51,34 +51,16 @@ func profileOf(t *testing.T, prog *ir.Program, maxInstrs uint64) *profile.Profil
 	return col.Profile()
 }
 
-// assertParity runs events through both the flat kernel and the reference
-// simulator for arch and requires identical totals and per-site costs.
-func assertParity(t *testing.T, prog *ir.Program, prof *profile.Profile, arch predict.ArchID, events []trace.Event) {
+// runEvents packs events against the kernel's own layout and feeds them to
+// RunBatch in one batch.
+func runEvents(t *testing.T, k *Kernel, events []trace.Event) error {
 	t.Helper()
-	k, err := Compile(prog, prof, arch, nil)
-	if err != nil {
-		t.Fatalf("%s: Compile: %v", arch, err)
-	}
-	if err := k.Run(events); err != nil {
-		t.Fatalf("%s: Run: %v", arch, err)
-	}
-	sim, err := predict.NewSimulator(arch, prog, prof)
-	if err != nil {
-		t.Fatalf("%s: NewSimulator: %v", arch, err)
-	}
-	wantRes, wantCosts := ReferenceRun(sim, events)
-	if got := k.Result(); got != wantRes {
-		t.Errorf("%s: Result mismatch:\n kernel    %+v\n reference %+v", arch, got, wantRes)
-	}
-	gotCosts := k.SiteCosts()
-	if len(gotCosts) != len(wantCosts) {
-		t.Errorf("%s: site count mismatch: kernel %d, reference %d", arch, len(gotCosts), len(wantCosts))
-	}
-	for pc, want := range wantCosts {
-		if got := gotCosts[pc]; got != want {
-			t.Errorf("%s: site %#x cost mismatch: kernel %+v, reference %+v", arch, pc, got, want)
+	for _, b := range packBatches(t, k.Layout(), events, 1<<16) {
+		if err := k.RunBatch(b); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -98,42 +80,6 @@ endproc
 	}
 	if _, err := Compile(prog, profile.New("x"), predict.ArchLikely, nil); err != nil {
 		t.Errorf("Compile(likely, empty profile): %v", err)
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	prog := mustAssemble(t, `
-proc main
-    li   r1, 2
-loop:
-    addi r1, r1, -1
-    bnez r1, loop
-    halt
-endproc
-`)
-	k, err := Compile(prog, nil, predict.ArchFallthrough, nil)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	site := k.Sites()[0]
-	if site.Kind != ir.CondBr {
-		t.Fatalf("expected first site to be the conditional, got %v", site.Kind)
-	}
-	// A PC that is not a compiled site.
-	if err := k.Run([]trace.Event{{PC: site.PC + 0x1000, Kind: ir.CondBr}}); err == nil {
-		t.Error("Run with out-of-program PC succeeded")
-	}
-	// Unaligned PC.
-	if err := k.Run([]trace.Event{{PC: site.PC + 1, Kind: ir.CondBr}}); err == nil {
-		t.Error("Run with unaligned PC succeeded")
-	}
-	// Right PC, wrong kind.
-	if err := k.Run([]trace.Event{{PC: site.PC, Kind: ir.Ret}}); err == nil {
-		t.Error("Run with mismatched event kind succeeded")
-	}
-	// A valid event still works after the failures above.
-	if err := k.Run([]trace.Event{{PC: site.PC, Kind: ir.CondBr, Taken: false, Target: site.PC + ir.InstrBytes}}); err != nil {
-		t.Errorf("Run with valid event: %v", err)
 	}
 }
 
@@ -165,8 +111,8 @@ endproc
 		if k.NumSites() != 1 {
 			t.Errorf("%s: NumSites = %d, want 1", arch, k.NumSites())
 		}
-		if err := k.Run(events); err != nil {
-			t.Fatalf("%s: Run: %v", arch, err)
+		if err := runEvents(t, k, events); err != nil {
+			t.Fatalf("%s: RunBatch: %v", arch, err)
 		}
 		if res := k.Result(); res != (predict.Result{}) {
 			t.Errorf("%s: empty run produced nonzero result %+v", arch, res)
@@ -174,7 +120,7 @@ endproc
 		if costs := k.SiteCosts(); len(costs) != 0 {
 			t.Errorf("%s: empty run produced %d active sites", arch, len(costs))
 		}
-		assertParity(t, prog, prof, arch, events)
+		assertBatchParity(t, prog, prof, arch, events)
 	}
 }
 
@@ -196,7 +142,7 @@ endproc
 		t.Fatal("loop produced no events")
 	}
 	for _, arch := range allArchs() {
-		assertParity(t, prog, prof, arch, events)
+		assertBatchParity(t, prog, prof, arch, events)
 	}
 }
 
@@ -239,7 +185,7 @@ func TestReturnStackOverflow(t *testing.T) {
 		t.Fatalf("walk produced only %d returns; want > 32 to exercise overflow", rets)
 	}
 	for _, arch := range allArchs() {
-		assertParity(t, prog, prof, arch, events)
+		assertBatchParity(t, prog, prof, arch, events)
 	}
 
 	// The deep call chain must overflow: with 40 nested calls, the oldest
@@ -256,7 +202,9 @@ func TestReturnStackOverflow(t *testing.T) {
 	}
 }
 
-// TestReset requires a reset kernel to reproduce its first run exactly.
+// TestReset requires a reset kernel to reproduce its first run exactly. Its
+// call-in-a-loop program also goes through the batch-cap parity check, so
+// conditional, call and return state all carry across one-event batches.
 func TestReset(t *testing.T) {
 	prog := mustAssemble(t, `
 proc main
@@ -275,20 +223,21 @@ endproc
 	prof := profileOf(t, prog, 4000)
 	events := recordEvents(t, prog, 4000)
 	for _, arch := range allArchs() {
+		assertBatchParity(t, prog, prof, arch, events)
 		k, err := Compile(prog, prof, arch, nil)
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", arch, err)
 		}
-		if err := k.Run(events); err != nil {
-			t.Fatalf("%s: Run: %v", arch, err)
+		if err := runEvents(t, k, events); err != nil {
+			t.Fatalf("%s: RunBatch: %v", arch, err)
 		}
 		first, firstCosts := k.Result(), k.SiteCosts()
 		k.Reset()
 		if res := k.Result(); res != (predict.Result{}) {
 			t.Fatalf("%s: Reset left result %+v", arch, res)
 		}
-		if err := k.Run(events); err != nil {
-			t.Fatalf("%s: second Run: %v", arch, err)
+		if err := runEvents(t, k, events); err != nil {
+			t.Fatalf("%s: second RunBatch: %v", arch, err)
 		}
 		if second := k.Result(); second != first {
 			t.Errorf("%s: replay after Reset diverged:\n first  %+v\n second %+v", arch, first, second)
@@ -320,8 +269,8 @@ endproc
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", arch, err)
 		}
-		if err := k.Run(events); err != nil {
-			t.Fatalf("%s: Run: %v", arch, err)
+		if err := runEvents(t, k, events); err != nil {
+			t.Fatalf("%s: RunBatch: %v", arch, err)
 		}
 		var sum uint64
 		for _, cyc := range k.SiteCycles() {

@@ -25,8 +25,8 @@ func checkFullParity(t *testing.T, prog *ir.Program, prof *profile.Profile, arch
 	if err != nil {
 		t.Fatalf("%s: Compile: %v", arch, err)
 	}
-	if err := k.Run(events); err != nil {
-		t.Fatalf("%s: Run: %v", arch, err)
+	if err := runEvents(t, k, events); err != nil {
+		t.Fatalf("%s: RunBatch: %v", arch, err)
 	}
 	sim, err := predict.NewSimulator(arch, prog, prof)
 	if err != nil {

@@ -50,9 +50,12 @@ endproc
 		k, err := Compile(prog, prof, arch, nil)
 		if err != nil {
 			t.Errorf("%s: Compile: %v", arch, err)
-		} else if events := recordEvents(t, prog, 200); len(events) > 0 {
-			if err := k.Run(events); err != nil {
-				t.Errorf("%s: compiled kernel Run: %v", arch, err)
+		} else if events := recordEvents(t, prog, 200); len(events) > 0 && sim != nil {
+			if err := runEvents(t, k, events); err != nil {
+				t.Errorf("%s: compiled kernel RunBatch: %v", arch, err)
+			} else if want, _ := ReferenceRun(sim, events); k.Result() != want {
+				t.Errorf("%s: compiled kernel diverges from the reference:\n kernel    %+v\n reference %+v",
+					arch, k.Result(), want)
 			}
 		}
 

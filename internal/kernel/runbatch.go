@@ -8,10 +8,10 @@ import (
 )
 
 // RunBatch consumes one packed batch produced against the kernel's own
-// layout, accumulating exactly what Run would over the decoded events.
-// Like Run it may be called repeatedly — predictor state carries across
-// batches — which is what lets N architecture kernels consume one streamed
-// generation incrementally.
+// layout, accumulating totals and per-site penalties exactly as the
+// reference simulator would over the decoded events. It may be called
+// repeatedly — predictor state carries across batches — which is what lets
+// N architecture kernels consume one streamed generation incrementally.
 //
 // The packed form already went through Layout.Append's site resolution, so
 // the inner loops read each event's static fields (PC, targets, fall
@@ -440,4 +440,64 @@ loop:
 	k.res = res
 	k.btbTick = tick
 	return retErr
+}
+
+// btbLookup returns the line index holding pc, or -1 on miss. A hit
+// refreshes the line's LRU tick, exactly as predict.BTB.Lookup does.
+func (k *Kernel) btbLookup(pc uint64) int {
+	k.btbTick++
+	set := int((pc / ir.InstrBytes) & k.btbSetMask)
+	base := set * k.btbWays
+	tag := pc + 1
+	for w := 0; w < k.btbWays; w++ {
+		if k.btbTags[base+w] == tag {
+			k.btbLRU[base+w] = k.btbTick
+			return base + w
+		}
+	}
+	return -1
+}
+
+// btbInsert installs a taken branch, evicting the set's LRU way with the
+// same victim scan order as predict.BTB.Insert (first invalid way wins,
+// then lowest tick).
+func (k *Kernel) btbInsert(pc, target uint64) {
+	k.btbTick++
+	set := int((pc / ir.InstrBytes) & k.btbSetMask)
+	base := set * k.btbWays
+	victim := base
+	for w := 0; w < k.btbWays; w++ {
+		if k.btbTags[base+w] == 0 {
+			victim = base + w
+			break
+		}
+		if k.btbLRU[base+w] < k.btbLRU[victim] {
+			victim = base + w
+		}
+	}
+	k.btbTags[victim] = pc + 1
+	k.btbTargets[victim] = target
+	k.btbLRU[victim] = k.btbTick
+	k.btbCtr[victim] = 3
+}
+
+// rasPush records a return address, wrapping past the fixed capacity as
+// hardware return stacks (and predict.ReturnStack) do.
+func (k *Kernel) rasPush(addr uint64) {
+	k.ras[k.rasTop] = addr
+	k.rasTop = (k.rasTop + 1) % len(k.ras)
+	if k.rasDepth < len(k.ras) {
+		k.rasDepth++
+	}
+}
+
+// rasPop returns the predicted return address; ok is false on an empty
+// stack.
+func (k *Kernel) rasPop() (uint64, bool) {
+	if k.rasDepth == 0 {
+		return 0, false
+	}
+	k.rasTop = (k.rasTop - 1 + len(k.ras)) % len(k.ras)
+	k.rasDepth--
+	return k.ras[k.rasTop], true
 }

@@ -7,8 +7,8 @@ import (
 
 	"balign/internal/ir"
 	"balign/internal/predict"
+	"balign/internal/profile"
 	"balign/internal/trace"
-	"balign/internal/workload"
 )
 
 // packBatches encodes events against lay into batches of at most batchCap
@@ -32,132 +32,53 @@ func packBatches(t *testing.T, lay *trace.Layout, events []trace.Event, batchCap
 	return batches
 }
 
-// assertBatchParity feeds the same stream to an event-replay kernel and a
-// batch-consuming kernel and requires identical results, per-site costs and
-// cycles — the RunBatch half of the streaming-vs-recorded oracle.
-func assertBatchParity(t *testing.T, prog *ir.Program, arch predict.ArchID, events []trace.Event, batchCap int) {
+// assertBatchParity packs events into batches at several granularities,
+// including cap 1 (every event its own batch — maximal state-carry
+// stress), runs each packing through a fresh kernel's RunBatch, and
+// requires results, per-site costs and per-site cycles identical to the
+// reference simulator fed the events one by one.
+func assertBatchParity(t *testing.T, prog *ir.Program, prof *profile.Profile, arch predict.ArchID, events []trace.Event) {
 	t.Helper()
-	prof := profileOf(t, prog, 2000)
-	ref, err := Compile(prog, prof, arch, nil)
+	sim, err := predict.NewSimulator(arch, prog, prof)
 	if err != nil {
-		t.Fatalf("%s: Compile: %v", arch, err)
+		t.Fatalf("%s: NewSimulator: %v", arch, err)
 	}
-	if err := ref.Run(events); err != nil {
-		t.Fatalf("%s: Run: %v", arch, err)
+	rec := NewSiteRecorder(sim)
+	for i := range events {
+		rec.Event(events[i])
 	}
+	wantRes := sim.Result()
 
 	lay, err := trace.CompileLayout(prog)
 	if err != nil {
 		t.Fatalf("CompileLayout: %v", err)
 	}
-	k, err := CompileArch(lay, prog, prof, arch, nil)
-	if err != nil {
-		t.Fatalf("%s: CompileArch: %v", arch, err)
-	}
-	for _, b := range packBatches(t, lay, events, batchCap) {
-		if err := k.RunBatch(b); err != nil {
-			t.Fatalf("%s: RunBatch: %v", arch, err)
+	for _, batchCap := range []int{1, 7, 256, 1 << 16} {
+		k, err := CompileArch(lay, prog, prof, arch, nil)
+		if err != nil {
+			t.Fatalf("%s: CompileArch: %v", arch, err)
 		}
-	}
-
-	if got, want := k.Result(), ref.Result(); got != want {
-		t.Errorf("%s cap=%d: Result mismatch:\n batch %+v\n event %+v", arch, batchCap, got, want)
-	}
-	if got, want := k.SiteCosts(), ref.SiteCosts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("%s cap=%d: per-site costs diverge (%d batch sites, %d event sites)",
-			arch, batchCap, len(got), len(want))
-	}
-	if got, want := k.SiteCycles(), ref.SiteCycles(); !reflect.DeepEqual(got, want) {
-		t.Errorf("%s cap=%d: per-site cycles diverge", arch, batchCap)
-	}
-}
-
-// TestRunBatchMatchesRun checks every architecture over a branchy assembled
-// program at several batch granularities, including cap 1 (every event its
-// own batch — maximal state-carry stress).
-func TestRunBatchMatchesRun(t *testing.T) {
-	prog := mustAssemble(t, `
-proc main
-    li   r1, 8
-outer:
-    call helper
-    addi r1, r1, -1
-    bnez r1, outer
-    halt
-endproc
-proc helper
-    li   r2, 3
-inner:
-    addi r2, r2, -1
-    bnez r2, inner
-    ret
-endproc
-`)
-	events := recordEvents(t, prog, 2000)
-	if len(events) == 0 {
-		t.Fatal("no events")
-	}
-	for _, arch := range allArchs() {
-		for _, cap := range []int{1, 7, 256, 1 << 16} {
-			assertBatchParity(t, prog, arch, events, cap)
+		for _, b := range packBatches(t, lay, events, batchCap) {
+			if err := k.RunBatch(b); err != nil {
+				t.Fatalf("%s cap=%d: RunBatch: %v", arch, batchCap, err)
+			}
 		}
-	}
-}
-
-// TestRunBatchMatchesRunWorkloads repeats batch-vs-event parity over real
-// suite workloads (walker-generated structure, all event kinds).
-func TestRunBatchMatchesRunWorkloads(t *testing.T) {
-	for _, name := range []string{"doduc", "db++"} {
-		t.Run(name, func(t *testing.T) {
-			w, err := workload.ByName(name, workload.Config{Scale: 0.02})
-			if err != nil {
-				t.Fatalf("ByName: %v", err)
-			}
-			prof, _, err := w.CollectProfile()
-			if err != nil {
-				t.Fatalf("CollectProfile: %v", err)
-			}
-			var events []trace.Event
-			if _, err := w.Run(w.Prog, prof, trace.SinkFunc(func(e trace.Event) {
-				events = append(events, e)
-			}), nil); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			lay, err := trace.CompileLayout(w.Prog)
-			if err != nil {
-				t.Fatalf("CompileLayout: %v", err)
-			}
-			for _, arch := range allArchs() {
-				ref, err := Compile(w.Prog, prof, arch, nil)
-				if err != nil {
-					t.Fatalf("%s: Compile: %v", arch, err)
-				}
-				if err := ref.Run(events); err != nil {
-					t.Fatalf("%s: Run: %v", arch, err)
-				}
-				k, err := CompileArch(lay, w.Prog, prof, arch, nil)
-				if err != nil {
-					t.Fatalf("%s: CompileArch: %v", arch, err)
-				}
-				for _, b := range packBatches(t, lay, events, 512) {
-					if err := k.RunBatch(b); err != nil {
-						t.Fatalf("%s: RunBatch: %v", arch, err)
-					}
-				}
-				if got, want := k.Result(), ref.Result(); got != want {
-					t.Errorf("%s: Result mismatch:\n batch %+v\n event %+v", arch, got, want)
-				}
-				if got, want := k.SiteCosts(), ref.SiteCosts(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: per-site costs diverge", arch)
-				}
-			}
-		})
+		if got := k.Result(); got != wantRes {
+			t.Errorf("%s cap=%d: Result mismatch:\n kernel    %+v\n reference %+v", arch, batchCap, got, wantRes)
+		}
+		if got := k.SiteCosts(); !reflect.DeepEqual(got, rec.Costs) {
+			t.Errorf("%s cap=%d: per-site costs diverge (%d kernel sites, %d reference sites)",
+				arch, batchCap, len(got), len(rec.Costs))
+		}
+		if got := k.SiteCycles(); !reflect.DeepEqual(got, rec.Cycles()) {
+			t.Errorf("%s cap=%d: per-site cycles diverge", arch, batchCap)
+		}
 	}
 }
 
 // TestKernelsShareLayout compiles every architecture against one layout and
 // runs them over the same batches — the fan-out shape the broadcast stage
-// uses — requiring each to match its independently compiled twin.
+// uses — requiring each to match the reference simulator.
 func TestKernelsShareLayout(t *testing.T) {
 	prog := mustAssemble(t, `
 proc main
@@ -180,20 +101,18 @@ endproc
 		if err != nil {
 			t.Fatalf("%s: CompileArch: %v", arch, err)
 		}
-		solo, err := Compile(prog, prof, arch, nil)
-		if err != nil {
-			t.Fatalf("%s: Compile: %v", arch, err)
-		}
 		for _, b := range batches {
 			if err := shared.RunBatch(b); err != nil {
 				t.Fatalf("%s: RunBatch: %v", arch, err)
 			}
 		}
-		if err := solo.Run(events); err != nil {
-			t.Fatalf("%s: Run: %v", arch, err)
+		sim, err := predict.NewSimulator(arch, prog, prof)
+		if err != nil {
+			t.Fatalf("%s: NewSimulator: %v", arch, err)
 		}
-		if shared.Result() != solo.Result() {
-			t.Errorf("%s: shared-layout kernel diverges from solo kernel", arch)
+		if want, _ := ReferenceRun(sim, events); shared.Result() != want {
+			t.Errorf("%s: shared-layout kernel diverges from the reference:\n kernel    %+v\n reference %+v",
+				arch, shared.Result(), want)
 		}
 	}
 }

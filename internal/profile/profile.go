@@ -366,11 +366,11 @@ func Read(r io.Reader) (*Profile, error) {
 			if len(fields) != 4 {
 				return nil, bad("edge takes from to weight")
 			}
-			from, err1 := strconv.Atoi(fields[1])
-			to, err2 := strconv.Atoi(fields[2])
+			from, err1 := parseBlockID(fields[1])
+			to, err2 := parseBlockID(fields[2])
 			w, err3 := strconv.ParseUint(fields[3], 10, 64)
 			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, bad("bad edge numbers")
+				return nil, bad("bad edge numbers (block ids must be in [0, 2^31))")
 			}
 			cur.Edges[Edge{ir.BlockID(from), ir.BlockID(to)}] += w
 		case "branch":
@@ -380,16 +380,16 @@ func Read(r io.Reader) (*Profile, error) {
 			if len(fields) != 4 {
 				return nil, bad("branch takes block taken fall")
 			}
-			b, err1 := strconv.Atoi(fields[1])
+			b, err1 := parseBlockID(fields[1])
 			taken, err2 := strconv.ParseUint(fields[2], 10, 64)
 			fall, err3 := strconv.ParseUint(fields[3], 10, 64)
 			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, bad("bad branch numbers")
+				return nil, bad("bad branch numbers (block ids must be in [0, 2^31))")
 			}
-			cc := cur.Branches[ir.BlockID(b)]
+			cc := cur.Branches[b]
 			cc.Taken += taken
 			cc.Fall += fall
-			cur.Branches[ir.BlockID(b)] = cc
+			cur.Branches[b] = cc
 		default:
 			return nil, bad("unknown record")
 		}
@@ -398,4 +398,18 @@ func Read(r io.Reader) (*Profile, error) {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	return pf, nil
+}
+
+// parseBlockID parses a block index. Block ids index a procedure's block
+// slice, so a negative id, or one too large for ir.BlockID (which would
+// wrap), is rejected rather than handed to the aligner.
+func parseBlockID(s string) (ir.BlockID, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	if err != nil {
+		return 0, err
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("negative block id %d", v)
+	}
+	return ir.BlockID(v), nil
 }

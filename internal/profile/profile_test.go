@@ -209,6 +209,9 @@ func TestReadErrors(t *testing.T) {
 		{"unknown record", "wibble\n", "unknown record"},
 		{"bad instrs", "instrs lots\n", "bad instruction count"},
 		{"edge arity", "proc m\nedge 1 2\n", "edge takes"},
+		{"negative branch block", "proc m\nbranch -7 1 1\n", "line 2: bad branch"},
+		{"negative edge blocks", "proc m\nedge -3 -4 7\n", "line 2: bad edge"},
+		{"wrapping edge blocks", "proc m\nedge 4294967297 4294967298 9\n", "line 2: bad edge"},
 	}
 	for _, c := range cases {
 		_, err := Read(strings.NewReader(c.in))

@@ -74,12 +74,10 @@ type Config struct {
 	// tests; CacheBytes is then ignored).
 	CacheEntries int
 	CacheBytes   int64
-	// Kernel and Stream are the default simulation executor and trace
-	// lifecycle for requests that do not specify their own ("" = flat/on).
-	// Responses are byte-identical across all four combinations — the
-	// serve golden tests extend the repo's parity-oracle family with this.
+	// Kernel is the simulation executor for every request ("" = flat).
+	// Responses are byte-identical in both modes — the serve golden tests
+	// extend the repo's parity-oracle family with this.
 	Kernel string
-	Stream string
 	// Parallelism is the per-request experiment-engine shard bound
 	// (0 = GOMAXPROCS). Cross-request parallelism comes from MaxInFlight;
 	// per-request sharding mainly helps latency on an idle server.
@@ -145,9 +143,6 @@ type Server struct {
 
 // New validates cfg and returns a ready Server.
 func New(cfg Config) (*Server, error) {
-	if _, err := sim.ParseStreamMode(cfg.Stream); err != nil {
-		return nil, err
-	}
 	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/profile"
-	"balign/internal/sim"
 	"balign/internal/trace"
 	"balign/internal/vm"
 	"balign/internal/workload"
@@ -39,9 +38,9 @@ const (
 //     is aligned per algorithm and stream-simulated across the requested
 //     architectures.
 //
-// The executor kernel and trace lifecycle are server configuration, not
-// request fields: responses are byte-identical across flat/ref and
-// streamed/recorded servers, and the golden tests pin that four-way parity.
+// The executor kernel is server configuration, not a request field:
+// responses are byte-identical across flat and ref servers, and the golden
+// tests pin that parity.
 type SimulateRequest struct {
 	// Suite mode.
 	Programs []string `json:"programs,omitempty"`
@@ -245,7 +244,6 @@ func (s *Server) simulateSuite(ctx context.Context, req *SimulateRequest) ([]met
 		Window:      req.Window,
 		Programs:    req.Programs,
 		Kernel:      s.cfg.Kernel,
-		Stream:      s.cfg.Stream,
 		Parallelism: s.cfg.Parallelism,
 		Obs:         s.obs,
 		Ctx:         ctx,
@@ -279,7 +277,7 @@ type inlineVariant struct {
 // simulateInline assembles the request's program, aligns it per algorithm —
 // grouping architectures that the paper gives one shared alignment (both
 // PHTs, both BTBs) — and simulates each variant's trace across its
-// architectures, streamed or recorded per the server's configuration.
+// architectures in one streamed generation.
 func (s *Server) simulateInline(ctx context.Context, req *SimulateRequest) ([]metrics.Summary, *apiError) {
 	prog, err := asm.Assemble(req.Asm)
 	if err != nil {
@@ -470,56 +468,39 @@ func buildInlineVariants(ctx context.Context, prog *ir.Program, pf *profile.Prof
 }
 
 // simulateVariant traces one variant and simulates it on all of its
-// architectures, streaming through the server's shared broadcast stage or
-// recording and replaying, per the server's stream mode. Both paths yield
-// identical results — the repository's stream-vs-recorded oracles extend
-// to the serve layer via the golden parity tests.
+// architectures, streaming its packed batches through the server's shared
+// broadcast stage. The walk generator is the compiled trace.WalkSource the
+// suite's workloads use; the VM runs on a generator goroutine behind a
+// trace.FuncSource.
 func (s *Server) simulateVariant(ctx context.Context, v *inlineVariant, req *SimulateRequest,
 	budget uint64, origRuns int) (uint64, []predict.Result, *apiError) {
-
-	gen := func(sink trace.Sink) (uint64, error) {
-		if req.Generator == "walk" {
-			w := &trace.Walker{Prog: v.prog, Model: v.prof.Model(v.prog), Seed: req.Seed, MaxInstrs: budget}
-			if origRuns > 0 {
-				// Work-equivalence with the original walk, as the suite's
-				// workloads do for aligned variants.
-				w.MaxRuns = origRuns
-				w.MaxInstrs = budget * 3
-			}
-			instrs, _ := w.Run(sink, nil)
-			return instrs, nil
-		}
-		machine := vm.New(v.prog)
-		machine.MaxSteps = budget
-		res, err := machine.Run(sink, nil)
-		return res.Instrs, err
-	}
-
-	smode, _ := sim.ParseStreamMode(s.cfg.Stream)
-	if smode == sim.StreamOff {
-		rec, err := sim.Record(gen)
-		if err != nil {
-			return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
-		}
-		results := make([]predict.Result, len(v.archs))
-		for i, arch := range v.archs {
-			if err := ctx.Err(); err != nil {
-				return 0, nil, ctxError(err)
-			}
-			r, err := s.exec.Simulate(arch, v.prog, v.prof, rec)
-			if err != nil {
-				return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
-			}
-			results[i] = r
-		}
-		return rec.Instrs, results, nil
-	}
 
 	lay, err := trace.CompileLayout(v.prog)
 	if err != nil {
 		return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
 	}
-	src := trace.NewFuncSource(lay, s.str.BatchCap(), gen)
+	var src trace.Source
+	if req.Generator == "walk" {
+		w := &trace.Walker{Prog: v.prog, Model: v.prof.Model(v.prog), Seed: req.Seed, MaxInstrs: budget}
+		if origRuns > 0 {
+			// Work-equivalence with the original walk, as the suite's
+			// workloads do for aligned variants.
+			w.MaxRuns = origRuns
+			w.MaxInstrs = budget * 3
+		}
+		ws, err := trace.NewWalkSource(w, lay, s.str.BatchCap())
+		if err != nil {
+			return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
+		}
+		src = ws
+	} else {
+		src = trace.NewFuncSource(lay, s.str.BatchCap(), func(sink trace.Sink) (uint64, error) {
+			machine := vm.New(v.prog)
+			machine.MaxSteps = budget
+			res, err := machine.Run(sink, nil)
+			return res.Instrs, err
+		})
+	}
 	results, err := s.exec.SimulateStream(ctx, s.str, lay, src, v.prog, v.prof, v.archs)
 	if err != nil {
 		if aerr := ctx.Err(); aerr != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +28,19 @@ const (
 	KernelRef KernelMode = "ref"
 )
 
+// KernelModes lists the valid kernel modes in preference order.
+func KernelModes() []KernelMode { return []KernelMode{KernelFlat, KernelRef} }
+
+// modeList renders a mode list for error messages, so the message can never
+// drift from the actual set of accepted values.
+func modeList[T ~string](modes []T) string {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = string(m)
+	}
+	return strings.Join(names, ", ")
+}
+
 // ParseKernelMode parses a -kernel flag value; the empty string selects the
 // flat default. The error enumerates KernelModes, so the message cannot
 // drift from the accepted set.
@@ -44,17 +58,13 @@ func ParseKernelMode(s string) (KernelMode, error) {
 
 // ExecStats splits an executor's work into its compile and run phases. The
 // JSON form is the run report's "executor" section. Keeping the phases
-// separate is what lets cache-hit replays be attributed correctly: a cell
-// that replays an already-recorded trace still pays a per-cell compile
-// (simulator construction or kernel compilation), and lumping that into run
-// time would overstate simulation cost.
+// separate keeps per-consumer setup (simulator construction or kernel
+// compilation) out of the simulation cost.
 type ExecStats struct {
 	// Mode is the executor's kernel mode (flat or ref).
 	Mode string `json:"mode"`
-	// Cells is the number of Simulate calls completed (recorded-replay
-	// cells); StreamCells counts per-architecture consumers completed by
+	// StreamCells counts per-architecture consumers completed by
 	// SimulateStream.
-	Cells       uint64 `json:"cells"`
 	StreamCells uint64 `json:"stream_cells"`
 	// Events is the total number of break events simulated.
 	Events uint64 `json:"events"`
@@ -71,16 +81,15 @@ type ExecStats struct {
 	ForwardEvents uint64 `json:"forward_events"`
 }
 
-// Executor runs one evaluation cell's simulation — one architecture over
-// one recorded trace — in either kernel mode. It is safe for concurrent
-// use; the engine's shards share one executor so the compile/run split
+// Executor runs one variant's simulations — every architecture over one
+// streamed trace — in either kernel mode. It is safe for concurrent use;
+// the engine's shards share one executor so the compile/run split
 // aggregates across the grid.
 type Executor struct {
 	mode   KernelMode
 	obs    *obs.Recorder
 	shards int
 
-	cells         atomic.Uint64
 	streamCells   atomic.Uint64
 	events        atomic.Uint64
 	compileNs     atomic.Int64
@@ -130,7 +139,6 @@ func (x *Executor) Shards() int {
 func (x *Executor) Stats() ExecStats {
 	return ExecStats{
 		Mode:          string(x.mode),
-		Cells:         x.cells.Load(),
 		StreamCells:   x.streamCells.Load(),
 		Events:        x.events.Load(),
 		CompileNs:     x.compileNs.Load(),
@@ -141,47 +149,12 @@ func (x *Executor) Stats() ExecStats {
 	}
 }
 
-// Simulate runs arch over rec's events for the given program variant and
-// returns the exact simulation tallies. Both modes produce identical
-// results on every input — the differential oracles in internal/kernel and
-// internal/experiments enforce this bit-for-bit.
-func (x *Executor) Simulate(arch predict.ArchID, prog *ir.Program, prof *profile.Profile, rec *Recorded) (predict.Result, error) {
-	cstart := time.Now()
-	var res predict.Result
-	switch x.mode {
-	case KernelRef:
-		s, err := predict.NewSimulator(arch, prog, prof)
-		if err != nil {
-			return predict.Result{}, err
-		}
-		x.noteCompile(cstart)
-		rstart := time.Now()
-		rec.Replay(s)
-		x.noteRun(rstart, len(rec.Events))
-		res = s.Result()
-	default:
-		k, err := kernel.Compile(prog, prof, arch, x.obs)
-		if err != nil {
-			return predict.Result{}, err
-		}
-		x.noteCompile(cstart)
-		rstart := time.Now()
-		if err := k.Run(rec.Events); err != nil {
-			return predict.Result{}, err
-		}
-		x.noteRun(rstart, len(rec.Events))
-		res = k.Result()
-	}
-	x.cells.Add(1)
-	return res, nil
-}
-
 // SimulateStream runs every architecture over one streamed generation of a
 // variant: src's batches are broadcast through str, each architecture
 // consuming them incrementally against the shared per-program layout. The
-// returned results are index-aligned with archs and identical to what
-// Simulate would produce over the recorded stream — the streaming-vs-
-// recorded oracles enforce this byte for byte.
+// returned results are index-aligned with archs and identical in both
+// kernel modes to a reference simulator fed the same events one by one —
+// the executor and grid oracles enforce this byte for byte.
 //
 // In flat mode with SetShards(S>1), each architecture fans out to S shard
 // consumers on their own goroutines. Shard j owns the batches whose stream
@@ -318,12 +291,4 @@ func (x *Executor) noteCompile(start time.Time) {
 	d := int64(time.Since(start))
 	x.compileNs.Add(d)
 	x.obs.Add("sim.exec.compile_ns", d)
-}
-
-func (x *Executor) noteRun(start time.Time, events int) {
-	d := int64(time.Since(start))
-	x.runNs.Add(d)
-	x.events.Add(uint64(events))
-	x.obs.Add("sim.exec.run_ns", d)
-	x.obs.Add("sim.exec.events", int64(events))
 }

@@ -5,8 +5,6 @@ import (
 
 	"balign/internal/obs"
 	"balign/internal/predict"
-	"balign/internal/trace"
-	"balign/internal/workload"
 )
 
 func TestParseKernelMode(t *testing.T) {
@@ -35,58 +33,42 @@ func TestParseKernelMode(t *testing.T) {
 	}
 }
 
-// TestExecutorModesAgree runs the same cell through both executors and
-// requires identical results, then checks the phase-split stats account for
-// the work: each mode's compile and run phases must both be populated so
-// cache-hit replays are never misattributed to simulation cost.
+// TestExecutorModesAgree runs the same stream through both executors and
+// requires each to reproduce the reference simulators, then checks the
+// phase-split stats account for the work: each mode's compile and run
+// phases must both be populated so per-consumer setup is never
+// misattributed to simulation cost.
 func TestExecutorModesAgree(t *testing.T) {
-	w, err := workload.ByName("eqntott", workload.Config{Scale: 0.05})
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	prof, _, err := w.CollectProfile()
-	if err != nil {
-		t.Fatalf("CollectProfile: %v", err)
-	}
-	rec, err := Record(func(sink trace.Sink) (uint64, error) {
-		return w.Run(w.Prog, prof, sink, nil)
-	})
-	if err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-
+	f := newStreamFixture(t)
 	archs := predict.AllArchs()
-	results := map[KernelMode][]predict.Result{}
+	want := f.reference(t, archs)
 	for _, mode := range []KernelMode{KernelRef, KernelFlat} {
 		x, err := NewExecutor(string(mode), obs.New("test"))
 		if err != nil {
 			t.Fatalf("NewExecutor(%s): %v", mode, err)
 		}
-		for _, arch := range archs {
-			r, err := x.Simulate(arch, w.Prog, prof, rec)
-			if err != nil {
-				t.Fatalf("%s/%s: Simulate: %v", mode, arch, err)
+		got, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(0), f.w.Prog, f.prof, archs)
+		if err != nil {
+			t.Fatalf("%s: SimulateStream: %v", mode, err)
+		}
+		for i, arch := range archs {
+			if got[i] != want[i] {
+				t.Errorf("%s/%s: executor disagrees with the reference:\n got  %+v\n want %+v",
+					mode, arch, got[i], want[i])
 			}
-			results[mode] = append(results[mode], r)
 		}
 		st := x.Stats()
 		if st.Mode != string(mode) {
 			t.Errorf("%s: Stats.Mode = %q", mode, st.Mode)
 		}
-		if st.Cells != uint64(len(archs)) {
-			t.Errorf("%s: Stats.Cells = %d, want %d", mode, st.Cells, len(archs))
+		if st.StreamCells != uint64(len(archs)) {
+			t.Errorf("%s: Stats.StreamCells = %d, want %d", mode, st.StreamCells, len(archs))
 		}
-		if want := uint64(len(archs)) * uint64(len(rec.Events)); st.Events != want {
+		if want := uint64(len(archs)) * uint64(len(f.events)); st.Events != want {
 			t.Errorf("%s: Stats.Events = %d, want %d", mode, st.Events, want)
 		}
 		if st.CompileNs <= 0 || st.RunNs <= 0 {
 			t.Errorf("%s: phase split not populated: compile %dns, run %dns", mode, st.CompileNs, st.RunNs)
-		}
-	}
-	for i, arch := range archs {
-		if results[KernelRef][i] != results[KernelFlat][i] {
-			t.Errorf("%s: ref and flat executors disagree:\n ref  %+v\n flat %+v",
-				arch, results[KernelRef][i], results[KernelFlat][i])
 		}
 	}
 }
@@ -94,23 +76,15 @@ func TestExecutorModesAgree(t *testing.T) {
 // TestExecutorSimulateErrors verifies both modes surface construction
 // failures (LIKELY without a profile) as errors, not panics.
 func TestExecutorSimulateErrors(t *testing.T) {
-	w, err := workload.ByName("eqntott", workload.Config{Scale: 0.02})
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	rec, err := Record(func(sink trace.Sink) (uint64, error) {
-		return w.Run(w.Prog, nil, sink, nil)
-	})
-	if err != nil {
-		t.Fatalf("Record: %v", err)
-	}
+	f := newStreamFixture(t)
 	for _, mode := range []KernelMode{KernelRef, KernelFlat} {
 		x, err := NewExecutor(string(mode), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := x.Simulate(predict.ArchLikely, w.Prog, nil, rec); err == nil {
-			t.Errorf("%s: Simulate(likely, nil profile) succeeded", mode)
+		archs := []predict.ArchID{predict.ArchLikely}
+		if _, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(0), f.w.Prog, nil, archs); err == nil {
+			t.Errorf("%s: SimulateStream(likely, nil profile) succeeded", mode)
 		}
 	}
 }

@@ -90,7 +90,8 @@ func TestSimulateStreamShardedMatchesUnsharded(t *testing.T) {
 func TestShardSlowConsumerStallIsolation(t *testing.T) {
 	f := newStreamFixture(t)
 	rec := obs.New("test")
-	str := NewStreamer(4, 4096, rec)
+	const ring = 4
+	str := NewStreamer(ring, 4096, rec)
 	var fast, slow atomic.Int64
 	var maxLead atomic.Int64
 	err := str.Broadcast(nil, f.source(4096), []func(*trace.Batch) error{
@@ -105,6 +106,17 @@ func TestShardSlowConsumerStallIsolation(t *testing.T) {
 			return nil
 		},
 		func(*trace.Batch) error {
+			// Hold the first batch until the fast consumer has drained the
+			// whole ring, so the producer must block on the free ring
+			// however slowly it generates (the race detector slows it
+			// below this consumer's pace). The wait is bounded, so
+			// lockstep consumers fail the lead check below instead of
+			// hanging.
+			if slow.Load() == 0 {
+				for deadline := time.Now().Add(5 * time.Second); fast.Load() < ring && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 			time.Sleep(100 * time.Microsecond)
 			slow.Add(1)
 			return nil

@@ -13,9 +13,9 @@
 //   - Parallelism = 1 degenerates to a plain in-order loop on the calling
 //     goroutine — the serial oracle the differential tests compare against.
 //
-// The companion TraceCache (cache.go) ensures each program variant's trace
-// is generated exactly once and replayed read-only by every simulator that
-// needs it.
+// The companion Streamer (stream.go) generates each program variant's trace
+// exactly once and broadcasts it, batch by batch, to every simulator that
+// needs it; the Executor (executor.go) supplies those simulators.
 package sim
 
 import (

@@ -8,11 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"balign/internal/ir"
 	"balign/internal/obs"
-	"balign/internal/trace"
 )
 
 func TestRunExecutesEveryTask(t *testing.T) {
@@ -238,205 +235,5 @@ func TestVerboseLogging(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "alpha") {
 		t.Errorf("verbose log missing shard label:\n%s", sb.String())
-	}
-}
-
-func TestTraceCacheGeneratesOnce(t *testing.T) {
-	c := NewTraceCache()
-	c.AddRefs("k", 8)
-	var gens atomic.Int32
-	gen := func() (*Recorded, error) {
-		gens.Add(1)
-		return &Recorded{Events: []trace.Event{{PC: 4, Kind: ir.Br}}, Instrs: 7}, nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec, err := c.Acquire("k", gen)
-			if err != nil || rec.Instrs != 7 || len(rec.Events) != 1 {
-				t.Errorf("Acquire = %+v, %v", rec, err)
-			}
-			c.Release("k")
-		}()
-	}
-	wg.Wait()
-	if n := gens.Load(); n != 1 {
-		t.Errorf("generator ran %d times, want 1", n)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 7 {
-		t.Errorf("stats = %+v, want 1 miss / 7 hits", st)
-	}
-	if st.Live != 0 || st.Freed != 1 {
-		t.Errorf("entry not freed after final release: %+v", st)
-	}
-}
-
-func TestTraceCacheRefcountLifecycle(t *testing.T) {
-	c := NewTraceCache()
-	c.AddRefs("k", 2)
-	gen := func() (*Recorded, error) { return &Recorded{Instrs: 1}, nil }
-	if _, err := c.Acquire("k", gen); err != nil {
-		t.Fatal(err)
-	}
-	c.Release("k")
-	if st := c.Stats(); st.Live != 1 {
-		t.Fatalf("entry dropped with a reference outstanding: %+v", st)
-	}
-	c.Release("k")
-	if st := c.Stats(); st.Live != 0 || st.Freed != 1 {
-		t.Fatalf("entry not dropped at refcount zero: %+v", st)
-	}
-	// Re-acquiring after the drop regenerates.
-	c.AddRefs("k", 1)
-	if _, err := c.Acquire("k", gen); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("re-acquire after drop did not regenerate: %+v", st)
-	}
-}
-
-func TestTraceCachePropagatesGenerationError(t *testing.T) {
-	// Acquirers blocked while a generation is in flight share its error;
-	// the generator runs once for that cohort.
-	c := NewTraceCache()
-	c.AddRefs("bad", 2)
-	boom := errors.New("walk failed")
-	genStarted := make(chan struct{})
-	var gens atomic.Int32
-	gen := func() (*Recorded, error) {
-		gens.Add(1)
-		close(genStarted)
-		// Hold the generation open until the second acquirer is bound to
-		// it: a waiter counts its hit before blocking on the entry's done
-		// channel, so once Hits > 0 the error below is observed as shared
-		// rather than retried.
-		for c.Stats().Hits == 0 {
-			time.Sleep(time.Microsecond)
-		}
-		return nil, boom
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, errs[0] = c.Acquire("bad", gen)
-	}()
-	go func() {
-		defer wg.Done()
-		<-genStarted // only acquire once the failing generation is in flight
-		_, errs[1] = c.Acquire("bad", func() (*Recorded, error) {
-			return nil, errors.New("generator re-ran while a generation was in flight")
-		})
-	}()
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, boom) {
-			t.Errorf("acquirer %d err = %v, want %v", i, err, boom)
-		}
-	}
-	if n := gens.Load(); n != 1 {
-		t.Errorf("generator ran %d times for one cohort, want 1", n)
-	}
-}
-
-// TestTraceCacheRetriesAfterError is the regression test for the
-// error-poisoning bug: a failed generation used to stick to its key for as
-// long as references remained, failing every later acquirer even when the
-// failure was transient. Now the entry resets on error and the next
-// Acquire retries.
-func TestTraceCacheRetriesAfterError(t *testing.T) {
-	c := NewTraceCache()
-	c.AddRefs("k", 3)
-	boom := errors.New("transient failure")
-	gens := 0
-	if _, err := c.Acquire("k", func() (*Recorded, error) {
-		gens++
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("first acquire err = %v, want %v", err, boom)
-	}
-	c.Release("k")
-
-	// The key is not poisoned: the next Acquire retries the generation.
-	rec, err := c.Acquire("k", func() (*Recorded, error) {
-		gens++
-		return &Recorded{Events: []trace.Event{{PC: 4, Kind: ir.Br}}, Instrs: 9}, nil
-	})
-	if err != nil || rec == nil || rec.Instrs != 9 {
-		t.Fatalf("retry acquire = %+v, %v", rec, err)
-	}
-	c.Release("k")
-
-	// And the retried result is cached for later acquirers.
-	rec, err = c.Acquire("k", func() (*Recorded, error) {
-		t.Error("generator re-ran after a successful retry")
-		return nil, nil
-	})
-	if err != nil || rec == nil || rec.Instrs != 9 {
-		t.Fatalf("cached acquire = %+v, %v", rec, err)
-	}
-	c.Release("k")
-
-	if gens != 2 {
-		t.Errorf("generator ran %d times, want 2 (fail, retry)", gens)
-	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 1 || st.Errors != 1 {
-		t.Errorf("stats = %+v, want 2 misses / 1 hit / 1 error", st)
-	}
-	if st.Live != 0 || st.Freed != 1 {
-		t.Errorf("entry not freed after final release: %+v", st)
-	}
-	if st.LiveEvents != 0 || st.LiveBytes != 0 {
-		t.Errorf("freed cache still reports held data: %+v", st)
-	}
-}
-
-// TestTraceCacheTracksHeldData covers the occupancy stats the obs layer
-// reports: events and bytes held rise with live traces and fall to zero
-// after the last release.
-func TestTraceCacheTracksHeldData(t *testing.T) {
-	c := NewTraceCache()
-	c.AddRefs("k", 2)
-	rec := &Recorded{Events: make([]trace.Event, 5), Instrs: 1}
-	if _, err := c.Acquire("k", func() (*Recorded, error) { return rec, nil }); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.LiveEvents != 5 {
-		t.Errorf("LiveEvents = %d, want 5", st.LiveEvents)
-	}
-	if st.LiveBytes < rec.SizeBytes() || st.Live != 1 {
-		t.Errorf("held stats = %+v", st)
-	}
-	c.Release("k")
-	c.Release("k")
-	st = c.Stats()
-	if st.Live != 0 || st.LiveEvents != 0 || st.LiveBytes != 0 {
-		t.Errorf("released cache still reports held data: %+v", st)
-	}
-}
-
-func TestRecordAndReplay(t *testing.T) {
-	rec, err := Record(func(sink trace.Sink) (uint64, error) {
-		sink.Event(trace.Event{PC: 0x1000, Kind: ir.CondBr, Taken: true, Target: 0x2000})
-		sink.Event(trace.Event{PC: 0x1004, Kind: ir.Ret, Taken: true, Target: 0x3000})
-		return 42, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Instrs != 42 || len(rec.Events) != 2 {
-		t.Fatalf("recorded %+v", rec)
-	}
-	var got trace.Recorder
-	rec.Replay(&got)
-	if len(got.Events) != 2 || got.Events[0].PC != 0x1000 || got.Events[1].Kind != ir.Ret {
-		t.Errorf("replayed events %+v", got.Events)
 	}
 }

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,50 +9,6 @@ import (
 	"balign/internal/obs"
 	"balign/internal/trace"
 )
-
-// StreamMode selects how a variant's event stream reaches its simulators.
-type StreamMode string
-
-const (
-	// StreamOn generates each variant's stream once and broadcasts its
-	// batches to every architecture kernel concurrently, never holding more
-	// than the buffer ring in memory: the default.
-	StreamOn StreamMode = "on"
-	// StreamOff records each variant's whole trace into the refcounted
-	// TraceCache and replays it once per architecture: the pre-streaming
-	// escape hatch and differential oracle.
-	StreamOff StreamMode = "off"
-)
-
-// StreamModes lists the valid stream modes in preference order.
-func StreamModes() []StreamMode { return []StreamMode{StreamOn, StreamOff} }
-
-// KernelModes lists the valid kernel modes in preference order.
-func KernelModes() []KernelMode { return []KernelMode{KernelFlat, KernelRef} }
-
-// modeList renders a mode list for error messages, so the message can never
-// drift from the actual set of accepted values.
-func modeList[T ~string](modes []T) string {
-	names := make([]string, len(modes))
-	for i, m := range modes {
-		names[i] = string(m)
-	}
-	return strings.Join(names, ", ")
-}
-
-// ParseStreamMode parses a -stream flag value; the empty string selects the
-// streaming default.
-func ParseStreamMode(s string) (StreamMode, error) {
-	if s == "" {
-		return StreamOn, nil
-	}
-	for _, m := range StreamModes() {
-		if s == string(m) {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("sim: unknown stream mode %q (known: %s)", s, modeList(StreamModes()))
-}
 
 // DefaultStreamBuffers is the default broadcast ring size. Four in-flight
 // batches keep the producer ahead of the slowest consumer without letting

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"balign/internal/ir"
 	"balign/internal/obs"
@@ -16,33 +17,6 @@ import (
 	"balign/internal/trace"
 	"balign/internal/workload"
 )
-
-func TestParseStreamMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want StreamMode
-		err  bool
-	}{
-		{"", StreamOn, false},
-		{"on", StreamOn, false},
-		{"off", StreamOff, false},
-		{"yes", "", true},
-		{"ON", "", true},
-		{"record", "", true},
-	}
-	for _, c := range cases {
-		got, err := ParseStreamMode(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("ParseStreamMode(%q) error = %v, want error %v", c.in, err, c.err)
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseStreamMode(%q) = %q, want %q", c.in, got, c.want)
-		}
-		if err != nil && !strings.Contains(err.Error(), "on, off") {
-			t.Errorf("ParseStreamMode(%q) error %q does not enumerate the valid modes", c.in, err)
-		}
-	}
-}
 
 // TestParseKernelModeEnumeratesModes pins the error-message contract: the
 // message must list every accepted value.
@@ -58,14 +32,16 @@ func TestParseKernelModeEnumeratesModes(t *testing.T) {
 	}
 }
 
-// streamFixture records one workload trace and exposes it both as a
-// Recorded (for Simulate) and as a replaying Source factory (for
-// SimulateStream), so the two paths consume identical streams.
+// streamFixture records one workload trace with a trace.Recorder and
+// exposes it both as the raw event list (for the reference simulators) and
+// as a replaying Source factory (for SimulateStream), so the two sides
+// consume identical streams.
 type streamFixture struct {
-	w    *workload.Workload
-	prof *profile.Profile
-	rec  *Recorded
-	lay  *trace.Layout
+	w      *workload.Workload
+	prof   *profile.Profile
+	events []trace.Event
+	instrs uint64
+	lay    *trace.Layout
 }
 
 func newStreamFixture(t *testing.T) *streamFixture {
@@ -78,33 +54,55 @@ func newStreamFixture(t *testing.T) *streamFixture {
 	if err != nil {
 		t.Fatalf("CollectProfile: %v", err)
 	}
-	rec, err := Record(func(sink trace.Sink) (uint64, error) {
-		return w.Run(w.Prog, prof, sink, nil)
-	})
+	var rec trace.Recorder
+	instrs, err := w.Run(w.Prog, prof, &rec, nil)
 	if err != nil {
-		t.Fatalf("Record: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	lay, err := trace.CompileLayout(w.Prog)
 	if err != nil {
 		t.Fatalf("CompileLayout: %v", err)
 	}
-	return &streamFixture{w: w, prof: prof, rec: rec, lay: lay}
+	return &streamFixture{w: w, prof: prof, events: rec.Events, instrs: instrs, lay: lay}
 }
 
 // source returns a fresh Source replaying the fixture's recorded stream.
 func (f *streamFixture) source(batchCap int) trace.Source {
 	return trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
-		f.rec.Replay(sink)
-		return f.rec.Instrs, nil
+		for _, e := range f.events {
+			sink.Event(e)
+		}
+		return f.instrs, nil
 	})
 }
 
-// TestSimulateStreamMatchesSimulate is the executor half of the streaming
+// reference feeds the fixture's events one by one to a fresh reference
+// simulator per architecture and returns their results, index-aligned
+// with archs.
+func (f *streamFixture) reference(t *testing.T, archs []predict.ArchID) []predict.Result {
+	t.Helper()
+	out := make([]predict.Result, len(archs))
+	for i, arch := range archs {
+		s, err := predict.NewSimulator(arch, f.w.Prog, f.prof)
+		if err != nil {
+			t.Fatalf("%s: NewSimulator: %v", arch, err)
+		}
+		for _, e := range f.events {
+			s.Event(e)
+		}
+		out[i] = s.Result()
+	}
+	return out
+}
+
+// TestSimulateStreamMatchesReference is the executor half of the streaming
 // oracle: for both kernel modes, one broadcast generation over all
-// architectures must reproduce per-cell recorded replay exactly.
-func TestSimulateStreamMatchesSimulate(t *testing.T) {
+// architectures must reproduce the reference simulators fed the recorded
+// events directly.
+func TestSimulateStreamMatchesReference(t *testing.T) {
 	f := newStreamFixture(t)
 	archs := predict.AllArchs()
+	want := f.reference(t, archs)
 	for _, mode := range []KernelMode{KernelFlat, KernelRef} {
 		t.Run(string(mode), func(t *testing.T) {
 			rec := obs.New("test")
@@ -112,15 +110,6 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]predict.Result, len(archs))
-			for i, arch := range archs {
-				r, err := x.Simulate(arch, f.w.Prog, f.prof, f.rec)
-				if err != nil {
-					t.Fatalf("%s: Simulate: %v", arch, err)
-				}
-				want[i] = r
-			}
-
 			str := NewStreamer(0, 512, rec)
 			got, err := x.SimulateStream(nil, str, f.lay, f.source(512), f.w.Prog, f.prof, archs)
 			if err != nil {
@@ -128,7 +117,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 			}
 			for i, arch := range archs {
 				if got[i] != want[i] {
-					t.Errorf("%s: streamed and recorded results differ:\n stream %+v\n record %+v",
+					t.Errorf("%s: streamed and reference results differ:\n stream    %+v\n reference %+v",
 						arch, got[i], want[i])
 				}
 			}
@@ -137,10 +126,10 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 			if st.Broadcasts != 1 {
 				t.Errorf("Broadcasts = %d, want 1", st.Broadcasts)
 			}
-			if st.Events != uint64(len(f.rec.Events)) {
-				t.Errorf("stream Events = %d, want %d", st.Events, len(f.rec.Events))
+			if st.Events != uint64(len(f.events)) {
+				t.Errorf("stream Events = %d, want %d", st.Events, len(f.events))
 			}
-			if wantBatches := (uint64(len(f.rec.Events)) + 511) / 512; st.Batches != wantBatches {
+			if wantBatches := (uint64(len(f.events)) + 511) / 512; st.Batches != wantBatches {
 				t.Errorf("Batches = %d, want %d", st.Batches, wantBatches)
 			}
 			if st.PeakLiveBytes == 0 {
@@ -157,7 +146,8 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 }
 
 // TestSimulateStreamBoundedMemory pins the headline memory property: the
-// ring's peak footprint must be far below the recorded trace's.
+// ring's peak footprint must be far below the whole trace's as 48-byte
+// events.
 func TestSimulateStreamBoundedMemory(t *testing.T) {
 	f := newStreamFixture(t)
 	x, err := NewExecutor("", nil)
@@ -168,7 +158,7 @@ func TestSimulateStreamBoundedMemory(t *testing.T) {
 	if _, err := x.SimulateStream(nil, str, f.lay, f.source(1024), f.w.Prog, f.prof, predict.AllArchs()); err != nil {
 		t.Fatal(err)
 	}
-	peak, whole := str.Stats().PeakLiveBytes, f.rec.SizeBytes()
+	peak, whole := str.Stats().PeakLiveBytes, uint64(len(f.events))*uint64(unsafe.Sizeof(trace.Event{}))
 	if peak*5 > whole {
 		t.Errorf("streaming peak %d bytes is not >=5x below the recorded trace's %d bytes", peak, whole)
 	}
@@ -260,43 +250,11 @@ func TestBroadcastConcurrent(t *testing.T) {
 	if st.Broadcasts != grids {
 		t.Errorf("Broadcasts = %d, want %d", st.Broadcasts, grids)
 	}
-	if want := uint64(grids) * uint64(len(f.rec.Events)); st.Events != want || events.Load() != want {
+	if want := uint64(grids) * uint64(len(f.events)); st.Events != want || events.Load() != want {
 		t.Errorf("events: streamer %d, consumer %d, want %d", st.Events, events.Load(), want)
 	}
 	if st.LiveBuffers != 0 || st.LiveBytes != 0 {
 		t.Errorf("ring not fully released: %d buffers, %d bytes", st.LiveBuffers, st.LiveBytes)
-	}
-}
-
-// TestCachePeakGauges: the demoted recorded-mode cache must report its
-// high-water marks so streaming's bounded ring has a baseline to compare
-// against.
-func TestCachePeakGauges(t *testing.T) {
-	c := NewTraceCache()
-	c.AddRefs("a", 1)
-	c.AddRefs("b", 1)
-	mk := func(n int) func() (*Recorded, error) {
-		return func() (*Recorded, error) {
-			return &Recorded{Events: make([]trace.Event, n), Instrs: uint64(n)}, nil
-		}
-	}
-	if _, err := c.Acquire("a", mk(100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Acquire("b", mk(50)); err != nil {
-		t.Fatal(err)
-	}
-	c.Release("a")
-	c.Release("b")
-	st := c.Stats()
-	if st.Live != 0 || st.LiveEvents != 0 {
-		t.Errorf("cache not drained: %+v", st)
-	}
-	if st.PeakLiveEvents != 150 {
-		t.Errorf("PeakLiveEvents = %d, want 150", st.PeakLiveEvents)
-	}
-	if st.PeakLiveBytes == 0 {
-		t.Error("PeakLiveBytes = 0")
 	}
 }
 

@@ -150,14 +150,6 @@ func addrRange(prog *ir.Program) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Base returns the lowest instruction address of the laid-out program.
-func (l *Layout) Base() uint64 { return l.base }
-
-// Slots returns the packed slot table (id<<SlotShift | kind per
-// instruction slot, -1 for non-site slots). The slice is the layout's own
-// backing store; treat it as read-only.
-func (l *Layout) Slots() []int32 { return l.slots }
-
 // Sites returns the site descriptor table in compilation order, read-only.
 func (l *Layout) Sites() []SiteInfo { return l.sites }
 

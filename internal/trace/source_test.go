@@ -284,7 +284,8 @@ func TestLayoutAppendDecodeRoundTrip(t *testing.T) {
 }
 
 // TestLayoutAppendRejectsMismatches: events that do not fit the compiled
-// program — unknown PC, wrong kind, impossible target — must be rejected.
+// program — unknown or unaligned PC, wrong kind, impossible target — must be
+// rejected.
 func TestLayoutAppendRejectsMismatches(t *testing.T) {
 	prog := callTestProgram()
 	lay, err := trace.CompileLayout(prog)
@@ -299,7 +300,8 @@ func TestLayoutAppendRejectsMismatches(t *testing.T) {
 	}
 	good := rec.Events[0]
 	cases := map[string]trace.Event{
-		"unknown pc": {PC: 0xdead_0000, Kind: good.Kind, Target: good.Target},
+		"unknown pc":   {PC: 0xdead_0000, Kind: good.Kind, Target: good.Target},
+		"unaligned pc": {PC: good.PC + 1, Kind: good.Kind, Target: good.Target},
 		"wrong kind": func() trace.Event {
 			e := good
 			if e.Kind == ir.Ret {

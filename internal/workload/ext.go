@@ -18,7 +18,7 @@ const (
 )
 
 // extSpecs lists the extended families in presentation order. Kernel specs
-// only — every extended workload executes on the VM, so stream on/off and
+// only — every extended workload executes on the VM, so stream and
 // flat/ref parity hold by the same oracles that cover the suite kernels.
 var extSpecs = []Spec{
 	{Name: "mp", Class: Adversarial, Kernel: mpKernel},

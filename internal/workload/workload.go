@@ -171,7 +171,7 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 // VM kernels run on a generator goroutine behind a trace.FuncSource;
 // walker-backed workloads use the compiled trace.WalkSource directly. The
 // event stream is byte-identical to what Run would deliver — the
-// streaming-vs-recorded oracles enforce this.
+// stream-vs-Run event oracles in internal/experiments enforce this.
 func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layout, batchCap int) (trace.Source, error) {
 	if w.IsKernel() {
 		return trace.NewFuncSource(lay, batchCap, func(sink trace.Sink) (uint64, error) {
