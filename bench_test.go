@@ -471,16 +471,28 @@ func BenchmarkAlignCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignTryN measures the TryN algorithm at the paper's window.
+// BenchmarkAlignTryN measures the TryN algorithm at the paper's window,
+// under FALLTHROUGH and under BT/FNT, the one model whose prices depend on
+// the tentative chain state.
 func BenchmarkAlignTryN(b *testing.B) {
 	prog, pf := alignBenchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.AlignProgram(prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: 15,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		model cost.Model
+		order core.ChainOrder
+	}{
+		{cost.FallthroughModel{}, core.OrderHottest},
+		{cost.BTFNTModel{}, core.OrderBTFNT},
+	} {
+		b.Run(bc.model.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.AlignProgram(prog, pf, core.Options{
+					Algorithm: core.AlgoTryN, Model: bc.model, Order: bc.order, Window: 15,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

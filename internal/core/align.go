@@ -24,9 +24,9 @@ const (
 	// with inserted jumps when that is cheaper.
 	AlgoCost Algorithm = "cost"
 	// AlgoTryN is the paper's Try15 heuristic generalized to a configurable
-	// window: the N hottest undecided edges are taken at a time and all
-	// combinations of their nodes' alignment choices are evaluated under
-	// the cost model.
+	// window: the N hottest undecided edges are taken at a time and the
+	// cheapest combination of their nodes' alignment choices under the
+	// cost model is committed.
 	AlgoTryN Algorithm = "tryn"
 	// AlgoExtTSP is Newell & Pupyrev's distance-weighted layout objective
 	// (short-forward / short-backward / long-jump scoring) optimized by
@@ -38,8 +38,8 @@ const (
 // DefaultWindow is the paper's Try15 window size.
 const DefaultWindow = 15
 
-// DefaultMaxCombos bounds the exhaustive enumeration of one TryN window;
-// conflict clusters whose combination count would exceed it are split, which
+// DefaultMaxCombos bounds the search space of one TryN window; conflict
+// clusters whose combination count would exceed it are split, which
 // trades optimality within the window for bounded time exactly as the
 // paper's Try10 variant does.
 const DefaultMaxCombos = 1 << 18

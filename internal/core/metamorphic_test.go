@@ -40,10 +40,7 @@ func TestAlignmentNeverWorsensModelCost(t *testing.T) {
 			base := cost.ProgramCost(w.Prog, pf, m)
 			for _, algo := range algos {
 				t.Run(fmt.Sprintf("%s/%s/%s", name, m.Name(), algo), func(t *testing.T) {
-					res, err := AlignProgram(w.Prog, pf, Options{
-						Algorithm: algo, Model: m,
-						Window: 6, MaxCombos: 1 << 12,
-					})
+					res, err := AlignProgram(w.Prog, pf, Options{Algorithm: algo, Model: m})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"balign/internal/cost"
@@ -65,12 +66,11 @@ func tryNLayout(p *ir.Proc, pp *profile.ProcProfile, opts Options) ([]ir.BlockID
 }
 
 // tryNOnce is one TryN pass: take the N hottest not-yet-decided edges
-// (weight ≥ MinWeight), gather their source nodes, and evaluate every
-// combination of the nodes' alignment choices under the cost model,
-// committing the cheapest. Nodes that share chains or targets are
-// enumerated jointly; independent nodes are optimized separately (an exact
-// decomposition that keeps the enumeration tractable). Remaining cold edges
-// are linked greedily.
+// (weight ≥ MinWeight), gather their source nodes, and commit the
+// cheapest combination of the nodes' alignment choices under the cost
+// model. Nodes that share chains or targets are searched jointly;
+// independent nodes are optimized separately (an exact decomposition that
+// keeps the search tractable). Remaining cold edges are linked greedily.
 func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) ([]ir.BlockID, map[ir.BlockID]bool) {
 	m := opts.Model
 	c := newChains(p)
@@ -84,6 +84,7 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 
 	decided := make(map[ir.BlockID]bool)
 	forceJump := make(map[ir.BlockID]bool)
+	search := &windowSearch{c: c}
 
 	i := 0
 	for i < len(edges) {
@@ -116,13 +117,15 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 		})
 
 		for _, cluster := range clusterNodes(c, nodes) {
-			commitBest(c, cluster, forceJump, opts.maxCombos())
+			commitBest(search, cluster, forceJump, opts.maxCombos())
 		}
 		for _, n := range nodes {
 			decided[n.info.id] = true
 		}
 	}
 
+	opts.Obs.Add("core.plan.tryn.combos", search.combos)
+	opts.Obs.Add("core.plan.tryn.space", search.space)
 	finishLinks(c, p, pp, forceJump)
 
 	// Loop-trick check for conditionals that ended up without a committed
@@ -154,40 +157,6 @@ func makeTryNode(ni *nodeInfo, m cost.Model) *tryNode {
 		tn.choices = append(tn.choices, chooseLink, chooseJump)
 	}
 	return tn
-}
-
-// choiceCost prices one choice of a node, given the live (tentative) chain
-// state so the BT/FNT backward test can see where the taken target landed:
-// a taken target threaded earlier in the node's own chain is certainly
-// backward; otherwise the original block order is the estimate. This
-// chain-aware pricing is what lets TryN discover where to break a loop —
-// the capability the paper credits for Try15 beating Greedy and Cost.
-func (n *tryNode) choiceCost(c *chains, ch tryChoice, linked bool) float64 {
-	ni := n.info
-	m := n.model
-	switch ch {
-	case chooseFallF:
-		if !linked {
-			return n.fallback
-		}
-		return m.CondBranch(ni.wF, ni.wT, chainBackward(c, ni, ni.t))
-	case chooseFallT:
-		if !linked {
-			return n.fallback
-		}
-		return m.CondBranch(ni.wT, ni.wF, chainBackward(c, ni, ni.f))
-	case chooseNeither:
-		return ni.neitherCost(m)
-	case chooseLink:
-		if !linked {
-			return n.fallback
-		}
-		return 0
-	case chooseJump:
-		return ni.jumpCost(m)
-	default:
-		return n.fallback
-	}
 }
 
 // chainBackward reports whether target will lie before (or at) the node in
@@ -266,11 +235,11 @@ func clusterNodes(c *chains, nodes []*tryNode) [][]*tryNode {
 	return out
 }
 
-// commitBest exhaustively evaluates the choice combinations of one cluster
-// against the live chain state (tentatively linking and rolling back) and
-// commits the cheapest combination. Clusters whose combination count
+// commitBest finds the cheapest choice combination of one cluster against
+// the live chain state and commits it. Clusters whose combination count
 // exceeds maxCombos are split into sequential sub-clusters.
-func commitBest(c *chains, cluster []*tryNode, forceJump map[ir.BlockID]bool, maxCombos int) {
+func commitBest(s *windowSearch, cluster []*tryNode, forceJump map[ir.BlockID]bool, maxCombos int) {
+	c := s.c
 	for len(cluster) > 0 {
 		// Take the longest prefix whose combination count fits the budget.
 		n := 0
@@ -285,35 +254,14 @@ func commitBest(c *chains, cluster []*tryNode, forceJump map[ir.BlockID]bool, ma
 		}
 		sub := cluster[:n]
 		cluster = cluster[n:]
-
-		best := make([]int, len(sub))
-		cur := make([]int, len(sub))
-		bestCost := evalCombo(c, sub, cur)
-		for {
-			// Odometer increment.
-			k := len(sub) - 1
-			for k >= 0 {
-				cur[k]++
-				if cur[k] < len(sub[k].choices) {
-					break
-				}
-				cur[k] = 0
-				k--
-			}
-			if k < 0 {
-				break
-			}
-			if ccost := evalCombo(c, sub, cur); ccost < bestCost {
-				bestCost = ccost
-				copy(best, cur)
-			}
-		}
+		s.space += int64(combos)
+		best := s.search(sub)
 
 		// Commit the winning combination for real. A conditional whose
 		// winning choice did not materialize as a link (an explicit
 		// Neither, or a link that is infeasible — e.g. a self loop) is
 		// realized as "align neither edge" whenever that beats the natural
-		// fall-through, matching how the evaluation priced it.
+		// fall-through, matching how the search priced it.
 		for idx, n := range sub {
 			ch := n.choices[best[idx]]
 			linked := false
@@ -329,30 +277,198 @@ func commitBest(c *chains, cluster []*tryNode, forceJump map[ir.BlockID]bool, ma
 	}
 }
 
-// evalCombo prices one choice combination: all of the combination's links
-// are tentatively applied first (in node order), then every node is priced
-// against the resulting chain state, and the links are rolled back. Link
-// choices that are infeasible in the tentative state fall back to the
-// node's unaligned cost.
-func evalCombo(c *chains, sub []*tryNode, cur []int) float64 {
-	var undo []undoRecord
-	linked := make([]bool, len(sub))
-	for idx, n := range sub {
-		t := n.linkTarget(n.choices[cur[idx]])
-		if t == ir.NoBlock {
-			continue
+// maxChoices bounds a node's alignment choices: a conditional tries each
+// edge as the fall-through and neither.
+const maxChoices = 3
+
+// choicePrice is one row of the search's price table. A choice costs
+// unlinked when it makes no link or its link is infeasible in the
+// tentative chain state (target already claimed, cycle, self loop, ...),
+// and fwd or bwd when linked, as its taken target lies after the node or
+// at or before it. Only BT/FNT tells fwd and bwd apart.
+type choicePrice struct {
+	target   ir.BlockID // link destination, NoBlock for Neither and Jump
+	taken    ir.BlockID // the taken target once linked: decides fwd or bwd
+	unlinked float64
+	fwd, bwd float64
+}
+
+// searchNode is one node's state in a window search.
+type searchNode struct {
+	tn     *tryNode
+	prices [maxChoices]choicePrice // indexed like tn.choices
+	min    float64                 // cheapest price of any choice, linked or not
+	cur    int                     // the choice on the current search path
+	linked bool                    // whether cur's link is tentatively applied
+	undo   undoRecord
+}
+
+// priceNode fills a node's price table with the model calls the node's
+// choices are priced by.
+func priceNode(tn *tryNode) searchNode {
+	sn := searchNode{tn: tn, min: math.Inf(1)}
+	ni, m := tn.info, tn.model
+	for k, ch := range tn.choices {
+		p := choicePrice{target: tn.linkTarget(ch), unlinked: tn.fallback}
+		switch ch {
+		case chooseFallF:
+			p.taken = ni.t
+			p.fwd, p.bwd = m.CondBranch(ni.wF, ni.wT, false), m.CondBranch(ni.wF, ni.wT, true)
+		case chooseFallT:
+			p.taken = ni.f
+			p.fwd, p.bwd = m.CondBranch(ni.wT, ni.wF, false), m.CondBranch(ni.wT, ni.wF, true)
+		case chooseNeither:
+			p.unlinked = ni.neitherCost(m)
+			p.fwd, p.bwd = p.unlinked, p.unlinked
+		case chooseLink:
+			// Linked, the successor falls through and costs nothing.
+		case chooseJump:
+			p.unlinked = ni.jumpCost(m)
+			p.fwd, p.bwd = p.unlinked, p.unlinked
 		}
-		if t != n.info.id && c.canLink(n.info.id, t) {
-			undo = append(undo, c.tentativeLink(n.info.id, t))
-			linked[idx] = true
+		sn.prices[k] = p
+		sn.min = math.Min(sn.min, math.Min(p.unlinked, math.Min(p.fwd, p.bwd)))
+	}
+	return sn
+}
+
+// price is the current choice's cost in the live chain state. A linked
+// conditional asks the chains where its taken target lies — a target
+// threaded earlier in the node's own chain is certainly backward — which
+// is what lets TryN discover where to break a loop, the capability the
+// paper credits for Try15 beating Greedy and Cost.
+func (sn *searchNode) price(c *chains) float64 {
+	p := &sn.prices[sn.cur]
+	switch {
+	case !sn.linked:
+		return p.unlinked
+	case p.fwd == p.bwd:
+		return p.fwd
+	case chainBackward(c, sn.tn.info, p.taken):
+		return p.bwd
+	default:
+		return p.fwd
+	}
+}
+
+// floor is a lower bound on price under every completion of the current
+// path: exact, except that a linked conditional whose direction matters
+// counts its cheaper direction, since later links can still move its
+// taken target.
+func (sn *searchNode) floor() float64 {
+	p := &sn.prices[sn.cur]
+	if !sn.linked {
+		return p.unlinked
+	}
+	return math.Min(p.fwd, p.bwd)
+}
+
+// windowSearch finds the cheapest choice combination of a sub-cluster:
+// the combination an odometer over every combination (last node fastest)
+// would keep, applying each combination's links in node order and pricing
+// every node against the resulting chain state, with the first of equally
+// cheap combinations winning. It gets there without the odometer's work:
+//
+//   - The search is depth first over the nodes in order, trying each
+//     node's choices in order, so it reaches the combinations in the
+//     odometer's order, and keeping the first strict minimum keeps the
+//     odometer's winner.
+//   - A node's link is applied once for its whole subtree and undone on
+//     the way back. Whether it is feasible depends only on the nodes
+//     before it, just as when a combination's links are applied in node
+//     order, so every leaf sees exactly the chain state that combination
+//     builds.
+//   - Prices come from a table filled once per node; a leaf sums them in
+//     node order, so its float total is the one the odometer computes.
+//   - Once a winner exists, a subtree whose lower bound is not below the
+//     winner's cost is skipped. The bound is a left-to-right sum in node
+//     order of per-node lower bounds: floor for the nodes on the path,
+//     min for the rest. IEEE-754 round-to-nearest addition is monotone in
+//     each operand, so each partial sum of the bound is at most the same
+//     partial sum of any leaf below, and every leaf in a skipped subtree
+//     totals at least the winner's cost: under the strict < it could not
+//     have won, and on ties the first winner stays.
+//
+// The search allocates nothing per combination; its slices are reused
+// across sub-clusters.
+type windowSearch struct {
+	c        *chains
+	nodes    []searchNode
+	best     []int
+	bestCost float64
+	// combos counts the combinations priced; space counts every
+	// combination of the searched sub-clusters.
+	combos, space int64
+}
+
+// search returns the index (into each node's choices) of sub's winning
+// combination. The slice is reused by the next search.
+func (s *windowSearch) search(sub []*tryNode) []int {
+	if cap(s.nodes) < len(sub) {
+		s.nodes = make([]searchNode, len(sub))
+		s.best = make([]int, len(sub))
+	}
+	s.nodes, s.best = s.nodes[:len(sub)], s.best[:len(sub)]
+	for i, tn := range sub {
+		s.nodes[i] = priceNode(tn)
+	}
+	// Prices are finite, so the first combination wins against +Inf, as
+	// it does in the odometer.
+	s.bestCost = math.Inf(1)
+	s.visit(0)
+	return s.best
+}
+
+// visit tries node d's choices in order, each with its link tentatively
+// applied for the subtree below it.
+func (s *windowSearch) visit(d int) {
+	if d == len(s.nodes) {
+		s.leaf()
+		return
+	}
+	sn := &s.nodes[d]
+	id := sn.tn.info.id
+	for k := range sn.tn.choices {
+		t := sn.prices[k].target
+		sn.cur = k
+		sn.linked = t != ir.NoBlock && t != id && s.c.canLink(id, t)
+		if sn.linked {
+			sn.undo = s.c.tentativeLink(id, t)
+		}
+		if s.bound(d) < s.bestCost {
+			s.visit(d + 1)
+		}
+		if sn.linked {
+			s.c.undo(sn.undo)
 		}
 	}
+}
+
+// bound is a lower bound on the total of every leaf below the current path
+// through node d.
+func (s *windowSearch) bound(d int) float64 {
+	lb := 0.0
+	for i := range s.nodes {
+		if i <= d {
+			lb += s.nodes[i].floor()
+		} else {
+			lb += s.nodes[i].min
+		}
+	}
+	return lb
+}
+
+// leaf prices the combination on the current path, every link applied.
+func (s *windowSearch) leaf() {
+	s.combos++
 	total := 0.0
-	for idx, n := range sub {
-		total += n.choiceCost(c, n.choices[cur[idx]], linked[idx])
+	for i := range s.nodes {
+		total += s.nodes[i].price(s.c)
 	}
-	for k := len(undo) - 1; k >= 0; k-- {
-		c.undo(undo[k])
+	if total < s.bestCost {
+		s.bestCost = total
+		for i := range s.nodes {
+			s.best[i] = s.nodes[i].cur
+		}
 	}
-	return total
 }

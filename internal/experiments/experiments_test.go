@@ -8,9 +8,9 @@ import (
 	"balign/internal/workload"
 )
 
-// fastCfg keeps test experiments small: short traces, narrow TryN windows.
+// fastCfg keeps test experiments small: short traces.
 func fastCfg(programs ...string) Config {
-	return Config{Scale: 0.05, Window: 6, MaxCombos: 1 << 12, Programs: programs}
+	return Config{Scale: 0.05, Programs: programs}
 }
 
 func TestTable1MentionsAllCosts(t *testing.T) {
@@ -272,8 +272,7 @@ func TestTryNNeverWorsensBTFNT(t *testing.T) {
 	// the BT/FNT cost model must charge fall-through executions of a
 	// backward branch as mispredicts. With both fixed, TryN aligned for
 	// BT/FNT never loses to the original layout on these branchy kernels.
-	cfg := Config{Scale: 0.3, Window: 10, MaxCombos: 1 << 12,
-		Programs: []string{"eqntott", "li", "compress"}}
+	cfg := Config{Scale: 0.3, Programs: []string{"eqntott", "li", "compress"}}
 	results, err := Table3(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestICacheStudy(t *testing.T) {
 	// This study needs a long enough walk to get past cold misses — a
 	// 100k-instruction walk of a flat-profile program barely touches the
 	// 8 KB cache in any layout and the MPKI ratio is pure noise.
-	cfg := Config{Scale: 0.5, Window: 6, MaxCombos: 1 << 12}
+	cfg := Config{Scale: 0.5}
 	rows, err := ICacheStudy([]string{"gcc"}, cfg)
 	if err != nil {
 		t.Fatal(err)
