@@ -138,11 +138,14 @@ const maxStreamShards = 4
 // splitWorkers resolves the run's worker budget into the variant-level
 // engine parallelism and the intra-variant stream shard count, given how
 // many consumer goroutines one variant's broadcast runs before sharding
-// (its architecture count). Explicit Parallelism / Shards settings always
-// win; a Workers budget fills in whichever is unset. With nothing set the
-// split is the pre-sharding default: GOMAXPROCS-bounded variant
-// parallelism, no intra-variant sharding. The split only chooses how the
-// work is scheduled — results are byte-identical for every split.
+// (one kernel per architecture plus the i-cache consumer). Explicit
+// Parallelism / Shards settings always win; a Workers budget fills in
+// whichever is unset. With nothing set the split is the pre-sharding
+// default: GOMAXPROCS-bounded variant parallelism, no intra-variant
+// sharding. The split only chooses how the work is scheduled — results are
+// byte-identical for every split. Sharding multiplies every consumer in
+// the count, so a sharded variant's size is overstated by the i-cache
+// consumer, which does not shard; that only makes the split conservative.
 func (c Config) splitWorkers(consumersPerVariant int) (parallelism, shards int) {
 	parallelism = c.Parallelism
 	shards = c.Shards
@@ -310,7 +313,8 @@ type simSpec struct {
 // evalUnit is one program's prepared evaluation state: its profile, every
 // aligned variant the architecture set needs, and the (variant -> cells)
 // fan-out. Preparation is the per-program sequential prefix (profiling and
-// alignment); everything downstream of it is a shardable simulation.
+// alignment); everything downstream of it, the variant's i-cache scoring
+// included, is a shardable simulation.
 //
 // After preparation an evalUnit is read-only and safe to share across
 // worker goroutines.
@@ -324,16 +328,11 @@ type evalUnit struct {
 	keys     []string
 	specs    map[string][]simSpec
 	tryStats core.RewriteStats
-	// ic holds each variant's instruction-cache simulation, computed once
-	// during preparation (the fetch stream depends only on the variant's
-	// layout and trace, not on the predictor architecture) and attached to
-	// every cell of the variant during reduction.
-	ic map[string]ICacheCell
 }
 
 // ICacheCell is one variant's instruction-cache measurement: the exact
-// counters of an icache.Sim replay of the variant's trace, plus the derived
-// MPKI metric.
+// counters of an icache.Sim fed the variant's streamed trace, plus the
+// derived MPKI metric.
 type ICacheCell struct {
 	Fetches  uint64
 	Accesses uint64
@@ -355,7 +354,6 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 		w: w, pf: pf, origInstrs: origInstrs,
 		variants: map[string]*variant{"orig": {prog: w.Prog, prof: pf}},
 		specs:    map[string][]simSpec{},
-		ic:       map[string]ICacheCell{},
 	}
 
 	add := func(key string, spec simSpec) {
@@ -441,28 +439,6 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 			}
 		}
 	}
-
-	// Instruction-cache pass: replay each variant's trace once through the
-	// icache model. The fetch stream is architecture-independent, so one
-	// replay per variant covers all of its cells; running it here (in the
-	// sequential per-program preparation, from the same deterministic
-	// generators as the simulation phase) keeps reports byte-identical at
-	// every parallelism.
-	icStart := cfg.Obs.Now()
-	for _, key := range u.keys {
-		v := u.variants[key]
-		sim := icache.New(icache.DefaultConfig())
-		if _, err := w.Run(v.prog, v.prof, sim, nil); err != nil {
-			return nil, fmt.Errorf("icache %s/%s: %w", w.Name, key, err)
-		}
-		u.ic[key] = ICacheCell{
-			Fetches:  sim.Fetches,
-			Accesses: sim.Accesses,
-			Misses:   sim.Misses,
-			MPKI:     sim.MPKI(),
-		}
-	}
-	cfg.Obs.AddSince("exp.icache.ns", icStart)
 	return u, nil
 }
 
@@ -482,11 +458,15 @@ func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
 
 // runVariant simulates every cell of one variant in a single streamed
 // generation: the variant's event stream is generated once and broadcast to
-// all of its architectures' kernels concurrently. cells[base:base+len(specs)]
-// receives the results in spec order. ctx is the shard's context: when the
-// engine cancels (another shard failed, the run's deadline passed) the
-// broadcast aborts promptly instead of draining the stream.
-func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer, exec *sim.Executor, cells []Cell, base int) error {
+// all of its architectures' kernels and to one i-cache consumer
+// concurrently. The fetch stream does not depend on the predictor, so that
+// one i-cache measurement is every cell's IC; rec receives its busy time as
+// exp.icache.ns. cells[base:base+len(specs)], the task's own slots, receive
+// the results in spec order. ctx is the shard's context: when the engine
+// cancels (another shard failed, the run's deadline passed) the broadcast
+// aborts promptly instead of draining the stream.
+func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer, exec *sim.Executor,
+	rec *obs.Recorder, cells []Cell, base int) error {
 	v := u.variants[key]
 	lay, err := trace.CompileLayout(v.prog)
 	if err != nil {
@@ -501,13 +481,23 @@ func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer,
 	for i, spec := range specs {
 		archs[i] = spec.arch
 	}
-	results, err := exec.SimulateStream(ctx, str, lay, src, v.prog, v.prof, archs)
+	ic := icache.New(icache.DefaultConfig())
+	scoreICache := func(b *trace.Batch) error {
+		start := rec.Now()
+		err := ic.Batch(lay, b)
+		rec.AddSince("exp.icache.ns", start)
+		return err
+	}
+	results, err := exec.SimulateStream(ctx, str, lay, src, v.prog, v.prof, archs, scoreICache)
 	if err != nil {
 		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
 	}
 	instrs := src.Instrs()
+	icc := ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
 	for i, r := range results {
-		cells[base+i] = makeCell(u.origInstrs, instrs, r)
+		c := makeCell(u.origInstrs, instrs, r)
+		c.IC = icc
+		cells[base+i] = c
 	}
 	return nil
 }
@@ -515,20 +505,20 @@ func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer,
 // cellSlot addresses one cell's result across the flattened grid.
 type cellSlot struct {
 	unit int
-	key  string
 	spec simSpec
 }
 
 // evaluatePrograms runs the full evaluation grid over the given workloads:
 // a preparation pass (profile + alignments, sharded per program), then the
 // flat {program x architecture x algorithm} cell grid (sharded per variant,
-// each variant's stream generated once and broadcast to its cells), then a
-// canonical-order reduction.
+// each variant's stream generated once and broadcast to its cells' kernels
+// and its i-cache consumer), then a canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
 	// Split the worker budget between variant-level parallelism and
 	// intra-variant stream shards, then pin the resolved parallelism so
-	// every engine this run builds sees the same bound.
-	par, shards := cfg.splitWorkers(len(archs))
+	// every engine this run builds sees the same bound. Each broadcast's
+	// consumers are one kernel per architecture plus the i-cache.
+	par, shards := cfg.splitWorkers(len(archs) + 1)
 	cfg.Parallelism = par
 	eng := cfg.engine()
 	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
@@ -578,7 +568,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		for _, key := range u.keys {
 			vtasks = append(vtasks, variantTask{unit: ui, key: key, base: len(slots)})
 			for _, spec := range u.specs[key] {
-				slots = append(slots, cellSlot{unit: ui, key: key, spec: spec})
+				slots = append(slots, cellSlot{unit: ui, spec: spec})
 			}
 		}
 	}
@@ -590,7 +580,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		tasks[i] = sim.Task{
 			Label: fmt.Sprintf("%s/%s", u.w.Name, vt.key),
 			Run: func(ctx context.Context) error {
-				return runVariant(ctx, u, vt.key, str, exec, cells, vt.base)
+				return runVariant(ctx, u, vt.key, str, exec, cfg.Obs, cells, vt.base)
 			},
 		}
 	}
@@ -613,9 +603,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		if r.Cells[s.spec.arch] == nil {
 			r.Cells[s.spec.arch] = make(map[Algo]Cell)
 		}
-		c := cells[i]
-		c.IC = units[s.unit].ic[s.key]
-		r.Cells[s.spec.arch][s.spec.algo] = c
+		r.Cells[s.spec.arch][s.spec.algo] = cells[i]
 	}
 
 	st, sst := eng.Stats(), str.Stats()

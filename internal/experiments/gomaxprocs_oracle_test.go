@@ -96,3 +96,38 @@ func TestShardedRunActuallyShards(t *testing.T) {
 		t.Error("streamed run recorded no generation time")
 	}
 }
+
+// TestSplitWorkers pins how a worker budget resolves into variant
+// parallelism and intra-variant shards. The grid passes one variant's
+// broadcast consumers: a kernel per architecture plus the i-cache
+// consumer, 11 for the full architecture set. Explicit settings always win.
+func TestSplitWorkers(t *testing.T) {
+	all := len(predict.AllArchs()) + 1
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		consumers int
+		par, shds int
+	}{
+		{"nothing set", Config{}, all, 0, 1},
+		{"parallelism only", Config{Parallelism: 3}, all, 3, 1},
+		{"shards only", Config{Shards: 2}, all, 0, 2},
+		{"budget below one broadcast", Config{Workers: 8}, all, 1, 1},
+		// 22 workers are one goroutine short of producer + 10 kernels + the
+		// i-cache twice over, so the variant stays unsharded.
+		{"budget just under two broadcasts", Config{Workers: 22}, all, 1, 1},
+		{"budget for two shards", Config{Workers: 24}, all, 1, 2},
+		{"budget for three shards", Config{Workers: 36}, all, 1, 3},
+		{"shards capped", Config{Workers: 64}, all, 1, maxStreamShards},
+		{"explicit shards keep the budget for variants", Config{Workers: 24, Shards: 1}, all, 2, 1},
+		{"explicit parallelism keeps derived shards", Config{Workers: 24, Parallelism: 5}, all, 5, 2},
+		{"one architecture, small budget", Config{Workers: 6}, 2, 1, 2},
+		{"one architecture, large budget", Config{Workers: 100}, 2, 11, maxStreamShards},
+	} {
+		par, shards := tc.cfg.splitWorkers(tc.consumers)
+		if par != tc.par || shards != tc.shds {
+			t.Errorf("%s: splitWorkers(%d) = (%d, %d), want (%d, %d)",
+				tc.name, tc.consumers, par, shards, tc.par, tc.shds)
+		}
+	}
+}

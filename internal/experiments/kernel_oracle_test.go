@@ -49,11 +49,13 @@ func TestKernelMatchesReferenceGrid(t *testing.T) {
 	}
 }
 
-// gridVariants builds the named workload kernel's evaluation unit and
-// returns it with the keys of every variant the per-site oracles check:
-// the grid's variants (orig, Greedy in both chain orders, Try15 per cost
-// model) plus the paper's Cost heuristic under the FALLTHROUGH model,
-// which the tables ablate but evalUnit does not fan out.
+// gridVariants builds the named workload's evaluation unit and returns it
+// with the keys of every variant the per-variant oracles check: the grid's
+// variants (orig, Greedy in both chain orders, Cost and Try15 per cost
+// model, ExtTSP) plus the paper's Cost heuristic under the FALLTHROUGH
+// model with no chain order, which the tables ablate but evalUnit does not
+// fan out. That extra variant gets one FALLTHROUGH cell, so runVariant can
+// evaluate it like any other.
 func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit, []string) {
 	t.Helper()
 	cfg := fastCfg(name)
@@ -71,6 +73,7 @@ func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit,
 		t.Fatalf("AlignProgram(cost): %v", err)
 	}
 	u.variants["cost"] = &variant{prog: cres.Prog, prof: cres.Prof}
+	u.specs["cost"] = []simSpec{{predict.ArchFallthrough, AlgoCost}}
 	return u, append(append([]string{}, u.keys...), "cost")
 }
 

@@ -40,7 +40,8 @@ type line struct {
 	lru   uint64
 }
 
-// Sim is a trace.Sink that simulates the instruction cache.
+// Sim is a trace.Sink that simulates the instruction cache. Batch feeds
+// it the packed form of the same stream.
 type Sim struct {
 	cfg   Config
 	lines []line
@@ -109,21 +110,71 @@ func (s *Sim) fetchRange(from, to uint64) {
 
 // Event implements trace.Sink.
 func (s *Sim) Event(ev trace.Event) {
+	next := ev.Target
+	if ev.Kind == ir.CondBr && !ev.Taken {
+		next = ev.Fall
+	}
+	s.step(ev.PC, next)
+}
+
+// Batch consumes one packed batch encoded against lay, advancing the cache
+// exactly as Event does over the events lay.Decode rebuilds from it. Each
+// op's static fields come straight from the layout's site table, so no
+// Event is built. Like Event, a not-taken conditional continues fetching at
+// its site's Fall, the next sequential instruction. Malformed ops (a site
+// id out of range, a kind disagreeing with its site, a missing or surplus
+// dynamic target) return an error: they mean the batch was built against
+// a different layout.
+func (s *Sim) Batch(lay *trace.Layout, b *trace.Batch) error {
+	sites := lay.Sites()
+	targets := b.Targets
+	tcur := 0
+	for i, op := range b.Ops {
+		si := int(op >> trace.OpShift)
+		kind := ir.Kind(op >> 1 & (1<<trace.SlotShift - 1))
+		if uint(si) >= uint(len(sites)) {
+			return fmt.Errorf("icache: batch op %d references site %d of %d", i, si, len(sites))
+		}
+		site := &sites[si]
+		if kind != site.Kind {
+			return fmt.Errorf("icache: batch op %d kind %v at pc %#x does not match site kind %v", i, kind, site.PC, site.Kind)
+		}
+		next := site.TakenTarget
+		switch kind {
+		case ir.CondBr:
+			if op&1 == 0 {
+				next = site.Fall
+			}
+		case ir.IJump, ir.Ret:
+			if tcur >= len(targets) {
+				return fmt.Errorf("icache: batch carries %d dynamic targets but op %d (%v at pc %#x) needs more",
+					len(targets), i, kind, site.PC)
+			}
+			next = targets[tcur]
+			tcur++
+		}
+		s.step(site.PC, next)
+	}
+	if tcur != len(targets) {
+		return fmt.Errorf("icache: batch carries %d dynamic targets, its ops consumed %d", len(targets), tcur)
+	}
+	return nil
+}
+
+// step fetches sequentially from the current fetch address up to the break
+// at pc, then redirects fetch to next.
+func (s *Sim) step(pc, next uint64) {
 	if !s.started {
-		s.cur = ev.PC
+		s.cur = pc
 		s.started = true
 	}
-	if ev.PC >= s.cur {
-		s.fetchRange(s.cur, ev.PC)
+	if pc >= s.cur {
+		s.fetchRange(s.cur, pc)
 	} else {
 		// Out-of-order site (a new walk segment): fetch just the site.
-		s.fetchRange(ev.PC, ev.PC)
+		s.fetchRange(pc, pc)
 	}
-	if ev.Kind == ir.CondBr && !ev.Taken {
-		s.cur = ev.Fall
-	} else {
-		s.cur = ev.Target
-	}
+	s.cur = next
 }
 
 // MissRate returns misses per line probe.

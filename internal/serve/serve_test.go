@@ -22,7 +22,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // readFixture loads a committed fixture from testdata.
-func readFixture(t *testing.T, name string) string {
+func readFixture(t testing.TB, name string) string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {

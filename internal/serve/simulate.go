@@ -484,9 +484,10 @@ func (s *Server) simulateVariant(ctx context.Context, v *inlineVariant, req *Sim
 		w := &trace.Walker{Prog: v.prog, Model: v.prof.Model(v.prog), Seed: req.Seed, MaxInstrs: budget}
 		if origRuns > 0 {
 			// Work-equivalence with the original walk, as the suite's
-			// workloads do for aligned variants.
+			// workloads do for aligned variants; the generous ceiling still
+			// stops at the inline cap.
 			w.MaxRuns = origRuns
-			w.MaxInstrs = budget * 3
+			w.MaxInstrs = min(budget*3, maxInlineSteps)
 		}
 		ws, err := trace.NewWalkSource(w, lay, s.str.BatchCap())
 		if err != nil {

@@ -166,6 +166,12 @@ func (x *Executor) Stats() ExecStats {
 // unsharded one for every shard count; the shard-merge property tests and
 // the parallel-determinism oracle enforce this.
 //
+// extra consumers ride the same broadcast beside the architectures' (the
+// experiment grid's i-cache scoring is one): each sees every batch in
+// stream order on its own goroutine, unsharded, and an error from one
+// aborts the broadcast like a kernel's. They produce no result and count as
+// no cell.
+//
 // SimulateStream owns src: it is closed before returning, so an aborted
 // broadcast cannot leave a generator goroutine blocked.
 //
@@ -174,10 +180,10 @@ func (x *Executor) Stats() ExecStats {
 // context's error with every ring buffer released. A nil ctx means
 // context.Background().
 func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace.Layout, src trace.Source,
-	prog *ir.Program, prof *profile.Profile, archs []predict.ArchID) ([]predict.Result, error) {
+	prog *ir.Program, prof *profile.Profile, archs []predict.ArchID, extra ...func(*trace.Batch) error) ([]predict.Result, error) {
 	defer src.Close()
 	n := len(archs)
-	if n == 0 {
+	if n == 0 && len(extra) == 0 {
 		return nil, nil
 	}
 	shards := x.Shards()
@@ -255,7 +261,7 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 	}
 	x.noteCompile(cstart)
 
-	if err := str.Broadcast(ctx, src, consumers); err != nil {
+	if err := str.Broadcast(ctx, src, append(consumers, extra...)); err != nil {
 		return nil, err
 	}
 	results := make([]predict.Result, n)
