@@ -225,7 +225,17 @@ func TestRunReportSchema(t *testing.T) {
 	if ss.LiveBuffers != 0 || ss.LiveBytes != 0 {
 		t.Errorf("stream ring leaked: %+v", ss)
 	}
-	// Every (architecture, algorithm) consumer counts as one stream cell.
+	// Preparation folds ora's 16 variant keys into fewer distinct
+	// variants, and the grid broadcasts each distinct variant once.
+	total, distinct := rep.Counters["exp.variants.total"], rep.Counters["exp.variants.distinct"]
+	if total != 16 || distinct >= total || rep.Counters["sim.stream.broadcasts"] != distinct {
+		t.Errorf("variants: %d total, %d distinct, %d broadcasts; want 16 total, fewer distinct, one broadcast each",
+			total, distinct, rep.Counters["sim.stream.broadcasts"])
+	}
+	// A stream cell is one kernel consumer: one per distinct (variant,
+	// architecture) pair. For ora at this scale no two variants of one
+	// architecture fold together, so that adds up to every (architecture,
+	// algorithm) cell.
 	ex := rep.Sections.Executor
 	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want {
 		t.Errorf("executor stream cells = %d, want %d", ex.StreamCells, want)

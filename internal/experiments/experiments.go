@@ -6,9 +6,10 @@
 //
 // The evaluation grid — every {program x architecture x algorithm} cell —
 // runs on the parallel experiment engine in internal/sim: alignment and
-// profiling are prepared per program, then each variant's event stream is
-// generated once and broadcast batch-by-batch to all of its architectures'
-// kernels, holding only a bounded buffer ring in memory. Results reduce in
+// profiling are prepared per program and equal variants fold, then each
+// distinct variant's event stream is generated once and broadcast
+// batch-by-batch to all of its architectures' kernels, holding only a
+// bounded buffer ring in memory. Results reduce in
 // canonical order, so every kernel mode and parallelism setting produces
 // byte-identical output; the differential oracle tests enforce this.
 package experiments
@@ -17,8 +18,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"balign/internal/cfgio"
@@ -286,6 +289,20 @@ func costGroupOf(arch predict.ArchID) string {
 	return string(d.CostGroup)
 }
 
+// variantKey names the variant an (architecture, algorithm) cell replays,
+// before equal variants fold.
+func variantKey(arch predict.ArchID, algo Algo) string {
+	switch algo {
+	case AlgoGreedy:
+		return variantKeyForGreedy(arch)
+	case AlgoCost:
+		return variantKeyForCost(arch)
+	case AlgoTry:
+		return variantKeyForTry(arch)
+	}
+	return string(algo) // orig and exttsp serve every architecture
+}
+
 // variantKeyForTry groups architectures sharing one TryN alignment, keyed
 // by the registry's cost group.
 func variantKeyForTry(arch predict.ArchID) string { return "try-" + costGroupOf(arch) }
@@ -322,12 +339,16 @@ type evalUnit struct {
 	w          *workload.Workload
 	pf         *profile.Profile
 	origInstrs uint64
-	variants   map[string]*variant
-	// keys lists variant keys in canonical (first-need) order; specs maps
-	// each key to the cells that replay its trace, in architecture order.
-	keys     []string
-	specs    map[string][]simSpec
-	tryStats core.RewriteStats
+	// variants maps every variant key to its variant, folded keys included.
+	variants map[string]*variant
+	// keys lists the distinct variants' keys in canonical (first-need)
+	// order; specs maps each to the cells that replay its trace: its own
+	// in architecture order, then those of every key folded into it.
+	// totalKeys counts the keys before the fold.
+	keys      []string
+	specs     map[string][]simSpec
+	totalKeys int
+	tryStats  core.RewriteStats
 }
 
 // ICacheCell is one variant's instruction-cache measurement: the exact
@@ -363,11 +384,9 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 		u.specs[key] = append(u.specs[key], spec)
 	}
 	for _, arch := range archs {
-		add("orig", simSpec{arch, AlgoOrig})
-		add(variantKeyForGreedy(arch), simSpec{arch, AlgoGreedy})
-		add(variantKeyForCost(arch), simSpec{arch, AlgoCost})
-		add(variantKeyForTry(arch), simSpec{arch, AlgoTry})
-		add("exttsp", simSpec{arch, AlgoExtTSP})
+		for _, algo := range Algos() {
+			add(variantKey(arch, algo), simSpec{arch, algo})
+		}
 	}
 
 	buildGreedy := func(order core.ChainOrder) (*variant, error) {
@@ -439,7 +458,68 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 			}
 		}
 	}
+
+	// Fold every key into the first earlier key whose variant is equal, so
+	// phase 2 streams, simulates and scores each distinct variant once.
+	u.totalKeys = len(u.keys)
+	distinct := u.keys[:0]
+	for _, key := range u.keys {
+		i := slices.IndexFunc(distinct, func(k string) bool { return u.sameVariant(u.variants[k], u.variants[key]) })
+		if i < 0 {
+			distinct = append(distinct, key)
+			continue
+		}
+		u.specs[distinct[i]] = append(u.specs[distinct[i]], u.specs[key]...)
+		delete(u.specs, key)
+	}
+	u.keys = distinct
+	cfg.Obs.Add("exp.variants.total", int64(u.totalKeys))
+	cfg.Obs.Add("exp.variants.distinct", int64(len(distinct)))
 	return u, nil
+}
+
+// sameVariant reports whether a and b stream the same trace to the same
+// cells: the same program, the same profile (the walk model of a synthetic
+// program, and the LIKELY hints of every one) and, for a synthetic program,
+// the same walk kind. workload.Stream stops the original program's walk at
+// its instruction budget but an aligned one's after the original's run
+// count, so an aligned layout equal to the original still walks
+// differently. The fields are compared directly: a program has at most 16
+// variants, and comparison needs no argument about hash collisions.
+func (u *evalUnit) sameVariant(a, b *variant) bool {
+	if !u.w.IsKernel() && (a.prog == u.w.Prog) != (b.prog == u.w.Prog) {
+		return false
+	}
+	return sameProgram(a.prog, b.prog) && sameProfile(a.prof, b.prof)
+}
+
+// sameProgram compares what ir.Program.Format prints (names, entry
+// procedure, memory size, labels and whole instructions) plus block
+// addresses. Block.Orig, the rewriter's provenance, is left out: no
+// simulator reads it.
+func sameProgram(a, b *ir.Program) bool {
+	if a.Name != b.Name || a.EntryProc != b.EntryProc || a.MemWords != b.MemWords {
+		return false
+	}
+	return slices.EqualFunc(a.Procs, b.Procs, func(pa, pb *ir.Proc) bool {
+		return pa.Name == pb.Name && slices.EqualFunc(pa.Blocks, pb.Blocks, func(ba, bb *ir.Block) bool {
+			return ba.Label == bb.Label && ba.Addr == bb.Addr && slices.EqualFunc(ba.Instrs, bb.Instrs, sameInstr)
+		})
+	})
+}
+
+func sameInstr(a, b ir.Instr) bool {
+	return a.Op == b.Op && a.Rd == b.Rd && a.Rs == b.Rs && a.Rt == b.Rt && a.Imm == b.Imm &&
+		a.TargetBlock == b.TargetBlock && a.TargetProc == b.TargetProc && slices.Equal(a.Targets, b.Targets)
+}
+
+// sameProfile compares every count profile.Profile.WriteTo prints.
+func sameProfile(a, b *profile.Profile) bool {
+	return a.Program == b.Program && a.Instrs == b.Instrs &&
+		maps.EqualFunc(a.Procs, b.Procs, func(pa, pb *profile.ProcProfile) bool {
+			return pa.EntryCount == pb.EntryCount && maps.Equal(pa.Edges, pb.Edges) &&
+				maps.Equal(pa.Branches, pb.Branches)
+		})
 }
 
 // makeCell derives one cell's paper metrics from its exact simulation
@@ -456,9 +536,10 @@ func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
 	}
 }
 
-// runVariant simulates every cell of one variant in a single streamed
-// generation: the variant's event stream is generated once and broadcast to
-// all of its architectures' kernels and to one i-cache consumer
+// runVariant simulates every cell of one distinct variant in a single
+// streamed generation: the variant's event stream is generated once and
+// broadcast to one kernel per distinct architecture among its cells (cells
+// folded from equal variants can share one) and to one i-cache consumer
 // concurrently. The fetch stream does not depend on the predictor, so that
 // one i-cache measurement is every cell's IC; rec receives its busy time as
 // exp.icache.ns. cells[base:base+len(specs)], the task's own slots, receive
@@ -477,9 +558,15 @@ func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer,
 		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
 	}
 	specs := u.specs[key]
-	archs := make([]predict.ArchID, len(specs))
+	var archs []predict.ArchID
+	archOf := make([]int, len(specs)) // index of each spec's result in archs
 	for i, spec := range specs {
-		archs[i] = spec.arch
+		j := slices.Index(archs, spec.arch)
+		if j < 0 {
+			j = len(archs)
+			archs = append(archs, spec.arch)
+		}
+		archOf[i] = j
 	}
 	ic := icache.New(icache.DefaultConfig())
 	scoreICache := func(b *trace.Batch) error {
@@ -494,8 +581,8 @@ func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer,
 	}
 	instrs := src.Instrs()
 	icc := ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
-	for i, r := range results {
-		c := makeCell(u.origInstrs, instrs, r)
+	for i := range specs {
+		c := makeCell(u.origInstrs, instrs, results[archOf[i]])
 		c.IC = icc
 		cells[base+i] = c
 	}
@@ -509,10 +596,11 @@ type cellSlot struct {
 }
 
 // evaluatePrograms runs the full evaluation grid over the given workloads:
-// a preparation pass (profile + alignments, sharded per program), then the
-// flat {program x architecture x algorithm} cell grid (sharded per variant,
-// each variant's stream generated once and broadcast to its cells' kernels
-// and its i-cache consumer), then a canonical-order reduction.
+// a preparation pass (profile + alignments + the fold of equal variants,
+// sharded per program), then the flat {program x architecture x algorithm}
+// cell grid (sharded per distinct variant, each variant's stream generated
+// once and broadcast to its cells' kernels and its i-cache consumer), then
+// a canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
 	// Split the worker budget between variant-level parallelism and
 	// intra-variant stream shards, then pin the resolved parallelism so
@@ -554,9 +642,9 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	}
 
 	// Phase 2: the cell grid, in canonical slot order (unit, then variant
-	// key, then spec), sharded one task per variant: each generates its
-	// stream once and broadcasts it to all of the variant's architectures,
-	// filling the variant's contiguous slot range.
+	// key, then spec), sharded one task per distinct variant: each
+	// generates its stream once and broadcasts it to all of the variant's
+	// architectures, filling the variant's contiguous slot range.
 	var slots []cellSlot
 	type variantTask struct {
 		unit int
@@ -564,7 +652,9 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		base int
 	}
 	var vtasks []variantTask
+	totalKeys := 0
 	for ui, u := range units {
+		totalKeys += u.totalKeys
 		for _, key := range u.keys {
 			vtasks = append(vtasks, variantTask{unit: ui, key: key, base: len(slots)})
 			for _, spec := range u.specs[key] {
@@ -607,8 +697,8 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	}
 
 	st, sst := eng.Stats(), str.Stats()
-	eng.Logf("sim: %d programs, %d cells, busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
-		len(units), len(slots), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
+	eng.Logf("sim: %d programs, %d cells, %d variants (%d distinct), busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
+		len(units), len(slots), totalKeys, len(vtasks), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
 	// Snapshot the engine, streamer and executor into the run report. A
 	// multi-grid run (baexp all) overwrites with each grid's final state;
 	// the report's counters still accumulate across grids.

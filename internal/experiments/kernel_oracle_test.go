@@ -51,11 +51,13 @@ func TestKernelMatchesReferenceGrid(t *testing.T) {
 
 // gridVariants builds the named workload's evaluation unit and returns it
 // with the keys of every variant the per-variant oracles check: the grid's
-// variants (orig, Greedy in both chain orders, Cost and Try15 per cost
-// model, ExtTSP) plus the paper's Cost heuristic under the FALLTHROUGH
-// model with no chain order, which the tables ablate but evalUnit does not
-// fan out. That extra variant gets one FALLTHROUGH cell, so runVariant can
-// evaluate it like any other.
+// distinct variants (orig, Greedy in both chain orders, Cost and Try15 per
+// cost model, ExtTSP, after preparation folds equal ones; a folded key is
+// the same variant, so TestFoldMatchesDigest covers it instead) plus the
+// paper's Cost heuristic under the FALLTHROUGH model with no chain order,
+// which the tables ablate but evalUnit does not fan out. That extra
+// variant gets one FALLTHROUGH cell, so runVariant can evaluate it like
+// any other.
 func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit, []string) {
 	t.Helper()
 	cfg := fastCfg(name)

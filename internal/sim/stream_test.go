@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -185,30 +186,84 @@ func TestBroadcastConsumerError(t *testing.T) {
 	}
 }
 
-// TestBroadcastSourceError: a failing source propagates and wins over
-// consumer state.
+// TestBroadcastSourceError is the failing-source case of the
+// mid-pipeline fault matrix: a source that packs k full batches and then
+// an event at a PC with no layout slot, for k before, inside and past one
+// turn of the ring. SimulateStream over every architecture plus one extra
+// consumer must return the source's packing error, every consumer must
+// have seen exactly the k good batches, the ring gauges must drain to
+// zero, and no goroutine (the generator's, the consumers') may outlive
+// the call.
 func TestBroadcastSourceError(t *testing.T) {
 	f := newStreamFixture(t)
-	boom := trace.NewFuncSource(f.lay, 16, func(sink trace.Sink) (uint64, error) {
-		// A PC with no layout slot makes the packing sink fail the fill.
-		sink.Event(trace.Event{PC: 0xbad0_0000, Kind: ir.CondBr})
-		return 0, nil
-	})
-	defer boom.Close()
-	str := NewStreamer(0, 16, nil)
-	err := str.Broadcast(nil, boom, []func(*trace.Batch) error{func(*trace.Batch) error { return nil }})
-	if err == nil {
-		t.Fatal("Broadcast with failing source succeeded")
+	const ring, batchCap = DefaultStreamBuffers, 16
+	archs := predict.AllArchs()
+	for _, k := range []int{0, 1, ring - 1, ring + 3} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			rec := obs.New("test")
+			x, err := NewExecutor("", rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			str := NewStreamer(ring, batchCap, rec)
+			src := trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
+				for _, e := range f.events[:k*batchCap] {
+					sink.Event(e)
+				}
+				// A PC with no layout slot makes the packing sink fail the fill.
+				sink.Event(trace.Event{PC: 0xbad0_0000, Kind: ir.CondBr})
+				return 0, nil
+			})
+			var extra atomic.Int64
+			_, err = x.SimulateStream(nil, str, f.lay, src, f.w.Prog, f.prof, archs,
+				func(*trace.Batch) error { extra.Add(1); return nil })
+			if err == nil || !strings.Contains(err.Error(), "does not hit a compiled control-transfer site") {
+				t.Fatalf("SimulateStream error = %v, want the source's packing error", err)
+			}
+			if got := rec.Report().Counters["kernel.batches"]; extra.Load() != int64(k) || got != int64(k*len(archs)) {
+				t.Errorf("extra consumer saw %d batches, %d kernels %d in all; want %d per consumer",
+					extra.Load(), len(archs), got, k)
+			}
+			if st := str.Stats(); st.Batches != uint64(k) || st.LiveBuffers != 0 || st.LiveBytes != 0 {
+				t.Errorf("streamed %d batches with %d buffers, %d bytes live; want %d batches, ring drained",
+					st.Batches, st.LiveBuffers, st.LiveBytes, k)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Errorf("%d goroutines outlive the failed broadcast (%d before it)", n, start)
+			}
+		})
 	}
 }
 
 // TestBroadcastBackpressure: a consumer slower than the producer must stall
-// the producer (bounded ring), and the stall must be measured.
+// the producer (bounded ring), and the stall must be measured. The consumer
+// holds its first batch until the producer has filled the whole ring, and
+// then for 100 µs more while the producer reaches the empty ring, so the
+// stall comes from the test's structure, not from which side runs faster
+// (under the race detector too). The wait is bounded, so a producer that
+// never fills the ring fails the stall check instead of hanging.
 func TestBroadcastBackpressure(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(2, 32, nil)
-	err := str.Broadcast(nil, f.source(32), []func(*trace.Batch) error{
-		func(*trace.Batch) error { time.Sleep(200 * time.Microsecond); return nil },
+	const ring = 2
+	str := NewStreamer(ring, 32, nil)
+	src := &fillCounter{Source: f.source(32)}
+	defer src.Close()
+	held := false
+	err := str.Broadcast(nil, src, []func(*trace.Batch) error{
+		func(*trace.Batch) error {
+			if !held {
+				held = true
+				for deadline := time.Now().Add(5 * time.Second); src.fills.Load() < ring && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +275,20 @@ func TestBroadcastBackpressure(t *testing.T) {
 	if st.StallsNs == 0 {
 		t.Error("producer never stalled against a deliberately slow consumer")
 	}
+}
+
+// fillCounter counts the batches its source has filled.
+type fillCounter struct {
+	trace.Source
+	fills atomic.Int64
+}
+
+func (s *fillCounter) Fill(b *trace.Batch) (bool, error) {
+	ok, err := s.Source.Fill(b)
+	if ok {
+		s.fills.Add(1)
+	}
+	return ok, err
 }
 
 // TestBroadcastConcurrent runs several broadcasts in parallel over one
