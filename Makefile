@@ -93,24 +93,22 @@ load-smoke:
 	bash scripts/load_smoke.sh
 
 # suite-smoke reruns the multi-core determinism oracles with the Go
-# scheduler forced wide (GOMAXPROCS=4) under the race detector: the
-# producer, per-architecture consumers and intra-variant shard goroutines
-# genuinely interleave even on smaller CI hosts, and any ordering bug
-# surfaces as a byte diff or a race report. The extended-families leg runs
-# the adversarial workloads (phase-flipping branches included) and an
+# scheduler forced wide (GOMAXPROCS=4) under the race detector: the engine's
+# variant tasks, each broadcast's producer and its per-architecture consumer
+# goroutines genuinely interleave even on smaller CI hosts, and any ordering
+# bug surfaces as a byte diff or a race report. The extended-families leg
+# runs the adversarial workloads (phase-flipping branches included) and an
 # imported CFG document through both kernel modes; the tagged leg pins the
-# TAGE/perceptron grid byte-identical across both kernel modes and shard
-# counts; the i-cache leg checks the i-cache consumer each broadcast runs
-# beside its kernels against a push-fed replay, in both kernel modes and
-# at 1 and 3 shards; the cfgio leg is the importer/exporter round-trip
-# oracle on the same machinery.
+# TAGE/perceptron grid byte-identical across both kernel modes; the i-cache
+# leg checks the i-cache consumer each broadcast runs beside its kernels
+# against a push-fed replay, in both kernel modes; the cfgio leg is the
+# importer/exporter round-trip oracle on the same machinery.
 suite-smoke:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS|TestShardedRunActuallyShards' ./internal/experiments
+	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
-	GOMAXPROCS=4 $(GO) test -race -run 'TestShardMerge' ./internal/kernel
 
 # perfbench-check covers the nested perfbench module, which the root
 # module's `go build ./...` and `go test ./...` do not reach: a root API

@@ -399,38 +399,6 @@ func BenchmarkSuiteStreamOn(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak_trace_bytes")
 }
 
-// BenchmarkSuiteStreamOnWorkers runs the streamed grid under GOMAXPROCS=4
-// with a 16-worker budget: the engine splits it between variant-level
-// parallelism and intra-variant stream shards (consumers that forward
-// unowned batches and merge their tallies). The output stays byte-identical
-// to every other leg — the GOMAXPROCS determinism oracle in
-// internal/experiments enforces it — so this row measures overlap only.
-// On a single-core host it matches BenchmarkSuiteStreamOn to within noise;
-// with cores available the generation/simulation overlap and the shard
-// fan-out cut wall clock until the producer is the critical path.
-func BenchmarkSuiteStreamOnWorkers(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cfg := experiments.Config{
-		Scale: 0.1, Window: 10,
-		Programs: []string{"ora", "compress", "espresso", "db++", "doduc", "li"},
-		Workers:  16,
-	}
-	var peak, stalls int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := obs.New("bench")
-		cfg.Obs = rec
-		if _, err := experiments.Summaries(cfg, predict.AllArchs()); err != nil {
-			b.Fatal(err)
-		}
-		rep := rec.Report()
-		peak = rep.Gauges["sim.stream.peak_live_bytes"]
-		stalls = rep.Counters["sim.stream.stalls_ns"]
-	}
-	b.ReportMetric(float64(peak), "peak_trace_bytes")
-	b.ReportMetric(float64(stalls)/float64(b.N), "stall_ns/op")
-}
-
 // --- substrate micro-benchmarks ---
 
 func alignBenchFixture(b *testing.B) (*ir.Program, *balign.Profile) {

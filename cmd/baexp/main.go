@@ -15,12 +15,6 @@
 //	             internal/cfgio) imported as additional workloads
 //	-parallel n  experiment shards to run concurrently (0 = GOMAXPROCS,
 //	             1 = serial oracle path; output is identical either way)
-//	-workers n   total worker-goroutine budget, split between variant-level
-//	             parallelism and intra-variant stream shards (0 = leave
-//	             -parallel/-shards in charge; output is identical either way)
-//	-shards n    intra-variant stream shards per architecture consumer
-//	             (0 = derive from -workers, 1 = unsharded; output is
-//	             identical at every setting)
 //	-kernel s    simulation executor: flat (default, the compiled
 //	             struct-of-arrays kernel) or ref (the interface-dispatched
 //	             reference simulators); output is identical either way
@@ -66,8 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	programs := fs.String("programs", "", "comma-separated program subset (suite or extended names)")
 	cfgPaths := fs.String("cfg", "", "comma-separated CFG documents (JSON or DOT) to import as workloads")
 	parallel := fs.Int("parallel", 0, "concurrent experiment shards (0 = GOMAXPROCS, 1 = serial)")
-	workers := fs.Int("workers", 0, "total worker budget split across variants and stream shards (0 = unbudgeted)")
-	shards := fs.Int("shards", 0, "intra-variant stream shards per architecture (0 = derive from -workers, 1 = unsharded)")
 	kernelMode := fs.String("kernel", "flat", "simulation executor: flat (compiled kernel) or ref (reference simulators)")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
 	report := fs.String("report", "", "write a JSON run report to this file")
@@ -81,9 +73,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Window: *window,
-		Parallelism: *parallel, Workers: *workers, Shards: *shards,
+		Parallelism: *parallel, Kernel: *kernelMode,
 		Verbose: *verbose, Log: stderr,
-		Kernel: *kernelMode,
 	}
 	if *programs != "" {
 		cfg.Programs = strings.Split(*programs, ",")

@@ -107,9 +107,11 @@ type runReport struct {
 			Batches       uint64 `json:"batches"`
 			Events        uint64 `json:"events"`
 			StallsNs      int64  `json:"stalls_ns"`
+			GenNs         int64  `json:"gen_ns"`
 			LiveBuffers   int64  `json:"live_buffers"`
 			LiveBytes     uint64 `json:"live_bytes"`
 			PeakLiveBytes uint64 `json:"peak_live_bytes"`
+			ArenaReuses   uint64 `json:"arena_reuses"`
 		} `json:"stream"`
 		Executor struct {
 			Mode        string `json:"mode"`
@@ -224,6 +226,14 @@ func TestRunReportSchema(t *testing.T) {
 	}
 	if ss.LiveBuffers != 0 || ss.LiveBytes != 0 {
 		t.Errorf("stream ring leaked: %+v", ss)
+	}
+	if ss.GenNs == 0 {
+		t.Error("streamed run recorded no generation time")
+	}
+	// ora's grid broadcasts 11 distinct variants through one streamer, so
+	// every broadcast after the first draws its ring from the arena.
+	if ss.ArenaReuses == 0 {
+		t.Error("multi-variant streamed run reused no arena buffers")
 	}
 	// Preparation folds ora's 16 variant keys into fewer distinct
 	// variants, and the grid broadcasts each distinct variant once.

@@ -13,8 +13,7 @@
 // spans, engine stats, counters, the measured attribute rows) to f; with
 // -pprof addr it serves net/http/pprof and expvar on addr while the
 // measurement runs. -kernel flat|ref selects the compiled flat simulation
-// kernel (default) or the reference simulators; -workers/-shards budget the worker goroutines across variant-level
-// parallelism and intra-variant stream shards. None of these flags change
+// kernel (default) or the reference simulators. None of these flags change
 // any measured output.
 package main
 
@@ -47,8 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 1.0, "trace budget scale")
 	seed := fs.Int64("seed", 0, "workload seed")
 	parallel := fs.Int("parallel", 0, "concurrent measurement shards (0 = GOMAXPROCS, 1 = serial)")
-	workers := fs.Int("workers", 0, "total worker budget split across variants and stream shards (0 = unbudgeted)")
-	shards := fs.Int("shards", 0, "intra-variant stream shards per architecture (0 = derive from -workers, 1 = unsharded)")
 	kernelMode := fs.String("kernel", "flat", "simulation executor: flat (compiled kernel) or ref (reference simulators)")
 	report := fs.String("report", "", "write a JSON run report to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address")
@@ -67,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed,
-		Parallelism: *parallel, Workers: *workers, Shards: *shards,
-		Kernel: *kernelMode,
+		Parallelism: *parallel, Kernel: *kernelMode,
 	}
 	switch {
 	case *bench != "":

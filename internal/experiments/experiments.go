@@ -84,19 +84,6 @@ type Config struct {
 	// shards. 0 means runtime.GOMAXPROCS(0); 1 selects the serial oracle
 	// path. Results are byte-identical at every setting.
 	Parallelism int
-	// Workers is the run's total worker-goroutine budget, split between
-	// variant-level parallelism and intra-variant stream shards (see
-	// Config.splitWorkers). 0 leaves Parallelism and Shards in charge.
-	// Results are byte-identical at every setting.
-	Workers int
-	// Shards is the intra-variant stream shard count: in flat kernel mode
-	// each architecture consumer fans out to this many kernel shards
-	// that split the variant's batches round-robin and merge exactly
-	// (sim.Executor.SetShards). 0 derives the count from Workers (1 when
-	// Workers is also unset); 1 disables intra-variant sharding. Results
-	// are byte-identical at every setting — the shard-merge property tests
-	// and parallel-determinism oracle enforce this.
-	Shards int
 	// Verbose enables per-shard progress logging to Log.
 	Verbose bool
 	// Log receives -v progress output; nil discards it.
@@ -122,52 +109,9 @@ func (c Config) window() int {
 	return c.Window
 }
 
-// engine returns the experiment engine configured by c. A Workers budget
-// with Parallelism unset bounds the engine by the budget.
+// engine returns the experiment engine configured by c.
 func (c Config) engine() *sim.Engine {
-	par := c.Parallelism
-	if par == 0 && c.Workers > 0 {
-		par = c.Workers
-	}
-	return sim.New(sim.Options{Parallelism: par, Verbose: c.Verbose, Log: c.Log, Obs: c.Obs})
-}
-
-// maxStreamShards caps derived intra-variant shard counts: every shard
-// forwards predictor state over the batches it does not own, so forwarding
-// overhead grows linearly with the shard count and past a handful of shards
-// it eats the parallel win.
-const maxStreamShards = 4
-
-// splitWorkers resolves the run's worker budget into the variant-level
-// engine parallelism and the intra-variant stream shard count, given how
-// many consumer goroutines one variant's broadcast runs before sharding
-// (one kernel per architecture plus the i-cache consumer). Explicit
-// Parallelism / Shards settings always win; a Workers budget fills in
-// whichever is unset. With nothing set the split is the pre-sharding
-// default: GOMAXPROCS-bounded variant parallelism, no intra-variant
-// sharding. The split only chooses how the work is scheduled — results are
-// byte-identical for every split. Sharding multiplies every consumer in
-// the count, so a sharded variant's size is overstated by the i-cache
-// consumer, which does not shard; that only makes the split conservative.
-func (c Config) splitWorkers(consumersPerVariant int) (parallelism, shards int) {
-	parallelism = c.Parallelism
-	shards = c.Shards
-	if shards < 1 {
-		shards = 1
-		if c.Workers > 0 && consumersPerVariant > 0 {
-			// Shard within variants only when the budget exceeds what one
-			// variant's producer + unsharded consumers already occupy.
-			if s := c.Workers / (consumersPerVariant + 1); s > 1 {
-				shards = min(s, maxStreamShards)
-			}
-		}
-	}
-	if parallelism == 0 && c.Workers > 0 {
-		// Whatever budget sharding did not consume bounds how many variant
-		// broadcasts run at once.
-		parallelism = max(1, c.Workers/(1+consumersPerVariant*shards))
-	}
-	return parallelism, shards
+	return sim.New(sim.Options{Parallelism: c.Parallelism, Verbose: c.Verbose, Log: c.Log, Obs: c.Obs})
 }
 
 // runIndexed shards fn(i) over n items on the configured engine. Each call
@@ -602,26 +546,12 @@ type cellSlot struct {
 // once and broadcast to its cells' kernels and its i-cache consumer), then
 // a canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
-	// Split the worker budget between variant-level parallelism and
-	// intra-variant stream shards, then pin the resolved parallelism so
-	// every engine this run builds sees the same bound. Each broadcast's
-	// consumers are one kernel per architecture plus the i-cache.
-	par, shards := cfg.splitWorkers(len(archs) + 1)
-	cfg.Parallelism = par
 	eng := cfg.engine()
 	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	exec.SetShards(shards)
-	// Sharded consumers interleave Run (slow) and Forward (fast) batches,
-	// so a deeper ring keeps the producer from stalling behind whichever
-	// shard owns the current batch.
-	buffers := 0
-	if shards > 1 {
-		buffers = sim.DefaultStreamBuffers * shards
-	}
-	str := sim.NewStreamer(buffers, 0, cfg.Obs)
+	str := sim.NewStreamer(0, 0, cfg.Obs)
 
 	// Phase 1: per-program preparation.
 	units := make([]*evalUnit, len(ws))

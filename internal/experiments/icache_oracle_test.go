@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"balign/internal/icache"
@@ -21,9 +20,9 @@ var icacheOracleWorkloads = []string{"ora", "gcc", "alvinn", "tomcatv", "compres
 // which rides each variant's broadcast as one more consumer of its packed
 // batches. For every variant gridVariants returns, the IC counters
 // runVariant attaches to each of the variant's cells must equal an
-// icache.Sim fed the events w.Run pushes, in both kernel modes and with
-// and without intra-variant shards. That push-fed replay is the pass
-// preparation used to run; it survives only here, as the reference.
+// icache.Sim fed the events w.Run pushes, in both kernel modes. That
+// push-fed replay is the pass preparation used to run; it survives only
+// here, as the reference.
 func TestICacheStreamMatchesRun(t *testing.T) {
 	archs := predict.AllArchs()
 	for _, name := range icacheOracleWorkloads {
@@ -42,24 +41,20 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 				want[key] = ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
 			}
 			for _, kern := range []string{"flat", "ref"} {
-				for _, shards := range []int{1, 3} {
-					leg := fmt.Sprintf("kernel=%s shards=%d", kern, shards)
-					exec, err := sim.NewExecutor(kern, nil)
-					if err != nil {
-						t.Fatal(err)
+				exec, err := sim.NewExecutor(kern, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				str := sim.NewStreamer(0, 0, nil)
+				for _, key := range keys {
+					cells := make([]Cell, len(u.specs[key]))
+					if err := runVariant(context.Background(), u, key, str, exec, nil, cells, 0); err != nil {
+						t.Fatalf("kernel=%s %s: runVariant: %v", kern, key, err)
 					}
-					exec.SetShards(shards)
-					str := sim.NewStreamer(0, 0, nil)
-					for _, key := range keys {
-						cells := make([]Cell, len(u.specs[key]))
-						if err := runVariant(context.Background(), u, key, str, exec, nil, cells, 0); err != nil {
-							t.Fatalf("%s %s: runVariant: %v", leg, key, err)
-						}
-						for i, c := range cells {
-							if c.IC != want[key] {
-								t.Errorf("%s %s/%s: streamed i-cache %+v, w.Run-fed %+v",
-									leg, key, u.specs[key][i].arch, c.IC, want[key])
-							}
+					for i, c := range cells {
+						if c.IC != want[key] {
+							t.Errorf("kernel=%s %s/%s: streamed i-cache %+v, w.Run-fed %+v",
+								kern, key, u.specs[key][i].arch, c.IC, want[key])
 						}
 					}
 				}

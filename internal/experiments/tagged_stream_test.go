@@ -12,21 +12,20 @@ import (
 
 // TestTaggedPredictorStreamParity is the acceptance oracle for the modern
 // tagged predictors: the TAGE and hashed-perceptron summary grid must be
-// byte-identical across kernel flat/ref, GOMAXPROCS {1,4} and intra-variant
-// shard counts {1,3}. These predictors carry the most replay-sensitive
-// state in the registry (geometric global history, useful bits, training
-// margins), so any divergence between the flat kernel, the reference
-// simulators fed the decoded stream, or a ForwardBatch fast-forward shows
-// up here as a byte diff. make suite-smoke reruns this under GOMAXPROCS=4
-// -race.
+// byte-identical across kernel flat/ref and GOMAXPROCS {1,4}. These
+// predictors carry the most replay-sensitive state in the registry
+// (geometric global history, useful bits, training margins), so any
+// divergence between the flat kernel and the reference simulators fed the
+// decoded stream shows up here as a byte diff. make suite-smoke reruns
+// this under GOMAXPROCS=4 -race.
 func TestTaggedPredictorStreamParity(t *testing.T) {
 	archs := []predict.ArchID{predict.ArchTAGE, predict.ArchPerceptron}
 	cfg := fastCfg("phased", "mp")
 
-	run := func(label, kernel string, shards int) string {
+	run := func(label, kernel string) string {
 		t.Helper()
 		c := cfg
-		c.Kernel, c.Shards = kernel, shards
+		c.Kernel = kernel
 		s, err := Summaries(c, archs)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -37,7 +36,7 @@ func TestTaggedPredictorStreamParity(t *testing.T) {
 		return metrics.EncodeSummaries(s)
 	}
 
-	want := run("baseline", "flat", 1)
+	want := run("baseline", "flat")
 	for _, arch := range archs {
 		if !strings.Contains(want, string(arch)) {
 			t.Fatalf("summary grid missing %s rows:\n%s", arch, want)
@@ -47,12 +46,10 @@ func TestTaggedPredictorStreamParity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 4} {
 		runtime.GOMAXPROCS(gmp)
-		for _, shards := range []int{1, 3} {
-			for _, kernel := range []string{"flat", "ref"} {
-				label := fmt.Sprintf("gomaxprocs=%d shards=%d kernel=%s", gmp, shards, kernel)
-				if got := run(label, kernel, shards); got != want {
-					t.Errorf("%s diverges:\n%s", label, firstDiff(want, got))
-				}
+		for _, kernel := range []string{"flat", "ref"} {
+			label := fmt.Sprintf("gomaxprocs=%d kernel=%s", gmp, kernel)
+			if got := run(label, kernel); got != want {
+				t.Errorf("%s diverges:\n%s", label, firstDiff(want, got))
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"balign/internal/ir"
+	"balign/internal/predict"
 	"balign/internal/trace"
 )
 
@@ -35,6 +36,20 @@ func (k *Kernel) RunBatch(b *trace.Batch) error {
 	k.obs.Add("kernel.batches", 1)
 	k.obs.Add("kernel.events", int64(b.Len()))
 	return err
+}
+
+// counterNextTab packs the 2-bit saturating counter's transition table into
+// one word: entry (state<<1 | taken) holds the next state, two bits each.
+// The table is the branchless twin of predict.Counter2.Update — the batch
+// loops step counters with one shift-and-mask instead of two compare
+// branches per conditional event. TestCounterStepMatchesUpdate holds it to
+// the reference transition function state for state.
+const counterNextTab = 0xED84
+
+// counterStepBit returns Update(taken) for a 2-bit saturating counter,
+// branchlessly, with the outcome in bit form (a packed op's low bit).
+func counterStepBit(c predict.Counter2, takenBit uint8) predict.Counter2 {
+	return predict.Counter2(uint32(counterNextTab) >> ((uint32(c)<<1 | uint32(takenBit)) << 1) & 3)
 }
 
 // batchOpErr diagnoses a malformed packed op: the cold path behind the

@@ -32,6 +32,19 @@ func packBatches(t *testing.T, lay *trace.Layout, events []trace.Event, batchCap
 	return batches
 }
 
+// TestCounterStepMatchesUpdate holds the packed branchless transition table
+// to the reference 2-bit saturating counter, state for state and outcome for
+// outcome.
+func TestCounterStepMatchesUpdate(t *testing.T) {
+	for c := predict.Counter2(0); c < 4; c++ {
+		for bit := uint8(0); bit < 2; bit++ {
+			if got, want := counterStepBit(c, bit), c.Update(bit == 1); got != want {
+				t.Errorf("counterStepBit(%d, %d) = %d, want %d", c, bit, got, want)
+			}
+		}
+	}
+}
+
 // assertBatchParity packs events into batches at several granularities,
 // including cap 1 (every event its own batch — maximal state-carry
 // stress), runs each packing through a fresh kernel's RunBatch, and

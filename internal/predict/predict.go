@@ -55,28 +55,6 @@ type Result struct {
 	ByKind [8]uint64
 }
 
-// Merge adds other's tallies into r. Every field is a plain sum, so Merge
-// is exact, commutative and associative: merging the results of disjoint
-// segments of one event stream — in any order — reproduces the tallies of
-// simulating the whole stream, provided each segment was simulated from the
-// predictor state the unsharded run had at the segment's start (the
-// state-forwarding contract kernel.ForwardBatch maintains). This is what
-// lets the streaming pipeline shard one variant's stream across workers and
-// reduce deterministically.
-func (r *Result) Merge(other Result) {
-	r.Events += other.Events
-	r.Misfetches += other.Misfetches
-	r.Mispredicts += other.Mispredicts
-	r.Cond += other.Cond
-	r.CondTaken += other.CondTaken
-	r.CondCorrect += other.CondCorrect
-	r.Rets += other.Rets
-	r.RetsCorrect += other.RetsCorrect
-	for i := range r.ByKind {
-		r.ByKind[i] += other.ByKind[i]
-	}
-}
-
 // BEP returns the branch execution penalty in cycles: the paper's metric
 // combining misfetch and mispredict costs.
 func (r Result) BEP(misfetchPenalty, mispredictPenalty uint64) uint64 {

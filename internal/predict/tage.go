@@ -53,7 +53,7 @@ const (
 // history table on mispredict with useful-bit victim selection, and aging
 // (useful-bit decay) when no victim is free. All updates are deterministic:
 // allocation scans the shorter-history candidates first instead of drawing
-// from an LFSR, so sharded streaming replays are bit-exact.
+// from an LFSR, so every replay of a stream is bit-exact.
 type TAGE struct {
 	cfg      TAGEConfig
 	idxBits  uint
@@ -181,8 +181,10 @@ func (t *TAGE) PredictBit(slot uint64) uint8 {
 }
 
 // UpdateBit trains the predictor with the actual outcome of the site at
-// slot. It recomputes the component selection from the (pre-update) state,
-// so Predict-then-Update and a bare Update evolve the state identically.
+// slot. It recomputes the component selection from the (pre-update) state.
+// Both executors call PredictBit, then UpdateBit, on every conditional
+// event, and PredictBit mutates nothing, so the recomputed selection is the
+// one the prediction used.
 func (t *TAGE) UpdateBit(slot uint64, taken uint8) {
 	provider, alt, pIdx, aIdx := t.lookup(slot)
 	pred := t.predOf(slot, provider, pIdx)

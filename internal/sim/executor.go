@@ -72,13 +72,6 @@ type ExecStats struct {
 	// time; RunNs the summed event-consumption time.
 	CompileNs int64 `json:"compile_ns"`
 	RunNs     int64 `json:"run_ns"`
-	// Shards is the configured intra-variant shard count (1 = unsharded).
-	// ForwardNs and ForwardEvents sum the shards' state-forwarding passes
-	// over batches they do not own — the sharding overhead that buys the
-	// parallel accumulation (see kernel.ForwardBatch).
-	Shards        int    `json:"shards"`
-	ForwardNs     int64  `json:"forward_ns"`
-	ForwardEvents uint64 `json:"forward_events"`
 }
 
 // Executor runs one variant's simulations — every architecture over one
@@ -86,16 +79,13 @@ type ExecStats struct {
 // the engine's shards share one executor so the compile/run split
 // aggregates across the grid.
 type Executor struct {
-	mode   KernelMode
-	obs    *obs.Recorder
-	shards int
+	mode KernelMode
+	obs  *obs.Recorder
 
-	streamCells   atomic.Uint64
-	events        atomic.Uint64
-	compileNs     atomic.Int64
-	runNs         atomic.Int64
-	forwardNs     atomic.Int64
-	forwardEvents atomic.Uint64
+	streamCells atomic.Uint64
+	events      atomic.Uint64
+	compileNs   atomic.Int64
+	runNs       atomic.Int64
 }
 
 // NewExecutor returns an executor in the given mode ("" = flat). rec
@@ -112,65 +102,28 @@ func NewExecutor(mode string, rec *obs.Recorder) (*Executor, error) {
 // Mode returns the resolved kernel mode.
 func (x *Executor) Mode() KernelMode { return x.mode }
 
-// SetShards sets the intra-variant shard count SimulateStream uses in flat
-// mode: each architecture gets n kernel consumers that split the stream's
-// batches round-robin, every shard forwarding predictor state over batches
-// it does not own and accumulating over batches it does, so the merged
-// tallies are bit-identical to the unsharded run (see kernel.ForwardBatch
-// and kernel.Merge). Values below 2 mean unsharded; the ref mode always
-// runs unsharded. SetShards must be called before the executor is shared
-// across goroutines — it is configuration, not a runtime control.
-func (x *Executor) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	x.shards = n
-}
-
-// Shards returns the configured intra-variant shard count (minimum 1).
-func (x *Executor) Shards() int {
-	if x.shards < 1 {
-		return 1
-	}
-	return x.shards
-}
-
 // Stats returns a snapshot of the executor's phase-split counters.
 func (x *Executor) Stats() ExecStats {
 	return ExecStats{
-		Mode:          string(x.mode),
-		StreamCells:   x.streamCells.Load(),
-		Events:        x.events.Load(),
-		CompileNs:     x.compileNs.Load(),
-		RunNs:         x.runNs.Load(),
-		Shards:        x.Shards(),
-		ForwardNs:     x.forwardNs.Load(),
-		ForwardEvents: x.forwardEvents.Load(),
+		Mode:        string(x.mode),
+		StreamCells: x.streamCells.Load(),
+		Events:      x.events.Load(),
+		CompileNs:   x.compileNs.Load(),
+		RunNs:       x.runNs.Load(),
 	}
 }
 
 // SimulateStream runs every architecture over one streamed generation of a
-// variant: src's batches are broadcast through str, each architecture
-// consuming them incrementally against the shared per-program layout. The
-// returned results are index-aligned with archs and identical in both
-// kernel modes to a reference simulator fed the same events one by one —
-// the executor and grid oracles enforce this byte for byte.
-//
-// In flat mode with SetShards(S>1), each architecture fans out to S shard
-// consumers on their own goroutines. Shard j owns the batches whose stream
-// index is ≡ j (mod S): it accumulates tallies over those with RunBatch and
-// replays only predictor state over the rest with ForwardBatch, so each
-// owned batch executes from exactly the predictor state the unsharded run
-// had there. The shards' accumulators are then folded with kernel.Merge —
-// a plain field sum — which makes the sharded result bit-identical to the
-// unsharded one for every shard count; the shard-merge property tests and
-// the parallel-determinism oracle enforce this.
+// variant: src's batches are broadcast through str, one consumer per
+// architecture consuming them incrementally against the shared per-program
+// layout. The returned results are index-aligned with archs and identical
+// in both kernel modes to a reference simulator fed the same events one by
+// one — the executor and grid oracles enforce this byte for byte.
 //
 // extra consumers ride the same broadcast beside the architectures' (the
 // experiment grid's i-cache scoring is one): each sees every batch in
-// stream order on its own goroutine, unsharded, and an error from one
-// aborts the broadcast like a kernel's. They produce no result and count as
-// no cell.
+// stream order on its own goroutine, and an error from one aborts the
+// broadcast like a kernel's. They produce no result and count as no cell.
 //
 // SimulateStream owns src: it is closed before returning, so an aborted
 // broadcast cannot leave a generator goroutine blocked.
@@ -186,110 +139,61 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 	if n == 0 && len(extra) == 0 {
 		return nil, nil
 	}
-	shards := x.Shards()
-	if x.mode == KernelRef {
-		// The reference simulators have no state-forwarding primitive;
-		// they always consume whole streams.
-		shards = 1
-	}
-	nc := n * shards
-	consumers := make([]func(*trace.Batch) error, nc)
-	finish := make([]func() (predict.Result, error), n)
-	// Per-consumer accumulators, each written only by its own goroutine and
-	// read after Broadcast returns (its WaitGroup orders the accesses).
-	runNs := make([]int64, nc)
-	events := make([]uint64, nc)
-	forwardNs := make([]int64, nc)
-	forwardEvents := make([]uint64, nc)
-
+	// The kernel modes differ only in how an architecture's consumer takes
+	// a batch and returns its result: a flat kernel runs the packed batch,
+	// a reference simulator is fed its decoded events.
+	run := make([]func(*trace.Batch) error, n)
+	result := make([]func() predict.Result, n)
 	cstart := time.Now()
-	switch x.mode {
-	case KernelRef:
-		for i, arch := range archs {
+	for i, arch := range archs {
+		if x.mode == KernelRef {
 			s, err := predict.NewSimulator(arch, prog, prof)
 			if err != nil {
 				return nil, err
 			}
-			consumers[i] = func(b *trace.Batch) error {
-				start := time.Now()
-				err := lay.Decode(b, func(e trace.Event) { s.Event(e) })
-				runNs[i] += int64(time.Since(start))
-				events[i] += uint64(b.Len())
-				return err
-			}
-			finish[i] = func() (predict.Result, error) { return s.Result(), nil }
+			run[i] = func(b *trace.Batch) error { return lay.Decode(b, s.Event) }
+			result[i] = s.Result
+			continue
 		}
-	default:
-		for i, arch := range archs {
-			ks := make([]*kernel.Kernel, shards)
-			for j := range ks {
-				k, err := kernel.CompileArch(lay, prog, prof, arch, x.obs)
-				if err != nil {
-					return nil, err
-				}
-				ks[j] = k
-				c := i*shards + j
-				// Each consumer sees every batch in stream order, so a
-				// local index decides ownership: batch b belongs to shard
-				// b mod shards.
-				var batchIdx int
-				consumers[c] = func(b *trace.Batch) error {
-					own := shards == 1 || batchIdx%shards == j
-					batchIdx++
-					start := time.Now()
-					if !own {
-						err := k.ForwardBatch(b)
-						forwardNs[c] += int64(time.Since(start))
-						forwardEvents[c] += uint64(b.Len())
-						return err
-					}
-					err := k.RunBatch(b)
-					runNs[c] += int64(time.Since(start))
-					events[c] += uint64(b.Len())
-					return err
-				}
-			}
-			finish[i] = func() (predict.Result, error) {
-				for j := 1; j < len(ks); j++ {
-					if err := ks[0].Merge(ks[j]); err != nil {
-						return predict.Result{}, err
-					}
-				}
-				return ks[0].Result(), nil
-			}
+		k, err := kernel.CompileArch(lay, prog, prof, arch, x.obs)
+		if err != nil {
+			return nil, err
 		}
+		run[i], result[i] = k.RunBatch, k.Result
 	}
 	x.noteCompile(cstart)
 
+	// Per-consumer accumulators, each written only by its own goroutine and
+	// read after Broadcast returns (its WaitGroup orders the accesses).
+	runNs := make([]int64, n)
+	events := make([]uint64, n)
+	consumers := make([]func(*trace.Batch) error, n, n+len(extra))
+	for i, runBatch := range run {
+		consumers[i] = func(b *trace.Batch) error {
+			start := time.Now()
+			err := runBatch(b)
+			runNs[i] += int64(time.Since(start))
+			events[i] += uint64(b.Len())
+			return err
+		}
+	}
 	if err := str.Broadcast(ctx, src, append(consumers, extra...)); err != nil {
 		return nil, err
 	}
 	results := make([]predict.Result, n)
-	for i := range finish {
-		r, err := finish[i]()
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	var totalNs, totalFwdNs int64
-	var totalEvents, totalFwdEvents uint64
-	for i := range runNs {
+	var totalNs int64
+	var totalEvents uint64
+	for i := range results {
+		results[i] = result[i]()
 		totalNs += runNs[i]
 		totalEvents += events[i]
-		totalFwdNs += forwardNs[i]
-		totalFwdEvents += forwardEvents[i]
 	}
 	x.runNs.Add(totalNs)
 	x.events.Add(totalEvents)
-	x.forwardNs.Add(totalFwdNs)
-	x.forwardEvents.Add(totalFwdEvents)
 	x.obs.Add("sim.exec.run_ns", totalNs)
 	x.obs.Add("sim.exec.events", int64(totalEvents))
-	x.obs.Add("sim.exec.forward_ns", totalFwdNs)
-	x.obs.Add("sim.exec.forward_events", int64(totalFwdEvents))
-	x.streamCells.Add(uint64(nc))
-	x.obs.Add("sim.exec.stream_cells", int64(nc))
+	x.streamCells.Add(uint64(n))
+	x.obs.Add("sim.exec.stream_cells", int64(n))
 	return results, nil
 }
 

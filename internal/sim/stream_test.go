@@ -229,13 +229,186 @@ func TestBroadcastSourceError(t *testing.T) {
 				t.Errorf("streamed %d batches with %d buffers, %d bytes live; want %d batches, ring drained",
 					st.Batches, st.LiveBuffers, st.LiveBytes, k)
 			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > start {
-				t.Errorf("%d goroutines outlive the failed broadcast (%d before it)", n, start)
-			}
+			checkGoroutinesSettle(t, start)
 		})
+	}
+}
+
+// TestSimulateStreamCancel is the cancelling-source case of the
+// mid-pipeline fault matrix: a source that packs k full batches, cancels
+// the broadcast's context and then emits the rest of the fixture (so its
+// generator still ends), for k before, inside and past one turn of the
+// ring. SimulateStream over every architecture plus one extra consumer
+// must return the cancellation, stream at most the one batch already
+// requested when the cancel landed, drain the ring gauges to zero, and
+// leave no goroutine (the generator's, the consumers') behind.
+func TestSimulateStreamCancel(t *testing.T) {
+	f := newStreamFixture(t)
+	const ring, batchCap = DefaultStreamBuffers, 16
+	archs := predict.AllArchs()
+	for _, k := range []int{0, 1, ring - 1, ring + 3} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			x, err := NewExecutor("", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			str := NewStreamer(ring, batchCap, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			src := trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
+				for i, e := range f.events {
+					if i == k*batchCap {
+						cancel()
+					}
+					sink.Event(e)
+				}
+				return f.instrs, nil
+			})
+			_, err = x.SimulateStream(ctx, str, f.lay, src, f.w.Prog, f.prof, archs,
+				func(*trace.Batch) error { return nil })
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("SimulateStream error = %v, want context.Canceled", err)
+			}
+			if st := str.Stats(); st.Batches > uint64(k+1) || st.LiveBuffers != 0 || st.LiveBytes != 0 {
+				t.Errorf("streamed %d batches with %d buffers, %d bytes live; want at most %d batches, ring drained",
+					st.Batches, st.LiveBuffers, st.LiveBytes, k+1)
+			}
+			checkGoroutinesSettle(t, start)
+		})
+	}
+}
+
+// TestShardSlowConsumerStallIsolation: a slow consumer must not run the
+// other consumers in lockstep — each drains its own queue independently, so
+// the fast consumer gets ahead by up to the ring depth while the producer's
+// stall (the backpressure telemetry) charges the slow one.
+func TestShardSlowConsumerStallIsolation(t *testing.T) {
+	f := newStreamFixture(t)
+	rec := obs.New("test")
+	const ring = 4
+	str := NewStreamer(ring, 4096, rec)
+	var fast, slow atomic.Int64
+	var maxLead atomic.Int64
+	err := str.Broadcast(nil, f.source(4096), []func(*trace.Batch) error{
+		func(*trace.Batch) error {
+			lead := fast.Add(1) - slow.Load()
+			for {
+				m := maxLead.Load()
+				if lead <= m || maxLead.CompareAndSwap(m, lead) {
+					break
+				}
+			}
+			return nil
+		},
+		func(*trace.Batch) error {
+			// Hold the first batch until the fast consumer has drained the
+			// whole ring, so the producer must block on the free ring
+			// however slowly it generates (the race detector slows it
+			// below this consumer's pace). The wait is bounded, so
+			// lockstep consumers fail the lead check below instead of
+			// hanging.
+			if slow.Load() == 0 {
+				for deadline := time.Now().Add(5 * time.Second); fast.Load() < ring && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			time.Sleep(100 * time.Microsecond)
+			slow.Add(1)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Load() == 0 || slow.Load() != fast.Load() {
+		t.Fatalf("consumers saw %d/%d batches", fast.Load(), slow.Load())
+	}
+	if maxLead.Load() < 2 {
+		t.Errorf("fast consumer's max lead over the slow one = %d batches; want >= 2 (independent progress up to the ring)",
+			maxLead.Load())
+	}
+	if str.Stats().StallsNs == 0 {
+		t.Error("producer never stalled against the slow consumer")
+	}
+	if rec.Report().Counters["sim.stream.stalls_ns"] == 0 {
+		t.Error("sim.stream.stalls_ns counter did not increment")
+	}
+}
+
+// TestStreamGaugesDrainOnError: a consumer failure mid-broadcast must still
+// return every ring buffer — live buffer/byte gauges (and their obs
+// mirrors) read zero afterwards, while the peak stays as the high-water
+// record.
+func TestStreamGaugesDrainOnError(t *testing.T) {
+	f := newStreamFixture(t)
+	rec := obs.New("test")
+	str := NewStreamer(2, 64, rec)
+	var n atomic.Int64
+	err := str.Broadcast(nil, f.source(64), []func(*trace.Batch) error{
+		func(*trace.Batch) error {
+			if n.Add(1) == 3 {
+				return errors.New("consumer died")
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("Broadcast with failing consumer succeeded")
+	}
+	st := str.Stats()
+	if st.LiveBuffers != 0 || st.LiveBytes != 0 {
+		t.Errorf("gauges not drained after error: %d buffers, %d bytes live", st.LiveBuffers, st.LiveBytes)
+	}
+	if st.PeakLiveBytes == 0 {
+		t.Error("peak gauge lost after error")
+	}
+	g := rec.Report().Gauges
+	if g["sim.stream.live_bytes"] != 0 || g["sim.stream.live_buffers"] != 0 {
+		t.Errorf("obs gauges not drained: live_bytes=%d live_buffers=%d",
+			g["sim.stream.live_bytes"], g["sim.stream.live_buffers"])
+	}
+}
+
+// TestStreamArenaReuse: back-to-back broadcasts on one streamer must serve
+// the second from the arena — no fresh ring allocation — with the gauges
+// drained between and after.
+func TestStreamArenaReuse(t *testing.T) {
+	f := newStreamFixture(t)
+	str := NewStreamer(3, 128, nil)
+	consume := []func(*trace.Batch) error{func(*trace.Batch) error { return nil }}
+	if err := str.Broadcast(nil, f.source(128), consume); err != nil {
+		t.Fatal(err)
+	}
+	first := str.Stats()
+	if first.ArenaReuses != 0 {
+		t.Errorf("first broadcast reused %d buffers from an empty arena", first.ArenaReuses)
+	}
+	if first.LiveBuffers != 0 || first.LiveBytes != 0 {
+		t.Errorf("gauges not drained between broadcasts: %+v", first)
+	}
+	if err := str.Broadcast(nil, f.source(128), consume); err != nil {
+		t.Fatal(err)
+	}
+	second := str.Stats()
+	if second.ArenaReuses != 3 {
+		t.Errorf("second broadcast reused %d ring buffers, want all 3", second.ArenaReuses)
+	}
+	if second.LiveBuffers != 0 || second.LiveBytes != 0 {
+		t.Errorf("gauges not drained after reuse: %+v", second)
+	}
+}
+
+// checkGoroutinesSettle fails t unless the goroutine count falls back to
+// start within a bounded wait: a goroutine a broadcast left behind never
+// exits.
+func checkGoroutinesSettle(t *testing.T, start int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines outlive the broadcast (%d before it)", n, start)
 	}
 }
 
