@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzImportCFG -fuzztime=10s -run '^$$' ./internal/cfgio
 	$(GO) test -fuzz=FuzzImportDOT -fuzztime=10s -run '^$$' ./internal/cfgio
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/profile
+	$(GO) test -fuzz=FuzzTaggedStep -fuzztime=10s -run '^$$' ./internal/predict
 	$(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 
 # serve-smoke boots a real balignd process on an ephemeral port, drives

@@ -6,6 +6,7 @@ package balign_test
 
 import (
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -585,6 +586,71 @@ func BenchmarkLocalPHT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.Taken = i&3 != 0
 		sim.Event(ev)
+	}
+}
+
+// BenchmarkTaggedStep measures the tagged predictors' cost per conditional
+// event over one fixed seeded (slot, outcome) sequence, under the two call
+// patterns: step is the flat kernel's one fused Step, predict+update the
+// reference simulator's PredictBit then UpdateBit, which looks the tables
+// up twice.
+func BenchmarkTaggedStep(b *testing.B) {
+	const n = 1 << 12
+	rng := rand.New(rand.NewSource(1))
+	slots := make([]uint64, 64)
+	for i := range slots {
+		slots[i] = uint64(rng.Intn(1 << 14))
+	}
+	seq := make([]struct {
+		slot  uint64
+		taken uint8
+	}, n)
+	for i := range seq {
+		s := rng.Intn(len(slots))
+		seq[i].slot = slots[s]
+		switch s % 3 {
+		case 0: // biased
+			seq[i].taken = uint8(min(rng.Intn(8), 1))
+		case 1: // loop of period s%5+2
+			seq[i].taken = uint8(min(i%(s%5+2), 1))
+		default: // noise
+			seq[i].taken = uint8(rng.Intn(2))
+		}
+	}
+	type tagged interface {
+		PredictBit(uint64) uint8
+		UpdateBit(uint64, uint8)
+		Step(uint64, uint8) uint8
+	}
+	preds := []struct {
+		name  string
+		fresh func() tagged
+	}{
+		{"tage", func() tagged { return predict.NewTAGE(predict.DefaultTAGEConfig) }},
+		{"perceptron", func() tagged { return predict.NewHashedPerceptron(predict.DefaultPerceptronConfig) }},
+	}
+	// Both legs start from a fresh predictor and make the same
+	// predictions, so at a fixed -benchtime=Nx their accuracies agree.
+	for _, pr := range preds {
+		b.Run(pr.name+"/step", func(b *testing.B) {
+			p, correct := pr.fresh(), 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := seq[i&(n-1)]
+				correct += int(1 ^ p.Step(e.slot, e.taken) ^ e.taken)
+			}
+			b.ReportMetric(float64(correct)/float64(b.N), "accuracy")
+		})
+		b.Run(pr.name+"/predict+update", func(b *testing.B) {
+			p, correct := pr.fresh(), 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := seq[i&(n-1)]
+				correct += int(1 ^ p.PredictBit(e.slot) ^ e.taken)
+				p.UpdateBit(e.slot, e.taken)
+			}
+			b.ReportMetric(float64(correct)/float64(b.N), "accuracy")
+		})
 	}
 }
 

@@ -250,6 +250,27 @@ func TestRunReportSchema(t *testing.T) {
 	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want {
 		t.Errorf("executor stream cells = %d, want %d", ex.StreamCells, want)
 	}
+	// Kernel time and events split by architecture class. Each batch adds
+	// one measurement to its total and to its class, so the classes of the
+	// registered architectures sum to the totals exactly.
+	classes := map[predict.Class]bool{}
+	for _, a := range predict.AllArchs() {
+		d, _ := predict.Lookup(a)
+		classes[d.Class] = true
+	}
+	var runNs, events int64
+	for c := range classes {
+		ns, ev := rep.Counters["kernel.run_ns."+c.String()], rep.Counters["kernel.events."+c.String()]
+		if ns <= 0 || ev <= 0 {
+			t.Errorf("class %s: kernel.run_ns %d, kernel.events %d; want both positive", c, ns, ev)
+		}
+		runNs += ns
+		events += ev
+	}
+	if runNs != rep.Counters["kernel.run_ns"] || events != rep.Counters["kernel.events"] {
+		t.Errorf("per-class kernel counters sum to %d ns / %d events, totals are %d / %d",
+			runNs, events, rep.Counters["kernel.run_ns"], rep.Counters["kernel.events"])
+	}
 }
 
 func TestRunErrors(t *testing.T) {

@@ -82,6 +82,10 @@ type Kernel struct {
 	arch  predict.ArchID
 	class class
 	obs   *obs.Recorder
+	// runNsCounter and eventsCounter are the architecture class's
+	// kernel.run_ns.<class> and kernel.events.<class> names, built once at
+	// compile time (telemetry on only) so RunBatch never concatenates.
+	runNsCounter, eventsCounter string
 
 	// Program tables: the per-program half of the compile, shared across
 	// every architecture kernel simulating the same program. lay owns the
@@ -132,8 +136,8 @@ type Kernel struct {
 	btbTick    uint64
 
 	// Tagged-predictor state (classTAGE / classPerceptron): the predictor
-	// core shared with the reference simulator, driven through its
-	// slot/bit methods so both executors evolve identical state.
+	// core shared with the reference simulator, driven through its Step so
+	// both executors evolve state through one training body.
 	tage *predict.TAGE
 	perc *predict.HashedPerceptron
 
@@ -226,6 +230,10 @@ func CompileArch(lay *trace.Layout, prog *ir.Program, prof *profile.Profile, arc
 	k := &Kernel{
 		arch: arch, class: cls, obs: rec,
 		lay: lay, sites: lay.Sites(),
+	}
+	if rec.Enabled() {
+		k.runNsCounter = "kernel.run_ns." + desc.Class.String()
+		k.eventsCounter = "kernel.events." + desc.Class.String()
 	}
 
 	n := len(k.sites)

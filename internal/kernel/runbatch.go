@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"time"
 
 	"balign/internal/ir"
 	"balign/internal/predict"
@@ -32,9 +33,16 @@ func (k *Kernel) RunBatch(b *trace.Batch) error {
 	default:
 		err = k.runStaticBatch(b)
 	}
-	k.obs.AddSince("kernel.run_ns", start)
-	k.obs.Add("kernel.batches", 1)
-	k.obs.Add("kernel.events", int64(b.Len()))
+	if k.obs.Enabled() {
+		// One clock read feeds both the total and the class counter, so the
+		// per-class counters sum exactly to kernel.run_ns/kernel.events.
+		ns, events := int64(time.Since(start)), int64(b.Len())
+		k.obs.Add("kernel.run_ns", ns)
+		k.obs.Add(k.runNsCounter, ns)
+		k.obs.Add("kernel.batches", 1)
+		k.obs.Add("kernel.events", events)
+		k.obs.Add(k.eventsCounter, events)
+	}
 	return err
 }
 
@@ -155,14 +163,17 @@ loop:
 	return retErr
 }
 
-// runDirectionBatch is the packed-op twin of runDirection for the trained
-// direction-predictor architectures (the PHTs plus the tagged TAGE and
-// hashed-perceptron predictors): the same charging rules and predictor
+// runDirectionBatch is the batch loop for the trained direction-predictor
+// architectures (the PHTs plus the tagged TAGE and hashed-perceptron
+// predictors): the reference simulators' charging rules and predictor
 // updates, with every per-event load drawn from the compact per-site
 // tables (one-byte kind validation, PC slots) and the conditional-branch
-// accounting fully branchless — per event the only unpredictable branches
-// left are the kind dispatch itself and, for the tagged classes, the
-// predictor core's own table scans.
+// accounting fully branchless. The PHT classes step their inlined counter
+// tables; the tagged classes call the shared predictor core's Step once
+// per conditional event, one table lookup where the reference path's
+// PredictBit then UpdateBit makes two. Per event the only unpredictable
+// branches left are the kind dispatch itself and, for the tagged classes,
+// the predictor core's own table scans.
 func (k *Kernel) runDirectionBatch(b *trace.Batch) error {
 	var (
 		kindOf   = k.kindOf
@@ -234,11 +245,9 @@ loop:
 				counters[h] = counterStepBit(cc, tbit)
 				hists[lslot] = ((hists[lslot] << 1) | uint16(tbit)) & histMask
 			case classTAGE:
-				pbit = tage.PredictBit(slotOf[si])
-				tage.UpdateBit(slotOf[si], tbit)
+				pbit = tage.Step(slotOf[si], tbit)
 			case classPerceptron:
-				pbit = perc.PredictBit(slotOf[si])
-				perc.UpdateBit(slotOf[si], tbit)
+				pbit = perc.Step(slotOf[si], tbit)
 			}
 			// Branchless charging: eq = predicted correctly; a correct
 			// taken conditional misfetches, a wrong one mispredicts.

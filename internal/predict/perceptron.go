@@ -39,16 +39,21 @@ var DefaultPerceptronConfig = PerceptronConfig{
 
 // HashedPerceptron is a hashed perceptron branch predictor. Like TAGE it is
 // one value shared by both executors: the reference simulator drives it
-// through the DirectionPredictor methods, the compiled kernel through the
-// slot/bit methods, so the two paths cannot diverge. Prediction is the sign
-// of the summed selected weights; training is the margin rule (train on a
-// mispredict or whenever |sum| <= Threshold) with saturating ±1 steps.
+// through the DirectionPredictor methods, the compiled kernel through Step,
+// and UpdateBit is Step without its result, so the two paths cannot
+// diverge. Prediction is the sign of the summed selected weights; training
+// is the margin rule (train on a mispredict or whenever |sum| <= Threshold)
+// with saturating ±1 steps.
 type HashedPerceptron struct {
 	cfg     PerceptronConfig
 	idxBits uint
 	mask    uint64
 	weights [][]int8
 	ghr     uint64
+
+	// scanIdx is sum's scratch, not state: sum writes every table's entry
+	// index before Step's training reads it.
+	scanIdx []uint64
 }
 
 // NewHashedPerceptron builds a hashed perceptron from cfg.
@@ -77,6 +82,7 @@ func NewHashedPerceptron(cfg PerceptronConfig) *HashedPerceptron {
 		idxBits: bits,
 		mask:    uint64(cfg.TableEntries - 1),
 		weights: make([][]int8, len(cfg.HistLens)),
+		scanIdx: make([]uint64, len(cfg.HistLens)),
 	}
 	for i := range p.weights {
 		p.weights[i] = make([]int8, cfg.TableEntries)
@@ -94,17 +100,22 @@ func (p *HashedPerceptron) index(slot uint64, i int) uint64 {
 	return (slot ^ slot>>p.idxBits ^ foldHist(p.ghr, l, p.idxBits) ^ uint64(i)<<1) & p.mask
 }
 
-// sum computes the perceptron output for slot: the summed selected weights.
+// sum computes the perceptron output for slot, the summed selected weights,
+// and leaves each table's entry index in scanIdx.
 func (p *HashedPerceptron) sum(slot uint64) int32 {
 	var s int32
+	scanIdx := p.scanIdx
 	for i := range p.weights {
-		s += int32(p.weights[i][p.index(slot, i)])
+		idx := p.index(slot, i)
+		scanIdx[i] = idx
+		s += int32(p.weights[i][idx])
 	}
 	return s
 }
 
 // PredictBit returns the predicted direction (1 = taken, the output's sign
-// bit) for the site at instruction slot, without mutating any state.
+// bit) for the site at instruction slot. It mutates no predictor state; it
+// writes only the index scratch.
 func (p *HashedPerceptron) PredictBit(slot uint64) uint8 {
 	if p.sum(slot) >= 0 {
 		return 1
@@ -113,9 +124,16 @@ func (p *HashedPerceptron) PredictBit(slot uint64) uint8 {
 }
 
 // UpdateBit trains the predictor with the actual outcome of the site at
-// slot, recomputing the output from the pre-update state (the margin rule
-// needs the magnitude, not just the sign).
-func (p *HashedPerceptron) UpdateBit(slot uint64, taken uint8) {
+// slot: Step without its result, so the reference simulator's PredictBit,
+// then UpdateBit, trains through the same body as the kernel's Step.
+func (p *HashedPerceptron) UpdateBit(slot uint64, taken uint8) { p.Step(slot, taken) }
+
+// Step predicts the site at slot, trains the weights with the actual
+// outcome and shifts it into the history, computing each table's index
+// once. The margin rule needs the output's magnitude, not just its sign.
+// Step returns the prediction made before training, which is what
+// PredictBit would have returned.
+func (p *HashedPerceptron) Step(slot uint64, taken uint8) uint8 {
 	s := p.sum(slot)
 	var pred uint8
 	if s >= 0 {
@@ -123,7 +141,7 @@ func (p *HashedPerceptron) UpdateBit(slot uint64, taken uint8) {
 	}
 	if pred != taken || abs32(s) <= p.cfg.Threshold {
 		for i := range p.weights {
-			idx := p.index(slot, i)
+			idx := p.scanIdx[i]
 			w := p.weights[i][idx]
 			if taken != 0 {
 				if w < p.cfg.WeightMax {
@@ -135,6 +153,7 @@ func (p *HashedPerceptron) UpdateBit(slot uint64, taken uint8) {
 		}
 	}
 	p.ghr = p.ghr<<1 | uint64(taken)
+	return pred
 }
 
 func abs32(v int32) int32 {

@@ -51,8 +51,8 @@ func TestPerceptronWeightsSaturate(t *testing.T) {
 }
 
 // TestPerceptronPredictIsPure checks PredictBit mutates nothing, exactly as
-// the TAGE purity test does: both executors call PredictBit, then
-// UpdateBit, so the update must train the state the prediction read.
+// the TAGE purity test does: the reference simulator calls PredictBit,
+// then UpdateBit, so the update must train the state the prediction read.
 func TestPerceptronPredictIsPure(t *testing.T) {
 	a, b := NewHashedPerceptron(tinyPerceptron), NewHashedPerceptron(tinyPerceptron)
 	for i := 0; i < 500; i++ {

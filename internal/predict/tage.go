@@ -45,15 +45,17 @@ const (
 
 // TAGE is a tagged geometric-history-length predictor. One TAGE value is
 // the single source of truth for both executors: the reference simulator
-// wraps it as a DirectionPredictor (per-event methods) and the compiled
-// kernel calls the slot/bit methods directly, so ref-vs-flat parity is
-// structural, not coincidental. The update rule follows the TAGE papers'
-// core mechanisms — provider/altpred selection over the longest matching
-// tag, useful-bit training when they disagree, allocation into a longer
-// history table on mispredict with useful-bit victim selection, and aging
-// (useful-bit decay) when no victim is free. All updates are deterministic:
-// allocation scans the shorter-history candidates first instead of drawing
-// from an LFSR, so every replay of a stream is bit-exact.
+// wraps it as a DirectionPredictor (per-event methods, PredictBit then
+// UpdateBit) and the compiled kernel calls Step once per conditional event.
+// UpdateBit is Step without its result, so there is one training body and
+// ref-vs-flat parity is structural, not coincidental. The update rule
+// follows the TAGE papers' core mechanisms — provider/altpred selection
+// over the longest matching tag, useful-bit training when they disagree,
+// allocation into a longer history table on mispredict with useful-bit
+// victim selection, and aging (useful-bit decay) when no victim is free.
+// All updates are deterministic: allocation scans the shorter-history
+// candidates first instead of drawing from an LFSR, so every replay of a
+// stream is bit-exact.
 type TAGE struct {
 	cfg      TAGEConfig
 	idxBits  uint
@@ -70,6 +72,12 @@ type TAGE struct {
 	us   [][]uint8
 
 	ghr uint64
+
+	// scanIdx and scanTag are lookup scratch, not state: lookup writes
+	// table i's entry index and wanted tag before anything reads them, so
+	// Step can train and allocate without recomputing either.
+	scanIdx []uint64
+	scanTag []uint16
 }
 
 // NewTAGE builds a TAGE predictor from cfg.
@@ -104,6 +112,8 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 		tags:     make([][]uint16, len(cfg.HistLens)),
 		ctrs:     make([][]uint8, len(cfg.HistLens)),
 		us:       make([][]uint8, len(cfg.HistLens)),
+		scanIdx:  make([]uint64, len(cfg.HistLens)),
+		scanTag:  make([]uint16, len(cfg.HistLens)),
 	}
 	for i := range cfg.HistLens {
 		t.tags[i] = make([]uint16, cfg.TableEntries)
@@ -115,8 +125,13 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 }
 
 // foldHist XOR-folds the low length bits of h into a bits-wide value — the
-// classic history-compression hash of the geometric-history predictors.
+// classic history-compression hash of the geometric-history predictors. A
+// zero-wide fold is 0: a one-entry table's index and a one-bit tag's
+// second fold have no bits to fold into.
 func foldHist(h uint64, length, bits uint) uint64 {
+	if bits == 0 {
+		return 0
+	}
 	h &= uint64(1)<<length - 1
 	m := uint64(1)<<bits - 1
 	var f uint64
@@ -142,64 +157,72 @@ func (t *TAGE) tag(slot uint64, i int) uint16 {
 }
 
 // lookup resolves the provider and alternate components for slot under the
-// current history: table indexes into tags/ctrs (or -1 for the bimodal
-// base) plus each component's entry index.
-func (t *TAGE) lookup(slot uint64) (provider, alt int, pIdx, aIdx uint64) {
+// current history: tagged table numbers, or -1 for the bimodal base. The
+// scan runs from the longest history down and stops at the alternate, so
+// it leaves scanIdx and scanTag filled for the provider, the alternate and
+// every table longer than the provider — all that training and allocation
+// read.
+func (t *TAGE) lookup(slot uint64) (provider, alt int) {
 	provider, alt = -1, -1
+	scanIdx, scanTag := t.scanIdx, t.scanTag
 	for i := len(t.cfg.HistLens) - 1; i >= 0; i-- {
-		idx := t.index(slot, i)
-		if t.tags[i][idx] != t.tag(slot, i) {
+		idx, tag := t.index(slot, i), t.tag(slot, i)
+		scanIdx[i], scanTag[i] = idx, tag
+		if t.tags[i][idx] != tag {
 			continue
 		}
 		if provider < 0 {
-			provider, pIdx = i, idx
+			provider = i
 		} else {
-			alt, aIdx = i, idx
+			alt = i
 			break
 		}
 	}
-	return provider, alt, pIdx, aIdx
+	return provider, alt
 }
 
-// predOf reads component (table, idx)'s direction bit; table -1 is the
-// bimodal base.
-func (t *TAGE) predOf(slot uint64, table int, idx uint64) uint8 {
+// predOf reads a component's direction bit after lookup: table -1 is the
+// bimodal base, any other its scanned entry.
+func (t *TAGE) predOf(slot uint64, table int) uint8 {
 	if table < 0 {
 		if t.base[slot&t.baseMask].Taken() {
 			return 1
 		}
 		return 0
 	}
-	return t.ctrs[table][idx] >> 2 & 1 // 3-bit counter: taken when >= 4
+	return t.ctrs[table][t.scanIdx[table]] >> 2 & 1 // 3-bit counter: taken when >= 4
 }
 
 // PredictBit returns the predicted direction (1 = taken) for the site at
-// instruction slot, without mutating any state.
+// instruction slot. It mutates no predictor state; it writes only the
+// lookup scratch.
 func (t *TAGE) PredictBit(slot uint64) uint8 {
-	provider, _, pIdx, _ := t.lookup(slot)
-	return t.predOf(slot, provider, pIdx)
+	provider, _ := t.lookup(slot)
+	return t.predOf(slot, provider)
 }
 
 // UpdateBit trains the predictor with the actual outcome of the site at
-// slot. It recomputes the component selection from the (pre-update) state.
-// Both executors call PredictBit, then UpdateBit, on every conditional
-// event, and PredictBit mutates nothing, so the recomputed selection is the
-// one the prediction used.
-func (t *TAGE) UpdateBit(slot uint64, taken uint8) {
-	provider, alt, pIdx, aIdx := t.lookup(slot)
-	pred := t.predOf(slot, provider, pIdx)
+// slot: Step without its result. The reference simulator calls PredictBit,
+// then UpdateBit, so both executors evolve state through the one training
+// body in Step.
+func (t *TAGE) UpdateBit(slot uint64, taken uint8) { t.Step(slot, taken) }
+
+// Step predicts the site at slot, trains the predictor with the actual
+// outcome and shifts it into the history, all from one table lookup. It
+// returns the prediction made before training, which is what PredictBit
+// would have returned.
+func (t *TAGE) Step(slot uint64, taken uint8) uint8 {
+	provider, alt := t.lookup(slot)
+	pred := t.predOf(slot, provider)
 	altPred := pred
 	if provider >= 0 {
-		if alt >= 0 {
-			altPred = t.predOf(slot, alt, aIdx)
-		} else {
-			altPred = t.predOf(slot, -1, 0)
-		}
+		altPred = t.predOf(slot, alt)
 	}
 
 	// Train the provider: its useful counter when it disambiguated from
 	// the alternate prediction, then its direction counter.
 	if provider >= 0 {
+		pIdx := t.scanIdx[provider]
 		if pred != altPred {
 			u := t.us[provider][pIdx]
 			if pred == taken {
@@ -218,13 +241,14 @@ func (t *TAGE) UpdateBit(slot uint64, taken uint8) {
 
 	// On a mispredict, allocate a longer-history entry: the first
 	// not-useful victim wins (shortest candidate history first); if every
-	// candidate is protected, age them all instead.
+	// candidate is protected, age them all instead. The lookup scanned
+	// every candidate, so their indexes and tags are in the scratch.
 	if pred != taken && provider < len(t.cfg.HistLens)-1 {
 		allocated := false
 		for j := provider + 1; j < len(t.cfg.HistLens); j++ {
-			idx := t.index(slot, j)
+			idx := t.scanIdx[j]
 			if t.us[j][idx] == 0 {
-				t.tags[j][idx] = t.tag(slot, j)
+				t.tags[j][idx] = t.scanTag[j]
 				if taken != 0 {
 					t.ctrs[j][idx] = tage3WeakTaken
 				} else {
@@ -236,7 +260,7 @@ func (t *TAGE) UpdateBit(slot uint64, taken uint8) {
 		}
 		if !allocated {
 			for j := provider + 1; j < len(t.cfg.HistLens); j++ {
-				idx := t.index(slot, j)
+				idx := t.scanIdx[j]
 				if t.us[j][idx] > 0 {
 					t.us[j][idx]--
 				}
@@ -245,6 +269,7 @@ func (t *TAGE) UpdateBit(slot uint64, taken uint8) {
 	}
 
 	t.ghr = t.ghr<<1 | uint64(taken)
+	return pred
 }
 
 // ctr3Step moves a 3-bit saturating counter toward the outcome.
