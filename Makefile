@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke load-smoke suite-smoke perfbench-check benchhost bench bench-suite bench-kernel bench-stream bench-serve tables report
+.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke suite-smoke perfbench-check benchhost bench bench-suite bench-kernel bench-stream bench-serve tables report
 
 # Pinned external analyzer versions; CI installs exactly these, local runs
 # use whatever is on PATH (or skip with a notice).
@@ -35,7 +35,6 @@ ci:
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
-	$(MAKE) load-smoke
 	$(MAKE) suite-smoke
 	$(MAKE) perfbench-check
 
@@ -74,24 +73,13 @@ fuzz-smoke:
 	$(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 
 # serve-smoke boots a real balignd process on an ephemeral port, drives
-# /healthz, /v1/align and /v1/simulate over HTTP, then SIGTERMs it and
-# asserts a clean graceful drain. Complements the in-process httptest
-# coverage in internal/serve with a real listener + signal path.
+# /healthz, /v1/align and /v1/simulate over HTTP, runs a short closed-loop
+# baload leg gated on achieved RPS, unexpected errors and cache hits, then
+# SIGTERMs the daemon and asserts a clean graceful drain. Complements the
+# in-process httptest coverage in internal/serve with a real listener +
+# signal path. See DESIGN.md §16.
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# load-smoke is the sharded-serving gate. The race leg runs the router
-# correctness suite with the scheduler forced wide: shard affinity (same
-# cache key -> same shard for N in 1,2,4), byte-identity of routed vs
-# direct responses across all five request encodings, cache-hit survival
-# through sharding, and the drain/fault leg (SIGTERM a backend mid-run,
-# in-flight completes, one retry succeeds, zero dropped). The script leg
-# boots the real process tree (router + 2 shard processes), drives a short
-# closed-loop baload run and asserts clean drain. See DESIGN.md §16.
-load-smoke:
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/serve/router
-	GOMAXPROCS=4 $(GO) test -race -run 'TestVirtualReport' ./internal/load
-	bash scripts/load_smoke.sh
 
 # suite-smoke reruns the multi-core determinism oracles with the Go
 # scheduler forced wide (GOMAXPROCS=4) under the race detector: the engine's
@@ -103,13 +91,16 @@ load-smoke:
 # TAGE/perceptron grid byte-identical across both kernel modes; the i-cache
 # leg checks the i-cache consumer each broadcast runs beside its kernels
 # against a push-fed replay, in both kernel modes; the cfgio leg is the
-# importer/exporter round-trip oracle on the same machinery.
+# importer/exporter round-trip oracle on the same machinery; the load leg
+# pins baload's virtual-mode report byte-identical under the same wide
+# scheduler.
 suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
+	GOMAXPROCS=4 $(GO) test -race -run 'TestVirtualReport' ./internal/load
 
 # perfbench-check covers the nested perfbench module, which the root
 # module's `go build ./...` and `go test ./...` do not reach: a root API
@@ -161,9 +152,7 @@ bench-stream:
 	$(GO) test -bench 'Benchmark(SuiteStream|WalkerGenerate)' -benchtime 3x -run '^$$' .
 
 # bench-serve regenerates BENCH_serve.json: the single-node saturation
-# sweep plus measured and modeled 1/2/4-shard scaling through the
-# consistent-hash router. See scripts/benchserve for what each phase means
-# and how the 1-CPU caveats are recorded.
+# sweep. See scripts/benchserve for what the sweep measures.
 bench-serve:
 	$(GO) run ./scripts/benchserve
 

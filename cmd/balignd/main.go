@@ -12,21 +12,12 @@
 //	balignd [-addr :8421] [-addr-file path] [-inflight 8] [-queue-wait 250ms]
 //	        [-timeout 60s] [-max-body 8388608] [-cache-entries 256]
 //	        [-cache-bytes 67108864] [-kernel flat|ref] [-parallel N]
-//	        [-drain 30s] [-shards N] [-backends url,url] [-v]
-//
-// With -shards N the process becomes a supervisor: it spawns N
-// shared-nothing balignd shard processes (each with its own result cache
-// and streamer arena), consistent-hashes every request's cache key over
-// them, restarts crashed shards in place (key ownership is by ring slot,
-// so a restart moves no keys), and serves the aggregated /healthz and
-// per-shard /shardz. With -backends the same router fronts externally
-// managed backends instead of spawning its own.
+//	        [-drain 30s] [-v]
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: /healthz flips to 503,
 // new work is rejected, in-flight requests run to completion (bounded by
-// -drain), then the process exits — in sharded mode the router drains
-// first, then every shard. With -addr :0 the kernel picks a free port;
-// -addr-file publishes the bound address for scripts.
+// -drain), then the process exits. With -addr :0 the kernel picks a free
+// port; -addr-file publishes the bound address for scripts.
 package main
 
 import (
@@ -71,8 +62,6 @@ func run(args []string, stderr io.Writer) error {
 	parallel := fs.Int("parallel", 0, "per-request experiment-engine shards (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for in-flight work")
 	verbose := fs.Bool("v", false, "write the telemetry report to stderr on exit")
-	shards := fs.Int("shards", 0, "spawn N shard backends and route over them (0 = single node)")
-	backendsSpec := fs.String("backends", "", "route over externally managed backends (comma-separated URLs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,27 +71,6 @@ func run(args []string, stderr io.Writer) error {
 	// (the only one outside tests) claims the exported slot.
 	publishOnce.Do(func() { rec.Publish("balignd") })
 
-	if *shards > 0 || *backendsSpec != "" {
-		if *shards > 0 && *backendsSpec != "" {
-			return errors.New("-shards and -backends are mutually exclusive")
-		}
-		backends, err := parseBackends(*backendsSpec)
-		if err != nil {
-			return err
-		}
-		tuning := shardTuning{
-			inflight:     *inflight,
-			queueWait:    *queueWait,
-			timeout:      *timeout,
-			maxBody:      *maxBody,
-			cacheEntries: *cacheEntries,
-			cacheBytes:   *cacheBytes,
-			kernel:       *kernel,
-			parallel:     *parallel,
-			drain:        *drain,
-		}
-		return runSharded(*addr, *addrFile, *shards, backends, tuning, rec, *drain, stderr)
-	}
 	qw := *queueWait
 	if qw == 0 {
 		qw = -1 // flag 0 means reject immediately; Config 0 means default

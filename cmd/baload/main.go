@@ -1,16 +1,14 @@
-// Command baload is the closed-loop load generator for balignd and the
-// balignd shard router. It drives a piecewise-constant RPS schedule over a
-// seeded deterministic request corpus covering every request encoding the
-// daemon accepts, records log-bucketed latency histograms, and emits a
-// stable JSON report (the document BENCH_serve.json embeds).
+// Command baload is the closed-loop load generator for balignd. It drives
+// a piecewise-constant RPS schedule over a seeded deterministic request
+// corpus covering every request encoding the daemon accepts, records
+// log-bucketed latency histograms, and emits a stable JSON report (the
+// document BENCH_serve.json embeds).
 //
 // Modes:
 //
 //	real     wall clock + HTTP against -base (the benchmarking mode)
 //	virtual  virtual clocks + a seeded fake transport: the whole report is
 //	         a pure function of -seed, pinned byte-identical by tests
-//	model    discrete-event shard-scaling model over the real router ring;
-//	         emits modeled 1→2→4… shard rows instead of a load report
 //
 // Usage:
 //
@@ -18,22 +16,19 @@
 //	       [-schedule constant|ramp|sweep|burst] [-rps 50] [-rps-max 0]
 //	       [-rps-step 0] [-slot 2s] [-duration 10s] [-workers 16]
 //	       [-mix align-asm=40,simulate-suite=10,...] [-corpus 32] [-seed 1]
-//	       [-timeout 30s] [-report -] [-shards 1,2,4]
-//	       [-min-rps 0] [-max-unexpected -1]
+//	       [-timeout 30s] [-report -] [-min-rps 0] [-max-unexpected -1]
 //
 // Exit status is nonzero if the run fails, if achieved RPS falls below
 // -min-rps, or if unexpected errors (non-200 excluding 429/503/504
-// backpressure) exceed -max-unexpected — the gates CI's load smoke uses.
+// backpressure) exceed -max-unexpected — the gates CI's serve smoke uses.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -50,7 +45,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("baload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "real", "real | virtual | model")
+	mode := fs.String("mode", "real", "real | virtual")
 	base := fs.String("base", "http://127.0.0.1:8421", "target base URL (real mode)")
 	schedule := fs.String("schedule", "constant", "constant | ramp | sweep | burst")
 	rps := fs.Float64("rps", 50, "base request rate")
@@ -64,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "corpus + plan seed")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline (real mode)")
 	report := fs.String("report", "-", "report path (- = stdout)")
-	shardsSpec := fs.String("shards", "1,2,4", "shard counts for model mode")
 	errEvery := fs.Int("err-every", 0, "virtual mode: inject one 429 per N requests (0 = off)")
 	minRPS := fs.Float64("min-rps", 0, "fail if achieved RPS is below this")
 	maxUnexpected := fs.Int64("max-unexpected", -1, "fail if unexpected errors exceed this (-1 = no gate)")
@@ -86,60 +80,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var out []byte
-	var rep *load.Report
+	cfg := load.RunConfig{
+		Schedule: sched,
+		Corpus:   corpus,
+		Workers:  *workers,
+		Seed:     *seed,
+	}
 	switch *mode {
-	case "model":
-		counts, err := parseShards(*shardsSpec)
-		if err != nil {
-			return err
-		}
-		results, err := load.ModelScaling(corpus, sched, counts)
-		if err != nil {
-			return err
-		}
-		doc := struct {
-			Mode   string              `json:"mode"`
-			Seed   int64               `json:"seed"`
-			Shards []*load.ModelResult `json:"shards"`
-			Caveat string              `json:"caveat"`
-		}{
-			Mode:   "model",
-			Seed:   *seed,
-			Shards: results,
-			Caveat: "discrete-event queueing model over the real router ring; not a measurement",
-		}
-		out, err = marshalIndent(doc)
-		if err != nil {
-			return err
-		}
-	case "real", "virtual":
-		cfg := load.RunConfig{
-			Schedule: sched,
-			Corpus:   corpus,
-			Workers:  *workers,
-			Seed:     *seed,
-		}
-		if *mode == "virtual" {
-			cfg.Virtual = true
-			cfg.Clocks = load.NewVirtualClocks()
-			cfg.Doer = &load.FakeDoer{Seed: *seed, ErrEvery: *errEvery}
-		} else {
-			cfg.Clocks = load.NewWallClocks()
-			cfg.Doer = load.NewHTTPDoer(strings.TrimRight(*base, "/"), *timeout)
-		}
-		fmt.Fprintf(stderr, "baload: %s run, %s schedule, %.0fs, %d workers\n",
-			*mode, *schedule, sched.Duration().Seconds(), *workers)
-		rep, err = load.Run(context.Background(), cfg)
-		if err != nil {
-			return err
-		}
-		out, err = rep.JSON()
-		if err != nil {
-			return err
-		}
+	case "virtual":
+		cfg.Virtual = true
+		cfg.Clocks = load.NewVirtualClocks()
+		cfg.Doer = &load.FakeDoer{Seed: *seed, ErrEvery: *errEvery}
+	case "real":
+		cfg.Clocks = load.NewWallClocks()
+		cfg.Doer = load.NewHTTPDoer(strings.TrimRight(*base, "/"), *timeout)
 	default:
-		return fmt.Errorf("unknown mode %q (known: model, real, virtual)", *mode)
+		return fmt.Errorf("unknown mode %q (known: real, virtual)", *mode)
+	}
+	fmt.Fprintf(stderr, "baload: %s run, %s schedule, %.0fs, %d workers\n",
+		*mode, *schedule, sched.Duration().Seconds(), *workers)
+	rep, err := load.Run(context.Background(), cfg)
+	if err != nil {
+		return err
+	}
+	out, err := rep.JSON()
+	if err != nil {
+		return err
 	}
 
 	if *report == "-" {
@@ -150,40 +116,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if rep != nil {
-		fmt.Fprintf(stderr, "baload: %d requests, %.1f rps achieved, %d ok, %d cache hits, %d unexpected errors\n",
-			rep.Requests, rep.AchievedRPS, rep.OK, rep.CacheHits, rep.UnexpectedErrors)
-		if *minRPS > 0 && rep.AchievedRPS < *minRPS {
-			return fmt.Errorf("achieved %.1f rps below the -min-rps %.1f gate", rep.AchievedRPS, *minRPS)
-		}
-		if *maxUnexpected >= 0 && rep.UnexpectedErrors > uint64(*maxUnexpected) {
-			return fmt.Errorf("%d unexpected errors over the -max-unexpected %d gate",
-				rep.UnexpectedErrors, *maxUnexpected)
-		}
+	fmt.Fprintf(stderr, "baload: %d requests, %.1f rps achieved, %d ok, %d cache hits, %d unexpected errors\n",
+		rep.Requests, rep.AchievedRPS, rep.OK, rep.CacheHits, rep.UnexpectedErrors)
+	if *minRPS > 0 && rep.AchievedRPS < *minRPS {
+		return fmt.Errorf("achieved %.1f rps below the -min-rps %.1f gate", rep.AchievedRPS, *minRPS)
+	}
+	if *maxUnexpected >= 0 && rep.UnexpectedErrors > uint64(*maxUnexpected) {
+		return fmt.Errorf("%d unexpected errors over the -max-unexpected %d gate",
+			rep.UnexpectedErrors, *maxUnexpected)
 	}
 	return nil
-}
-
-// parseShards reads a "1,2,4" list.
-func parseShards(spec string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad shard count %q", p)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -shards list")
-	}
-	return out, nil
-}
-
-func marshalIndent(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

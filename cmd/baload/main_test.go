@@ -41,34 +41,6 @@ func TestRunVirtualReportDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunModelMode(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-mode", "model", "-schedule", "constant", "-rps", "20000",
-		"-duration", "1s", "-corpus", "32", "-seed", "3", "-shards", "1,2",
-	}, &out, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Mode   string `json:"mode"`
-		Shards []struct {
-			Shards    int     `json:"shards"`
-			Speedup   float64 `json:"speedup_vs_1"`
-			CacheHits uint64  `json:"cache_hits"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Mode != "model" || len(doc.Shards) != 2 {
-		t.Fatalf("model doc malformed: %s", out.Bytes())
-	}
-	if doc.Shards[0].CacheHits != doc.Shards[1].CacheHits {
-		t.Error("modeled cache hits differ across shard counts")
-	}
-}
-
 func TestRunGatesAndBadFlags(t *testing.T) {
 	base := []string{"-mode", "virtual", "-rps", "50", "-duration", "1s", "-corpus", "4"}
 	if err := run(append(base, "-min-rps", "1000000"), io.Discard, io.Discard); err == nil {
@@ -85,8 +57,9 @@ func TestRunGatesAndBadFlags(t *testing.T) {
 		{"-mix", "align-asm"},
 		{"-rps", "-5"},
 		{"-corpus", "0"},
-		{"-mode", "model", "-shards", "0"},
-		{"-mode", "model", "-shards", "x"},
+		{"-schedule", "ramp", "-slot", "0s"},
+		{"-schedule", "burst", "-slot", "0s"},
+		{"-schedule", "burst", "-slot", "-1s"},
 	} {
 		if err := run(bad, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v): expected error, got nil", bad)

@@ -6,8 +6,8 @@
 //
 // The harness runs in two modes sharing one code path:
 //
-//   - real: wall clock + HTTP transport against a live balignd or router,
-//     producing the BENCH_serve.json saturation and scaling numbers;
+//   - real: wall clock + HTTP transport against a live balignd, producing
+//     the BENCH_serve.json saturation numbers;
 //   - virtual: per-worker virtual clocks + a seeded fake transport, which
 //     makes the whole run — request mix, pacing, histogram, report bytes —
 //     a pure function of the seed. The determinism oracle pins the report

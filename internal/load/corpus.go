@@ -71,8 +71,7 @@ func ParseMix(spec string) ([]MixItem, error) {
 }
 
 // Entry is one concrete request in the corpus: an endpoint path, the exact
-// body bytes, and the cache key the backend will derive for it (also the
-// router's shard-choice key).
+// body bytes, and the cache key balignd will derive for it.
 type Entry struct {
 	Kind string
 	Path string
@@ -277,7 +276,7 @@ func buildEntry(kind, name string, rng uint64) (Entry, error) {
 // of (corpus seed, i), and hits[i] reports whether an earlier request
 // already picked the same entry — the would-be cache-hit flag the fake
 // transport replays (the first request for a key computes, repeats hit the
-// per-shard result cache).
+// result cache).
 func (c *Corpus) Plan(n int) (picks []int, hits []bool) {
 	picks = make([]int, n)
 	hits = make([]bool, n)

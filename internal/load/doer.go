@@ -13,7 +13,7 @@ import (
 type Outcome struct {
 	// Status is the HTTP status code, or 0 on a transport error.
 	Status int
-	// CacheHit reports the backend's X-Balign-Cache: hit header.
+	// CacheHit reports the daemon's X-Balign-Cache: hit header.
 	CacheHit bool
 	// Latency is the request's service time.
 	Latency time.Duration
@@ -28,7 +28,7 @@ type Doer interface {
 	Do(ctx context.Context, clk Clock, idx int, e Entry) Outcome
 }
 
-// HTTPDoer drives a live balignd or router over HTTP.
+// HTTPDoer drives a live balignd over HTTP.
 type HTTPDoer struct {
 	Base    string // e.g. http://127.0.0.1:8080 — no trailing slash
 	Client  *http.Client

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -304,49 +303,5 @@ func TestRunRealModeAgainstServer(t *testing.T) {
 	}
 	if rep.Mode != "real" {
 		t.Errorf("mode = %q, want real", rep.Mode)
-	}
-}
-
-// TestModelScalingProperties pins the modeled-scaling invariants the
-// benchmark leans on: cache hits identical at every shard count (key
-// affinity preserves per-shard caches) and makespan non-increasing as
-// shards are added under an overloaded schedule.
-func TestModelScalingProperties(t *testing.T) {
-	corpus, err := BuildCorpus(3, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := ModelScaling(corpus, Constant(20000, time.Second), []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
-	}
-	for i, r := range results[1:] {
-		if r.CacheHits != results[0].CacheHits {
-			t.Errorf("shards=%d cache hits %d != single-shard %d — sharding must not cost hit rate",
-				r.Shards, r.CacheHits, results[0].CacheHits)
-		}
-		if r.MakespanNs > results[i].MakespanNs {
-			t.Errorf("shards=%d makespan %d worse than shards=%d %d under overload",
-				r.Shards, r.MakespanNs, results[i].Shards, results[i].MakespanNs)
-		}
-	}
-	if sp := results[1].Speedup; sp < 1.5 {
-		t.Errorf("modeled 2-shard speedup %.2f < 1.5 — ring imbalance regressed", sp)
-	}
-	if sp := results[2].Speedup; sp < 2.5 {
-		t.Errorf("modeled 4-shard speedup %.2f < 2.5 — ring imbalance regressed", sp)
-	}
-	// Determinism: the model must reproduce exactly.
-	again, err := RunModel(corpus, Constant(20000, time.Second), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := *results[1]
-	want.Speedup = 0 // ModelScaling fills Speedup afterwards; RunModel leaves it zero
-	if fmt.Sprintf("%+v", *again) != fmt.Sprintf("%+v", want) {
-		t.Errorf("RunModel is not deterministic:\n got %+v\nwant %+v", *again, want)
 	}
 }

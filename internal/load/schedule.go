@@ -141,6 +141,17 @@ func ParseSchedule(kind string, rps, rpsMax, step float64, slotDur, total time.D
 	switch kind {
 	case "constant":
 		return Constant(rps, total), nil
+	case "ramp", "sweep", "burst":
+		// Ramp divides the run by the slot length and burst steps through
+		// it one period at a time, so a zero or negative slot would panic
+		// or never end.
+		if slotDur <= 0 {
+			return Schedule{}, fmt.Errorf("-slot must be positive for a %s schedule, got %v", kind, slotDur)
+		}
+	default:
+		return Schedule{}, fmt.Errorf("unknown schedule %q (known: burst, constant, ramp, sweep)", kind)
+	}
+	switch kind {
 	case "ramp":
 		if rpsMax <= 0 {
 			rpsMax = rps * 4
@@ -158,12 +169,10 @@ func ParseSchedule(kind string, rps, rpsMax, step float64, slotDur, total time.D
 			step = rps
 		}
 		return Sweep(rps, step, rpsMax, slotDur), nil
-	case "burst":
+	default: // burst
 		if rpsMax <= 0 {
 			rpsMax = rps * 4
 		}
 		return Burst(rps, rpsMax, 4*slotDur, slotDur, total), nil
-	default:
-		return Schedule{}, fmt.Errorf("unknown schedule %q (known: burst, constant, ramp, sweep)", kind)
 	}
 }

@@ -2,18 +2,14 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"net/http"
 )
 
 // endpointDef ties one POST API endpoint's URL path to its request parser
 // and compute method. The table is the single source of truth for what the
-// service exposes: New registers handlers from it, and the consistent-hash
-// router derives request ownership from the same parsers via RequestKey —
-// which is what guarantees a routed request computes the exact cache key
-// its backend shard will use.
+// service exposes: New registers handlers from it, and RequestKey derives
+// cache keys from the same parsers, so a key computed outside the server
+// is exactly the one its handler caches under.
 type endpointDef struct {
 	name    string
 	path    string
@@ -27,23 +23,13 @@ var endpoints = []endpointDef{
 	{"simulate", "/v1/simulate", parseSimulateRequest, (*Server).computeSimulate},
 }
 
-// EndpointPaths returns the POST API paths in registration order — exactly
-// the set of paths the shard router proxies by cache key.
-func EndpointPaths() []string {
-	paths := make([]string, len(endpoints))
-	for i, e := range endpoints {
-		paths[i] = e.path
-	}
-	return paths
-}
-
 // RequestKey parses body as a request for the endpoint at path and returns
-// the sha256 cache key the backend will derive for it: the same
-// parse-canonicalize-hash pipeline serveAPI runs, refactored out of the
-// handler so the router's shard choice and the backend's cache lookup can
-// never disagree. It fails for unknown paths and for bodies the endpoint's
-// parser rejects (the backend would answer those with an error envelope, so
-// they have no cache key).
+// the sha256 cache key the server will derive for it: the same
+// parse-canonicalize-hash pipeline serveAPI runs, so the load corpus and
+// the benchmark's warm set name exactly the keys the handler caches. It
+// fails for unknown paths and for bodies the endpoint's parser rejects
+// (the server would answer those with an error envelope, so they have no
+// cache key).
 func RequestKey(path string, body []byte) (string, error) {
 	for _, e := range endpoints {
 		if e.path != path {
@@ -60,19 +46,4 @@ func RequestKey(path string, body []byte) (string, error) {
 		return key, nil
 	}
 	return "", fmt.Errorf("no API endpoint at %q", path)
-}
-
-// RawBodyKey is the routing fallback for bodies RequestKey rejects: a
-// deterministic content hash of the raw bytes, so even malformed requests
-// route stably (and their error envelopes come from one shard, not many).
-func RawBodyKey(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
-}
-
-// WriteErrorEnvelope writes the service's uniform JSON error envelope
-// without touching any server state — the shard router shares it so
-// proxied and locally generated failures look alike to clients.
-func WriteErrorEnvelope(w http.ResponseWriter, status int, code, msg string) {
-	writeError(w, nil, status, code, msg)
 }

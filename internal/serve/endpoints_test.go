@@ -15,10 +15,11 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestRequestKeyMatchesHandlerCache pins the key-ownership contract the
-// shard router depends on: RequestKey derives the exact key the handler's
-// result cache uses, stable across calls, distinct across endpoints, and
-// insensitive to JSON field order (canonicalization happens post-parse).
+// TestRequestKeyMatchesHandlerCache pins the contract the load corpus and
+// the benchmark's warm set depend on: RequestKey derives the exact key the
+// handler's result cache uses, stable across calls, distinct across
+// endpoints, and insensitive to JSON field order (canonicalization happens
+// post-parse).
 func TestRequestKeyMatchesHandlerCache(t *testing.T) {
 	asmSrc := readFixture(t, "sample.asm")
 	profSrc := readFixture(t, "sample.prof")
@@ -55,27 +56,5 @@ func TestRequestKeyMatchesHandlerCache(t *testing.T) {
 	}
 	if _, err := RequestKey("/v1/align", []byte("{not json")); err == nil {
 		t.Error("unparseable body produced a parsed key")
-	}
-
-	raw1, raw2 := RawBodyKey([]byte("{not json")), RawBodyKey([]byte("{not json"))
-	if raw1 != raw2 || len(raw1) != 64 {
-		t.Errorf("RawBodyKey not a stable sha256 hex: %q vs %q", raw1, raw2)
-	}
-	if raw1 == RawBodyKey([]byte("other")) {
-		t.Error("distinct raw bodies collide")
-	}
-}
-
-// TestEndpointPaths pins the path set the router proxies.
-func TestEndpointPaths(t *testing.T) {
-	paths := EndpointPaths()
-	want := map[string]bool{"/v1/align": true, "/v1/simulate": true}
-	if len(paths) != len(want) {
-		t.Fatalf("EndpointPaths = %v, want the two API paths", paths)
-	}
-	for _, p := range paths {
-		if !want[p] {
-			t.Errorf("unexpected endpoint path %q", p)
-		}
 	}
 }

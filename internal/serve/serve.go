@@ -335,10 +335,9 @@ func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
 // compute, cache fill. The endpoint's parser returns the canonical request
 // value — its JSON marshalling (together with the endpoint name) is the
 // cache key, so two bodies that decode identically share one cached result
-// (and, via RequestKey, so the shard router owns exactly the keys this
-// handler caches). compute returns the response value to be marshalled;
-// cached entries replay the exact stored bytes, so equal keys always
-// produce byte-identical bodies.
+// (and RequestKey derives exactly the keys this handler caches). compute
+// returns the response value to be marshalled; cached entries replay the
+// exact stored bytes, so equal keys always produce byte-identical bodies.
 func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, e endpointDef) {
 	endpoint := e.name
 	s.obs.Add("serve."+endpoint+".requests", 1)

@@ -1,21 +1,9 @@
 // Command benchserve produces BENCH_serve.json: the serving-layer
-// benchmark document. It builds balignd, then measures
+// benchmark document. It builds balignd and runs a single-node saturation
+// sweep: baload's sweep schedule drives the daemon through rising target
+// rates, and the per-slot achieved-vs-target curve shows the knee.
 //
-//  1. a single-node saturation sweep — baload's sweep schedule drives the
-//     daemon through rising target rates and the per-slot achieved-vs-
-//     target curve shows the knee;
-//  2. measured shard scaling — the same short overload burst against
-//     `balignd -shards N` for N in 1,2,4;
-//  3. modeled shard scaling — the deterministic discrete-event queueing
-//     model over the real router ring (see internal/load/model.go), which
-//     answers how the same request stream scales with N real cores.
-//
-// The measured scaling rows are honest about the host: on a single-CPU
-// container every shard process time-slices the same core, so measured
-// scaling is ~1x by construction and the modeled rows carry the scaling
-// claim. On a multi-core host the measured rows stand on their own.
-//
-//	go run ./scripts/benchserve [-out BENCH_serve.json] [-quick]
+//	go run ./scripts/benchserve [-out BENCH_serve.json]
 package main
 
 import (
@@ -61,30 +49,12 @@ type saturation struct {
 	Unexpected  uint64              `json:"unexpected_errors"`
 }
 
-type measuredRow struct {
-	Shards      int                 `json:"shards"`
-	Requests    uint64              `json:"requests"`
-	AchievedRPS float64             `json:"achieved_rps"`
-	SpeedupVs1  float64             `json:"speedup_vs_1"`
-	CacheHits   uint64              `json:"cache_hits"`
-	Latency     load.LatencySummary `json:"latency"`
-	Unexpected  uint64              `json:"unexpected_errors"`
-}
-
 type doc struct {
 	Description string     `json:"description"`
 	Date        string     `json:"date"`
 	Host        hostBlock  `json:"host"`
 	Command     string     `json:"command"`
 	Saturation  saturation `json:"saturation"`
-	Scaling     struct {
-		Note     string        `json:"note"`
-		Measured []measuredRow `json:"measured"`
-		Modeled  struct {
-			Caveat string              `json:"caveat"`
-			Rows   []*load.ModelResult `json:"rows"`
-		} `json:"modeled"`
-	} `json:"scaling"`
 }
 
 func main() {
@@ -108,7 +78,6 @@ func loadMix() []load.MixItem {
 
 func run(args []string) error {
 	out := "BENCH_serve.json"
-	quick := false
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
 		case "-out":
@@ -117,8 +86,6 @@ func run(args []string) error {
 				return fmt.Errorf("-out needs a path")
 			}
 			out = args[i]
-		case "-quick":
-			quick = true
 		default:
 			return fmt.Errorf("unknown flag %q", args[i])
 		}
@@ -143,16 +110,9 @@ func run(args []string) error {
 
 	slotDur := 2 * time.Second
 	sweepFrom, sweepStep, sweepTo := 2000.0, 2000.0, 18000.0
-	burstRPS := 12000.0
-	burstDur := 3 * time.Second
-	if quick {
-		slotDur = time.Second
-		sweepFrom, sweepStep, sweepTo = 1000, 1000, 4000
-		burstRPS, burstDur = 4000, 2*time.Second
-	}
 
 	d := &doc{
-		Description: "Serving-layer benchmark: closed-loop saturation sweep against a single balignd, plus 1/2/4-shard scaling through the consistent-hash router (cmd/baload + balignd -shards). Reproduce with `make bench-serve`.",
+		Description: "Serving-layer benchmark: closed-loop saturation sweep against a single balignd (cmd/baload). Reproduce with `make bench-serve`.",
 		Date:        time.Now().Format("2006-01-02"),
 		Host: hostBlock{
 			GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPU: cpuModel(),
@@ -161,10 +121,9 @@ func run(args []string) error {
 		Command: "go run ./scripts/benchserve",
 	}
 
-	// ---- Phase 1: single-node saturation sweep -------------------------
-	fmt.Fprintln(os.Stderr, "benchserve: saturation sweep (single node)")
+	fmt.Fprintln(os.Stderr, "benchserve: saturation sweep")
 	sweep := load.Sweep(sweepFrom, sweepStep, sweepTo, slotDur)
-	rep, err := runAgainstDaemon(work, bin, nil, sweep, corpus)
+	rep, err := runAgainstDaemon(work, bin, sweep, corpus)
 	if err != nil {
 		return fmt.Errorf("saturation sweep: %w", err)
 	}
@@ -190,43 +149,6 @@ func run(args []string) error {
 	}
 	d.Saturation = sat
 
-	// ---- Phase 2: measured shard scaling -------------------------------
-	d.Scaling.Note = "Measured rows come from this host, driven well past saturation so achieved_rps reflects capacity through the router. With cpus:1 every shard process time-slices a single core, so measured multi-shard throughput cannot exceed single-shard throughput — the rows document router overhead, not scalability. The modeled rows carry the scaling claim; on a multi-core host the measured rows converge toward them."
-	burst := load.Constant(burstRPS, burstDur)
-	var base float64
-	for _, n := range []int{1, 2, 4} {
-		fmt.Fprintf(os.Stderr, "benchserve: measured scaling, %d shard(s)\n", n)
-		shardArgs := []string{"-shards", fmt.Sprint(n)}
-		rep, err := runAgainstDaemon(work, bin, shardArgs, burst, corpus)
-		if err != nil {
-			return fmt.Errorf("measured scaling (%d shards): %w", n, err)
-		}
-		row := measuredRow{
-			Shards: n, Requests: rep.Requests, AchievedRPS: rep.AchievedRPS,
-			CacheHits: rep.CacheHits, Latency: rep.Latency, Unexpected: rep.UnexpectedErrors,
-		}
-		if n == 1 {
-			base = rep.AchievedRPS
-		}
-		if base > 0 {
-			row.SpeedupVs1 = round2(rep.AchievedRPS / base)
-		}
-		d.Scaling.Measured = append(d.Scaling.Measured, row)
-	}
-
-	// ---- Phase 3: modeled shard scaling --------------------------------
-	fmt.Fprintln(os.Stderr, "benchserve: modeled scaling (discrete-event, real ring)")
-	modelCorpus, err := load.BuildCorpus(3, 256, nil)
-	if err != nil {
-		return err
-	}
-	rows, err := load.ModelScaling(modelCorpus, load.Constant(20000, 3*time.Second), []int{1, 2, 4})
-	if err != nil {
-		return err
-	}
-	d.Scaling.Modeled.Caveat = "Deterministic discrete-event queueing model, NOT a measurement: per-shard single-server FIFO queues with per-shard result caches, requests routed over the real consistent-hash ring (internal/serve/router.NewRing) by the real cache keys, service times from the seeded latency model. Offered load (20k rps) overdrives capacity so makespan ratios measure compute scaling. Reproduce with `go run ./cmd/baload -mode model`."
-	d.Scaling.Modeled.Rows = rows
-
 	b, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return err
@@ -234,17 +156,15 @@ func run(args []string) error {
 	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "benchserve: wrote %s (knee %.0f rps; modeled speedup x2=%.2f x4=%.2f)\n",
-		out, d.Saturation.KneeRPS, rows[1].Speedup, rows[2].Speedup)
+	fmt.Fprintf(os.Stderr, "benchserve: wrote %s (knee %.0f rps)\n", out, d.Saturation.KneeRPS)
 	return nil
 }
 
-// runAgainstDaemon boots balignd (optionally sharded), runs the schedule
-// against it in real mode, and drains it.
-func runAgainstDaemon(work, bin string, extraArgs []string, sched load.Schedule, corpus *load.Corpus) (*load.Report, error) {
-	addrFile := filepath.Join(work, fmt.Sprintf("addr-%d", time.Now().UnixNano()))
-	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-timeout", "60s", "-drain", "30s"}, extraArgs...)
-	cmd := exec.Command(bin, args...)
+// runAgainstDaemon boots balignd, runs the schedule against it in real
+// mode, and drains it.
+func runAgainstDaemon(work, bin string, sched load.Schedule, corpus *load.Corpus) (*load.Report, error) {
+	addrFile := filepath.Join(work, "addr")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-timeout", "60s", "-drain", "30s")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
@@ -265,14 +185,11 @@ func runAgainstDaemon(work, bin string, extraArgs []string, sched load.Schedule,
 	if err != nil {
 		return nil, err
 	}
-	// Sharded boots publish the router address only after every shard is
-	// up; one extra health poll guards the single-node path too.
-	base := "http://" + addr
 
 	return load.Run(context.Background(), load.RunConfig{
 		Schedule: sched,
 		Corpus:   corpus,
-		Doer:     load.NewHTTPDoer(base, 90*time.Second),
+		Doer:     load.NewHTTPDoer("http://"+addr, 90*time.Second),
 		Clocks:   load.NewWallClocks(),
 		Workers:  64,
 		Seed:     corpus.Seed,
@@ -293,8 +210,6 @@ func waitForFile(path string, timeout time.Duration) (string, error) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }
 
 func cpuModel() string {
 	data, err := os.ReadFile("/proc/cpuinfo")

@@ -1,5 +1,5 @@
 # daemon_lib.sh — shared boot/wait/stop helpers for smoke scripts that
-# drive a real balignd process tree. Source from bash with:
+# drive a real balignd process. Source from bash with:
 #
 #   WORK=$(mktemp -d)
 #   . "$(dirname "$0")/daemon_lib.sh"

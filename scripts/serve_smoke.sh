@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# serve_smoke.sh — end-to-end smoke test for the balignd daemon.
+# serve_smoke.sh — end-to-end smoke test for the balignd daemon and the
+# baload load harness.
 #
-# Builds balignd, boots it on an ephemeral port, waits for /healthz, fires
-# one /v1/align and one /v1/simulate request built from the committed serve
-# fixtures, then delivers SIGTERM and asserts a clean graceful drain (exit
-# status 0). Run from the repository root:  make serve-smoke
+# Builds balignd and baload, boots the daemon on an ephemeral port, waits
+# for /healthz, fires one /v1/align and one /v1/simulate request built from
+# the committed serve fixtures, drives a short constant-rate closed-loop
+# baload run gated on nonzero achieved RPS, zero unexpected errors
+# (429/503/504 backpressure excluded) and nonzero cache hits, then delivers
+# SIGTERM and asserts a clean graceful drain (exit status 0). Run from the
+# repository root:  make serve-smoke
 set -euo pipefail
 
 GO=${GO:-go}
@@ -26,6 +30,7 @@ fail() {
 }
 
 "$GO" build -o "$WORK/balignd" ./cmd/balignd
+"$GO" build -o "$WORK/baload" ./cmd/baload
 
 boot_daemon balignd "$WORK/balignd" -timeout 30s -drain 20s
 PID=$DAEMON_PID
@@ -66,6 +71,27 @@ STATUS=$(curl -sS -o "$WORK/simulate.out" -w '%{http_code}' \
 [ "$STATUS" = 200 ] || { cat "$WORK/simulate.out" >&2; fail "/v1/simulate returned $STATUS"; }
 grep -q '"report"' "$WORK/simulate.out" || fail "/v1/simulate response missing report"
 echo "serve-smoke: /v1/simulate ok"
+
+# Short closed-loop run. The gates are the point: the run must achieve a
+# nonzero rate and see zero unexpected errors end to end. The mix covers
+# both endpoints and all three align encodings but leaves out
+# simulate-suite: a single cold suite compute can exceed the whole smoke
+# budget on a small runner.
+"$WORK/baload" -base "$BASE" -mode real \
+    -schedule constant -rps 25 -duration 4s -workers 8 \
+    -corpus 12 -seed 7 -timeout 60s \
+    -mix "align-asm=2,align-cfg-json=1,align-cfg-dot=1,simulate-inline=1" \
+    -min-rps 1 -max-unexpected 0 \
+    -report "$WORK/load_report.json" \
+    || fail "baload run failed its gates"
+
+grep -q '"mode": "real"' "$WORK/load_report.json" || fail "report missing mode"
+
+# The corpus repeats entries, so a healthy daemon must show cache hits.
+HITS=$(sed -n 's/^  "cache_hits": \([0-9]*\),$/\1/p' "$WORK/load_report.json")
+[ -n "$HITS" ] || fail "report missing cache_hits"
+[ "$HITS" -gt 0 ] || fail "no cache hits (got $HITS)"
+echo "serve-smoke: closed-loop run passed its gates ($HITS cache hits)"
 
 # Graceful drain: SIGTERM must produce a clean exit.
 stop_daemon "$PID"
