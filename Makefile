@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzImportDOT -fuzztime=10s -run '^$$' ./internal/cfgio
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/profile
 	$(GO) test -fuzz=FuzzTaggedStep -fuzztime=10s -run '^$$' ./internal/predict
+	$(GO) test -fuzz=FuzzKernelBatch -fuzztime=10s -run '^$$' ./internal/kernel
 	$(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 
 # serve-smoke boots a real balignd process on an ephemeral port, drives
@@ -83,7 +84,7 @@ serve-smoke:
 
 # suite-smoke reruns the multi-core determinism oracles with the Go
 # scheduler forced wide (GOMAXPROCS=4) under the race detector: the engine's
-# variant tasks, each broadcast's producer and its per-architecture consumer
+# variant tasks, each broadcast's producer and its kernel and i-cache consumer
 # goroutines genuinely interleave even on smaller CI hosts, and any ordering
 # bug surfaces as a byte diff or a race report. The extended-families leg
 # runs the adversarial workloads (phase-flipping branches included) and an

@@ -242,23 +242,28 @@ func TestRunReportSchema(t *testing.T) {
 		t.Errorf("variants: %d total, %d distinct, %d broadcasts; want 16 total, fewer distinct, one broadcast each",
 			total, distinct, rep.Counters["sim.stream.broadcasts"])
 	}
-	// A stream cell is one kernel consumer: one per distinct (variant,
-	// architecture) pair. For ora at this scale no two variants of one
+	// A stream cell is one result of a variant's kernel: one per distinct
+	// (variant, architecture) pair. For ora at this scale no two variants of one
 	// architecture fold together, so that adds up to every (architecture,
 	// algorithm) cell.
 	ex := rep.Sections.Executor
 	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want {
 		t.Errorf("executor stream cells = %d, want %d", ex.StreamCells, want)
 	}
-	// Kernel time and events split by architecture class. Each batch adds
-	// one measurement to its total and to its class, so the classes of the
-	// registered architectures sum to the totals exactly.
+	// Kernel time splits into the shared pass and one pass per
+	// architecture class, and events split by class. Each batch times its
+	// passes as consecutive laps and adds the laps to the total, so the
+	// shared bucket and the classes of the registered architectures sum to
+	// the totals exactly.
 	classes := map[predict.Class]bool{}
 	for _, a := range predict.AllArchs() {
 		d, _ := predict.Lookup(a)
 		classes[d.Class] = true
 	}
-	var runNs, events int64
+	runNs, events := rep.Counters["kernel.run_ns.shared"], int64(0)
+	if runNs <= 0 {
+		t.Errorf("kernel.run_ns.shared %d; want positive", runNs)
+	}
 	for c := range classes {
 		ns, ev := rep.Counters["kernel.run_ns."+c.String()], rep.Counters["kernel.events."+c.String()]
 		if ns <= 0 || ev <= 0 {
@@ -268,7 +273,7 @@ func TestRunReportSchema(t *testing.T) {
 		events += ev
 	}
 	if runNs != rep.Counters["kernel.run_ns"] || events != rep.Counters["kernel.events"] {
-		t.Errorf("per-class kernel counters sum to %d ns / %d events, totals are %d / %d",
+		t.Errorf("shared and per-class kernel counters sum to %d ns / %d events, totals are %d / %d",
 			runNs, events, rep.Counters["kernel.run_ns"], rep.Counters["kernel.events"])
 	}
 }

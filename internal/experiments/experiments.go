@@ -8,8 +8,8 @@
 // runs on the parallel experiment engine in internal/sim: alignment and
 // profiling are prepared per program and equal variants fold, then each
 // distinct variant's event stream is generated once and broadcast
-// batch-by-batch to all of its architectures' kernels, holding only a
-// bounded buffer ring in memory. Results reduce in
+// batch-by-batch to one kernel simulating all of its architectures,
+// holding only a bounded buffer ring in memory. Results reduce in
 // canonical order, so every kernel mode and parallelism setting produces
 // byte-identical output; the differential oracle tests enforce this.
 package experiments
@@ -482,9 +482,9 @@ func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
 
 // runVariant simulates every cell of one distinct variant in a single
 // streamed generation: the variant's event stream is generated once and
-// broadcast to one kernel per distinct architecture among its cells (cells
-// folded from equal variants can share one) and to one i-cache consumer
-// concurrently. The fetch stream does not depend on the predictor, so that
+// broadcast to one kernel simulating every distinct architecture among its
+// cells (cells folded from equal variants can share one) and to one
+// i-cache consumer concurrently. The fetch stream does not depend on the predictor, so that
 // one i-cache measurement is every cell's IC; rec receives its busy time as
 // exp.icache.ns. cells[base:base+len(specs)], the task's own slots, receive
 // the results in spec order. ctx is the shard's context: when the engine
@@ -543,7 +543,7 @@ type cellSlot struct {
 // a preparation pass (profile + alignments + the fold of equal variants,
 // sharded per program), then the flat {program x architecture x algorithm}
 // cell grid (sharded per distinct variant, each variant's stream generated
-// once and broadcast to its cells' kernels and its i-cache consumer), then
+// once and broadcast to its kernel and its i-cache consumer), then
 // a canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
 	eng := cfg.engine()

@@ -82,9 +82,10 @@ func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit,
 // TestKernelPerSiteParityAcrossGrid proves the per-site guarantee behind
 // the byte-identical reports: for every workload kernel, every variant
 // gridVariants returns, and every architecture, a single streamed
-// generation broadcast to all flat kernels — the way the grid feeds them —
-// yields results and per-site penalty counts equal to the reference
-// simulator replaying the events the same workload pushes through w.Run.
+// generation broadcast to one kernel compiled for every architecture — the
+// way the executor feeds it — yields results and per-site penalty counts
+// equal to the reference simulator replaying the events the same workload
+// pushes through w.Run.
 func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 	archs := predict.AllArchs()
 	for _, name := range kernelWorkloads {
@@ -107,18 +108,13 @@ func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 					t.Fatalf("%s: Stream: %v", key, err)
 				}
 
-				// One streamed generation fans out to every architecture...
-				kernels := make([]*kernel.Kernel, len(archs))
-				consumers := make([]func(*trace.Batch) error, len(archs))
-				for i, arch := range archs {
-					k, err := kernel.CompileArch(lay, v.prog, v.prof, arch, nil)
-					if err != nil {
-						t.Fatalf("%s/%s: CompileArch: %v", key, arch, err)
-					}
-					kernels[i] = k
-					consumers[i] = k.RunBatch
+				// One streamed generation feeds one kernel over every
+				// architecture...
+				k, err := kernel.CompileArchs(lay, v.prog, v.prof, archs, nil)
+				if err != nil {
+					t.Fatalf("%s: CompileArchs: %v", key, err)
 				}
-				if err := str.Broadcast(nil, src, consumers); err != nil {
+				if err := str.Broadcast(nil, src, []func(*trace.Batch) error{k.RunBatch}); err != nil {
 					t.Fatalf("%s: Broadcast: %v", key, err)
 				}
 				if got := src.Instrs(); got != instrs {
@@ -126,19 +122,20 @@ func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 				}
 				src.Close()
 
-				// ...and each must match the reference per-site attribution
-				// over the pushed events exactly.
+				// ...and each architecture must match the reference per-site
+				// attribution over the pushed events exactly.
+				results := k.Results()
 				for i, arch := range archs {
 					ref, err := predict.NewSimulator(arch, v.prog, v.prof)
 					if err != nil {
 						t.Fatalf("%s/%s: NewSimulator: %v", key, arch, err)
 					}
 					wantRes, wantCosts := kernel.ReferenceRun(ref, rec.Events)
-					if got := kernels[i].Result(); got != wantRes {
+					if got := results[i]; got != wantRes {
 						t.Errorf("%s/%s: Result mismatch:\n kernel    %+v\n reference %+v",
 							key, arch, got, wantRes)
 					}
-					if got := kernels[i].SiteCosts(); !reflect.DeepEqual(got, wantCosts) {
+					if got := k.SiteCostsOf(i); !reflect.DeepEqual(got, wantCosts) {
 						t.Errorf("%s/%s: per-site costs diverge (%d kernel sites, %d reference sites)",
 							key, arch, len(got), len(wantCosts))
 					}

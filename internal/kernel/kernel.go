@@ -6,27 +6,35 @@
 // is flexible but costs two or three dynamic dispatches plus a 48-byte
 // event copy per event, millions of times per evaluation cell.
 //
-// Compile precompiles one (program, architecture) pair into struct-of-arrays
-// form:
+// CompileArchs precompiles one program and a list of architectures into
+// struct-of-arrays form:
 //
-//   - a dense PC-indexed site table (one int32 per instruction slot) mapping
-//     event addresses to compact site ids with a single bounds check — no
-//     map lookups;
-//   - parallel per-site descriptor slices (kind, LIKELY hint bit) and
-//     per-site cost accumulators (events, misfetches, mispredicts);
-//   - devirtualized predictor state as flat slices: PHT/gshare/local 2-bit
-//     counter arrays, BTB lines with their LRU ticks, and a fixed-size
-//     return stack.
+//   - compact per-site tables (kind, PC slot, fall-through and taken
+//     addresses) read from the program's shared trace.Layout, built once
+//     per kernel whatever the number of architectures;
+//   - per-site accumulators split the same way: the event counts and
+//     return-stack misses every architecture shares, and per architecture
+//     only the misfetches and mispredicts it charges differently;
+//   - one fixed-size return stack, since every architecture predicts
+//     returns alike;
+//   - per architecture, devirtualized predictor state as flat slices:
+//     PHT/gshare/local 2-bit counter arrays, BTB lines with their LRU
+//     ticks, or a tagged predictor core.
 //
-// RunBatch then consumes packed trace batches (4 bytes per event) with no
-// interface dispatch in the inner loop. The kernel is held to exact parity
-// with the reference simulators — identical predict.Result tallies and
-// identical per-site penalty counts on every event stream — by the
-// differential oracles in this package and in internal/experiments.
+// RunBatch then consumes packed trace batches (4 bytes per event) chunk by
+// chunk: one shared pass validates the ops and does the common work, every
+// direction architecture steps over the chunk's conditionals only, and
+// each BTB walks the chunk's ops. There is no interface dispatch in any
+// inner loop. The kernel is held to exact parity with the reference
+// simulators — identical predict.Result tallies and identical per-site
+// penalty counts on every event stream — by the differential oracles in
+// this package and in internal/experiments.
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"balign/internal/ir"
 	"balign/internal/obs"
@@ -36,7 +44,7 @@ import (
 )
 
 // class is the devirtualized architecture discriminant: the one switch the
-// inner loop keys on instead of interface dispatch.
+// inner loops key on instead of interface dispatch.
 type class uint8
 
 const (
@@ -54,8 +62,8 @@ const (
 // Site describes one static control-transfer instruction of the compiled
 // program: the row of the descriptor table a dynamic event resolves to.
 // The program half of the compile lives in internal/trace (the streaming
-// pipeline shares one Layout across all architectures), so Site is the
-// layout's descriptor row.
+// pipeline shares one Layout across all consumers of a variant), so Site
+// is the layout's descriptor row.
 type Site = trace.SiteInfo
 
 // SiteCost accumulates one site's dynamic penalty counts.
@@ -74,43 +82,70 @@ func (c SiteCost) Cycles(misfetchPenalty, mispredictPenalty uint64) uint64 {
 	return c.Misfetches*misfetchPenalty + c.Mispredicts*mispredictPenalty
 }
 
-// Kernel is one compiled (program, architecture) simulation. Compile it
-// once, feed it packed batches with RunBatch, read totals with Result and
-// the per-site breakdown with SiteCosts. A Kernel is not safe for concurrent
-// use; Reset rewinds it for another replay.
+// penalty is one site's charges that depend on the architecture.
+type penalty struct {
+	misfetches, mispredicts uint64
+}
+
+// Kernel is one compiled simulation of a program on one or more
+// architectures. Compile it once, feed it packed batches with RunBatch,
+// read totals with Results and the per-site breakdown with SiteCostsOf.
+// A Kernel is not safe for concurrent use; Reset rewinds it for another
+// replay.
 type Kernel struct {
-	arch  predict.ArchID
-	class class
-	obs   *obs.Recorder
-	// runNsCounter and eventsCounter are the architecture class's
-	// kernel.run_ns.<class> and kernel.events.<class> names, built once at
-	// compile time (telemetry on only) so RunBatch never concatenates.
-	runNsCounter, eventsCounter string
+	obs *obs.Recorder
 
 	// Program tables: the per-program half of the compile, shared across
-	// every architecture kernel simulating the same program. lay owns the
-	// tables; sites is its descriptor slice, cached for the inner loops.
+	// every kernel simulating the same program. lay owns the tables; sites
+	// is its descriptor slice.
 	lay   *trace.Layout
 	sites []Site // descriptor rows in (proc, block, instr) order
 
 	// Compact per-site hot tables, derived from sites at compile time so
-	// the batch inner loops never touch the 40-byte descriptor rows: a
-	// one-byte kind for op validation, the PC's instruction slot (the PHT
-	// index source), the Call return address, and — for the static
-	// direction classes only — the site's fixed prediction bit
-	// (FALLTHROUGH: always 0; BT/FNT: target <= PC; LIKELY: the profile's
-	// majority direction).
-	kindOf []uint8
-	slotOf []uint64
-	fallOf []uint64
-	predOf []uint8
-	// takenOf is the per-site taken target, built for classBTB only (the
-	// install path writes it into evicted lines).
+	// the batch loops never touch the 40-byte descriptor rows: a one-byte
+	// kind for op validation, the PC's instruction slot (the PHT index
+	// source), the Call return address, and the taken target (built only
+	// when a BTB is compiled: the install path writes it into lines).
+	kindOf  []uint8
+	slotOf  []uint64
+	fallOf  []uint64
 	takenOf []uint64
 
-	// Per-site cost accumulators: one struct per site so an event's three
-	// counter bumps share a cache line.
-	costs []SiteCost
+	// What every architecture counts alike. base holds each site's events
+	// and its return-stack mispredicts; shared holds the event, kind,
+	// conditional and return tallies, with the return misses in
+	// Mispredicts.
+	base   []SiteCost
+	shared predict.Result
+
+	// Return stack, replicating predict.ReturnStack. Every architecture
+	// predicts returns with the same stack, so there is one.
+	ras      [predict.ReturnStackDepth]uint64
+	rasTop   int
+	rasDepth int
+
+	archs []arch
+	// groups partitions archs by report class, in class order: each group
+	// is timed as one pass and owns a kernel.run_ns.<class> bucket.
+	groups []group
+}
+
+// arch is one compiled architecture's state: its predictor and the
+// tallies it alone charges.
+type arch struct {
+	class class
+
+	// pen is the per-site charges this architecture makes differently from
+	// the others: a direction architecture's conditionals, a BTB's
+	// conditionals, branches, calls and indirect jumps. misfetches,
+	// mispredicts and condCorrect are their totals.
+	pen                                  []penalty
+	misfetches, mispredicts, condCorrect uint64
+
+	// predOf is the static classes' fixed per-site prediction bit
+	// (BT/FNT: target <= PC; LIKELY: the profile's majority direction;
+	// FALLTHROUGH: none, it always predicts 0).
+	predOf []uint8
 
 	// Direction predictor state (PHT classes).
 	counters  []predict.Counter2
@@ -124,9 +159,8 @@ type Kernel struct {
 	// scan reads one cache line of tags instead of striding over full
 	// lines. Semantics replicate predict.BTBEntry exactly, including the
 	// global-tick LRU. A tag stores pc+1 so zero means invalid; btbSetMask
-	// is btbSets-1 (predict.NewBTB enforces a power-of-two set count, so
-	// set selection is a mask, not a modulo).
-	btbSets    int
+	// is sets-1 (predict.NewBTB enforces a power-of-two set count, so set
+	// selection is a mask, not a modulo).
 	btbSetMask uint64
 	btbWays    int
 	btbTags    []uint64
@@ -140,13 +174,16 @@ type Kernel struct {
 	// both executors evolve state through one training body.
 	tage *predict.TAGE
 	perc *predict.HashedPerceptron
+}
 
-	// Return stack (all classes), replicating predict.ReturnStack.
-	ras      [predict.ReturnStackDepth]uint64
-	rasTop   int
-	rasDepth int
-
-	res predict.Result
+// group is the architectures of one report class, the names of its
+// telemetry buckets (built at compile time, telemetry on only, so
+// RunBatch never concatenates) and the current batch's time in them.
+type group struct {
+	class                       predict.Class
+	archs                       []int
+	runNsCounter, eventsCounter string
+	ns                          int64
 }
 
 // classFor resolves an architecture's registry descriptor and maps its
@@ -155,11 +192,11 @@ type Kernel struct {
 // compile, and one it does know carries its own table geometry, so adding
 // an architecture never touches this switch unless it needs a genuinely
 // new inner-loop shape.
-func classFor(arch predict.ArchID) (class, predict.Desc, error) {
-	d, ok := predict.Lookup(arch)
+func classFor(id predict.ArchID) (class, predict.Desc, error) {
+	d, ok := predict.Lookup(id)
 	if !ok {
 		return 0, predict.Desc{}, fmt.Errorf("kernel: unknown architecture %q (known: %v)",
-			arch, predict.KnownArchNames())
+			id, predict.KnownArchNames())
 	}
 	switch d.Kernel.Kind {
 	case predict.KernelFallthrough:
@@ -182,127 +219,151 @@ func classFor(arch predict.ArchID) (class, predict.Desc, error) {
 		return classPerceptron, d, nil
 	default:
 		return 0, predict.Desc{}, fmt.Errorf("kernel: architecture %q has unsupported kernel kind %d",
-			arch, d.Kernel.Kind)
+			id, d.Kernel.Kind)
 	}
 }
 
 // Compile flattens prog for the named architecture: the per-program layout
-// compile (trace.CompileLayout) followed by the per-architecture state
-// compile (CompileArch). Callers simulating one program on several
-// architectures should compile the layout once and call CompileArch per
-// architecture instead — that split is what the streaming pipeline's
-// fan-out rides on.
+// compile (trace.CompileLayout) followed by CompileArch. Callers simulating
+// one program on several architectures should compile the layout once and
+// call CompileArchs instead.
 //
 // Addresses must have been assigned (ir.Program.AssignAddresses): the dense
 // site table is keyed by instruction slot, and duplicate site addresses are
 // reported as errors.
-func Compile(prog *ir.Program, prof *profile.Profile, arch predict.ArchID, rec *obs.Recorder) (*Kernel, error) {
+func Compile(prog *ir.Program, prof *profile.Profile, id predict.ArchID, rec *obs.Recorder) (*Kernel, error) {
 	lay, err := trace.CompileLayout(prog)
 	if err != nil {
 		return nil, err
 	}
-	return CompileArch(lay, prog, prof, arch, rec)
+	return CompileArch(lay, prog, prof, id, rec)
 }
 
-// CompileArch builds the per-architecture half of a kernel on top of an
-// already-compiled program layout: the devirtualized class, predictor
-// state, and per-site accumulators. The LIKELY architecture derives its
-// per-site hint bits from prof (required, as in predict.NewSimulator); the
-// other architectures ignore prof. rec receives compile-phase telemetry
-// (kernel.compiles, kernel.compile_ns, kernel.sites) and is retained for
-// run-phase counters; nil disables telemetry at zero cost.
+// CompileArch is CompileArchs for one architecture.
+func CompileArch(lay *trace.Layout, prog *ir.Program, prof *profile.Profile, id predict.ArchID, rec *obs.Recorder) (*Kernel, error) {
+	return CompileArchs(lay, prog, prof, []predict.ArchID{id}, rec)
+}
+
+// CompileArchs builds one kernel simulating every architecture in ids on
+// top of an already-compiled program layout: the shared per-site tables
+// and return stack once, then each architecture's class, predictor state
+// and per-site accumulators. Results and SiteCostsOf are index-aligned
+// with ids. The LIKELY architecture derives its per-site hint bits from
+// prof (required, as in predict.NewSimulator); the other architectures
+// ignore prof. rec receives compile-phase telemetry (kernel.compiles and
+// kernel.sites, both per architecture, and kernel.compile_ns) and is
+// retained for run-phase counters; nil disables telemetry at zero cost.
 //
 // prog must be the program lay was compiled from; several kernels may share
 // one layout concurrently (it is read-only).
-func CompileArch(lay *trace.Layout, prog *ir.Program, prof *profile.Profile, arch predict.ArchID, rec *obs.Recorder) (*Kernel, error) {
+func CompileArchs(lay *trace.Layout, prog *ir.Program, prof *profile.Profile, ids []predict.ArchID, rec *obs.Recorder) (*Kernel, error) {
 	if lay == nil {
 		return nil, fmt.Errorf("kernel: nil layout")
 	}
-	cls, desc, err := classFor(arch)
-	if err != nil {
-		return nil, err
-	}
-	if cls == classLikely && prof == nil {
-		return nil, fmt.Errorf("kernel: LIKELY architecture requires a profile")
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("kernel: no architectures to compile")
 	}
 	start := rec.Now()
-
+	sites := lay.Sites()
+	n := len(sites)
 	k := &Kernel{
-		arch: arch, class: cls, obs: rec,
-		lay: lay, sites: lay.Sites(),
+		obs: rec, lay: lay, sites: sites,
+		kindOf: make([]uint8, n),
+		slotOf: make([]uint64, n),
+		fallOf: make([]uint64, n),
+		base:   make([]SiteCost, n),
+		archs:  make([]arch, len(ids)),
 	}
-	if rec.Enabled() {
-		k.runNsCounter = "kernel.run_ns." + desc.Class.String()
-		k.eventsCounter = "kernel.events." + desc.Class.String()
-	}
-
-	n := len(k.sites)
-	k.costs = make([]SiteCost, n)
-	k.kindOf = make([]uint8, n)
-	k.slotOf = make([]uint64, n)
-	k.fallOf = make([]uint64, n)
-	for i := range k.sites {
-		s := &k.sites[i]
+	for i := range sites {
+		s := &sites[i]
 		k.kindOf[i] = uint8(s.Kind)
 		k.slotOf[i] = s.PC / ir.InstrBytes
 		k.fallOf[i] = s.Fall
 	}
 
-	// Architecture state, sized by the registry descriptor's kernel spec —
-	// the same geometry source the reference constructors read.
-	spec := desc.Kernel
+	for i, id := range ids {
+		cls, desc, err := classFor(id)
+		if err != nil {
+			return nil, err
+		}
+		if err := k.compileArch(&k.archs[i], cls, desc.Kernel, prog, prof); err != nil {
+			return nil, err
+		}
+		j := slices.IndexFunc(k.groups, func(g group) bool { return g.class == desc.Class })
+		if j < 0 {
+			j = len(k.groups)
+			k.groups = append(k.groups, group{class: desc.Class})
+			if rec.Enabled() {
+				k.groups[j].runNsCounter = "kernel.run_ns." + desc.Class.String()
+				k.groups[j].eventsCounter = "kernel.events." + desc.Class.String()
+			}
+		}
+		k.groups[j].archs = append(k.groups[j].archs, i)
+	}
+	slices.SortFunc(k.groups, func(a, b group) int { return cmp.Compare(a.class, b.class) })
+
+	rec.AddSince("kernel.compile_ns", start)
+	rec.Add("kernel.compiles", int64(len(ids)))
+	rec.Add("kernel.sites", int64(n*len(ids)))
+	return k, nil
+}
+
+// compileArch sizes one architecture's state from its registry kernel
+// spec — the same geometry source the reference constructors read.
+func (k *Kernel) compileArch(a *arch, cls class, spec predict.KernelSpec,
+	prog *ir.Program, prof *profile.Profile) error {
+	n := len(k.sites)
+	*a = arch{class: cls, pen: make([]penalty, n)}
 	switch cls {
-	case classFallthrough:
-		k.predOf = make([]uint8, n)
 	case classBTFNT:
-		k.predOf = make([]uint8, n)
+		a.predOf = make([]uint8, n)
 		for i := range k.sites {
 			s := &k.sites[i]
 			if s.Kind == ir.CondBr && s.TakenTarget <= s.PC {
-				k.predOf[i] = 1
+				a.predOf[i] = 1
 			}
 		}
 	case classLikely:
-		k.predOf = make([]uint8, n)
-		k.compileLikely(prog, prof)
+		if prof == nil {
+			return fmt.Errorf("kernel: LIKELY architecture requires a profile")
+		}
+		a.predOf = make([]uint8, n)
+		k.compileLikely(a.predOf, prog, prof)
 	case classPHTDirect, classPHTGshare:
-		k.counters = newCounters(spec.PHTEntries)
-		k.mask = uint64(spec.PHTEntries - 1)
+		a.counters = newCounters(spec.PHTEntries)
+		a.mask = uint64(spec.PHTEntries - 1)
 	case classPHTLocal:
-		k.histories = make([]uint16, spec.LocalHistEntries)
-		k.counters = newCounters(spec.PHTEntries)
-		k.histMask = uint16(spec.PHTEntries - 1)
-		k.idxMask = uint64(spec.LocalHistEntries - 1)
+		a.histories = make([]uint16, spec.LocalHistEntries)
+		a.counters = newCounters(spec.PHTEntries)
+		a.histMask = uint16(spec.PHTEntries - 1)
+		a.idxMask = uint64(spec.LocalHistEntries - 1)
 	case classBTB:
 		entries, ways := spec.BTBEntries, spec.BTBWays
-		k.btbSets = entries / ways
-		k.btbSetMask = uint64(k.btbSets - 1)
-		k.btbWays = ways
-		k.btbTags = make([]uint64, entries)
-		k.btbTargets = make([]uint64, entries)
-		k.btbLRU = make([]uint64, entries)
-		k.btbCtr = make([]predict.Counter2, entries)
-		k.takenOf = make([]uint64, n)
-		for i := range k.sites {
-			k.takenOf[i] = k.sites[i].TakenTarget
+		a.btbSetMask = uint64(entries/ways - 1)
+		a.btbWays = ways
+		a.btbTags = make([]uint64, entries)
+		a.btbTargets = make([]uint64, entries)
+		a.btbLRU = make([]uint64, entries)
+		a.btbCtr = make([]predict.Counter2, entries)
+		if k.takenOf == nil {
+			k.takenOf = make([]uint64, n)
+			for i := range k.sites {
+				k.takenOf[i] = k.sites[i].TakenTarget
+			}
 		}
 	case classTAGE:
-		k.tage = predict.NewTAGE(spec.TAGE)
+		a.tage = predict.NewTAGE(spec.TAGE)
 	case classPerceptron:
-		k.perc = predict.NewHashedPerceptron(spec.Perceptron)
+		a.perc = predict.NewHashedPerceptron(spec.Perceptron)
 	}
-
-	rec.AddSince("kernel.compile_ns", start)
-	rec.Add("kernel.compiles", 1)
-	rec.Add("kernel.sites", int64(n))
-	return k, nil
+	return nil
 }
 
 // compileLikely sets the per-site LIKELY hint bits from the profile, with
 // exactly predict.NewLikely's rule: a conditional site present in the
 // profile with at least one execution predicts its majority direction;
 // every other site predicts not taken.
-func (k *Kernel) compileLikely(prog *ir.Program, prof *profile.Profile) {
+func (k *Kernel) compileLikely(predOf []uint8, prog *ir.Program, prof *profile.Profile) {
 	for _, p := range prog.Procs {
 		pp, ok := prof.Procs[p.Name]
 		if !ok {
@@ -319,7 +380,7 @@ func (k *Kernel) compileLikely(prog *ir.Program, prof *profile.Profile) {
 			}
 			pc := b.TermAddr()
 			if si, ok := k.lay.Lookup(pc); ok && c.Taken > c.Fall {
-				k.predOf[si] = 1
+				predOf[si] = 1
 			}
 		}
 	}
@@ -334,9 +395,6 @@ func newCounters(n int) []predict.Counter2 {
 	return c
 }
 
-// Arch returns the compiled architecture id.
-func (k *Kernel) Arch() predict.ArchID { return k.arch }
-
 // Layout returns the shared per-program layout the kernel was compiled
 // against.
 func (k *Kernel) Layout() *trace.Layout { return k.lay }
@@ -345,40 +403,81 @@ func (k *Kernel) Layout() *trace.Layout { return k.lay }
 func (k *Kernel) NumSites() int { return len(k.sites) }
 
 // Sites returns the site descriptor table in compilation order. The slice
-// is the kernel's own backing store; treat it as read-only.
+// is the layout's own backing store; treat it as read-only.
 func (k *Kernel) Sites() []Site { return k.sites }
 
-// Result returns the accumulated simulation tallies, field-for-field
+// Result returns the first architecture's accumulated tallies — the only
+// one's, for a kernel from Compile or CompileArch — field-for-field
 // comparable with the reference simulator's predict.Result.
-func (k *Kernel) Result() predict.Result { return k.res }
+func (k *Kernel) Result() predict.Result { return k.result(&k.archs[0]) }
 
-// SiteCost returns the accumulated penalty counts of site i.
-func (k *Kernel) SiteCost(i int) SiteCost { return k.costs[i] }
+// Results returns every architecture's accumulated tallies, index-aligned
+// with the compiled ids.
+func (k *Kernel) Results() []predict.Result {
+	out := make([]predict.Result, len(k.archs))
+	for i := range k.archs {
+		out[i] = k.result(&k.archs[i])
+	}
+	return out
+}
 
-// SiteCosts returns the per-site penalty counts keyed by site PC, for every
-// site that produced at least one event — the same key set a reference
-// per-PC recorder observes on the same trace.
-func (k *Kernel) SiteCosts() map[uint64]SiteCost {
+// result assembles a's tallies from the shared ones and its own. A
+// direction architecture charges every branch and call a misfetch and
+// every indirect jump a mispredict, so those charges follow from the
+// shared kind tallies.
+func (k *Kernel) result(a *arch) predict.Result {
+	r := k.shared
+	r.Misfetches += a.misfetches
+	r.Mispredicts += a.mispredicts
+	r.CondCorrect = a.condCorrect
+	if a.class != classBTB {
+		r.Misfetches += r.ByKind[ir.Br&7] + r.ByKind[ir.Call&7]
+		r.Mispredicts += r.ByKind[ir.IJump&7]
+	}
+	return r
+}
+
+// siteCost assembles site si's costs under a, with result's rule.
+func (k *Kernel) siteCost(a *arch, si int) SiteCost {
+	c := k.base[si]
+	c.Misfetches += a.pen[si].misfetches
+	c.Mispredicts += a.pen[si].mispredicts
+	if a.class != classBTB {
+		switch k.sites[si].Kind {
+		case ir.Br, ir.Call:
+			c.Misfetches += c.Events
+		case ir.IJump:
+			c.Mispredicts += c.Events
+		}
+	}
+	return c
+}
+
+// SiteCosts is SiteCostsOf(0).
+func (k *Kernel) SiteCosts() map[uint64]SiteCost { return k.SiteCostsOf(0) }
+
+// SiteCostsOf returns architecture i's per-site penalty counts keyed by
+// site PC, for every site that produced at least one event — the same key
+// set a reference per-PC recorder observes on the same trace.
+func (k *Kernel) SiteCostsOf(i int) map[uint64]SiteCost {
+	a := &k.archs[i]
 	out := make(map[uint64]SiteCost)
-	for i := range k.sites {
-		if k.costs[i].Events == 0 {
+	for si := range k.sites {
+		if k.base[si].Events == 0 {
 			continue
 		}
-		out[k.sites[i].PC] = k.costs[i]
+		out[k.sites[si].PC] = k.siteCost(a, si)
 	}
 	return out
 }
 
 // SiteCycles returns each active site's branch execution penalty in cycles
-// under the paper's default penalties, keyed by site PC. Feed it to
-// metrics.SiteQuantiles for per-site cost quantiles.
+// under the first architecture and the paper's default penalties, keyed by
+// site PC. Feed it to metrics.SiteQuantiles for per-site cost quantiles.
 func (k *Kernel) SiteCycles() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
-	for i := range k.sites {
-		if k.costs[i].Events == 0 {
-			continue
-		}
-		out[k.sites[i].PC] = k.costs[i].Cycles(predict.DefaultMisfetchPenalty, predict.DefaultMispredictPenalty)
+	for pc, c := range k.SiteCosts() {
+		out[pc] = c.Cycles(predict.DefaultMisfetchPenalty, predict.DefaultMispredictPenalty)
 	}
 	return out
 }
@@ -387,29 +486,28 @@ func (k *Kernel) SiteCycles() map[uint64]uint64 {
 // stack, accumulators — keeping the compiled program tables (for LIKELY,
 // the static hint bits survive, as in the reference simulator).
 func (k *Kernel) Reset() {
-	k.res = predict.Result{}
-	for i := range k.costs {
-		k.costs[i] = SiteCost{}
-	}
-	for i := range k.counters {
-		k.counters[i] = predict.Counter2Init
-	}
-	for i := range k.histories {
-		k.histories[i] = 0
-	}
-	k.ghr = 0
-	for i := range k.btbTags {
-		k.btbTags[i] = 0
-		k.btbTargets[i] = 0
-		k.btbLRU[i] = 0
-		k.btbCtr[i] = 0
-	}
-	k.btbTick = 0
-	if k.tage != nil {
-		k.tage.Reset()
-	}
-	if k.perc != nil {
-		k.perc.Reset()
-	}
+	k.shared = predict.Result{}
+	clear(k.base)
 	k.rasTop, k.rasDepth = 0, 0
+	for i := range k.archs {
+		a := &k.archs[i]
+		clear(a.pen)
+		a.misfetches, a.mispredicts, a.condCorrect = 0, 0, 0
+		for j := range a.counters {
+			a.counters[j] = predict.Counter2Init
+		}
+		clear(a.histories)
+		a.ghr = 0
+		clear(a.btbTags)
+		clear(a.btbTargets)
+		clear(a.btbLRU)
+		clear(a.btbCtr)
+		a.btbTick = 0
+		if a.tage != nil {
+			a.tage.Reset()
+		}
+		if a.perc != nil {
+			a.perc.Reset()
+		}
+	}
 }

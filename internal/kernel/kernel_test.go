@@ -19,7 +19,7 @@ func allArchs() []predict.ArchID {
 }
 
 // mustAssemble builds and lays out a test program.
-func mustAssemble(t *testing.T, src string) *ir.Program {
+func mustAssemble(t testing.TB, src string) *ir.Program {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -29,7 +29,7 @@ func mustAssemble(t *testing.T, src string) *ir.Program {
 }
 
 // recordEvents walks prog with a fixed seed and returns its event stream.
-func recordEvents(t *testing.T, prog *ir.Program, maxInstrs uint64) []trace.Event {
+func recordEvents(t testing.TB, prog *ir.Program, maxInstrs uint64) []trace.Event {
 	t.Helper()
 	var events []trace.Event
 	w := &trace.Walker{
@@ -43,7 +43,7 @@ func recordEvents(t *testing.T, prog *ir.Program, maxInstrs uint64) []trace.Even
 }
 
 // profileOf collects an edge profile by walking prog once.
-func profileOf(t *testing.T, prog *ir.Program, maxInstrs uint64) *profile.Profile {
+func profileOf(t testing.TB, prog *ir.Program, maxInstrs uint64) *profile.Profile {
 	t.Helper()
 	col := profile.NewCollector(prog)
 	w := &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.6}, Seed: 7, MaxInstrs: maxInstrs}

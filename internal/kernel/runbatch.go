@@ -9,49 +9,114 @@ import (
 	"balign/internal/trace"
 )
 
+// chunkOps is how many ops of a batch one round of passes covers: the
+// capacity of the conditional scratch the shared pass fills. Each
+// architecture's pass re-warms its predictor tables once per chunk, so
+// longer chunks run faster: on a 2-vCPU Xeon VM suite-sim's grid took
+// about 9% longer with 256-op chunks than with 1,024, and 4,096 read
+// faster again. A default batch (trace.DefaultBatchCap) is two chunks.
+const chunkOps = 4096
+
 // RunBatch consumes one packed batch produced against the kernel's own
-// layout, accumulating totals and per-site penalties exactly as the
-// reference simulator would over the decoded events. It may be called
-// repeatedly — predictor state carries across batches — which is what lets
-// N architecture kernels consume one streamed generation incrementally.
+// layout, accumulating every architecture's totals and per-site penalties
+// exactly as the reference simulators would over the decoded events. It
+// may be called repeatedly — predictor state carries across batches —
+// which is what lets one kernel consume a streamed generation
+// incrementally.
+//
+// The batch is taken chunkOps ops at a time, in three passes per chunk:
+//
+//  1. The shared pass validates each op and does what every architecture
+//     does alike: it counts events per site and kind, runs the one return
+//     stack and charges its misses, and collects the chunk's conditional
+//     ops.
+//  2. Every direction architecture steps over those conditionals only.
+//  3. Every BTB walks the chunk's ops, since it charges conditionals,
+//     branches, calls and indirect jumps by its own hits and misses.
 //
 // The packed form already went through Layout.Append's site resolution, so
-// the inner loops read each event's static fields (PC, targets, fall
-// address) straight from the shared site table: per event, one int32 load
-// replaces a 48-byte Event copy. Malformed ops — a site id out of range, a
-// kind disagreeing with the site, a missing dynamic target — abort the
-// batch with an error; they mean the batch was built against a different
-// layout, not workload behaviour.
+// the passes read each event's static fields (PC slot, targets, fall
+// address) straight from the kernel's per-site tables. Malformed ops — a
+// site id out of range, a kind disagreeing with the site, a missing
+// dynamic target — stop the batch at that op with an error, after every
+// architecture has simulated the ops before it; dynamic targets left over
+// after the last op are an error too. Either means the batch was built
+// against a different layout, not workload behaviour.
 func (k *Kernel) RunBatch(b *trace.Batch) error {
-	start := k.obs.Now()
+	// conds is the scratch the shared pass collects a chunk's conditional
+	// ops into, for the direction architectures to step over. It lives on
+	// the stack, so neither a compile nor a batch allocates it.
+	var conds [chunkOps]int32
+	sw := stopwatch{on: k.obs.Enabled(), last: k.obs.Now()}
+	var sharedNs int64
+	tcur := 0
 	var err error
-	switch k.class {
-	case classBTB:
-		err = k.runBTBBatch(b)
-	case classPHTDirect, classPHTGshare, classPHTLocal, classTAGE, classPerceptron:
-		err = k.runDirectionBatch(b)
-	default:
-		err = k.runStaticBatch(b)
+	for lo := 0; lo < len(b.Ops) && err == nil; lo += chunkOps {
+		first := tcur
+		var ops []int32
+		var nc int
+		ops, nc, tcur, err = k.sharedPass(b.Ops[lo:min(lo+chunkOps, len(b.Ops))], b.Targets, tcur, &conds)
+		sharedNs += sw.lap()
+		for gi := range k.groups {
+			g := &k.groups[gi]
+			for _, ai := range g.archs {
+				if a := &k.archs[ai]; a.class == classBTB {
+					k.runBTB(a, ops, b.Targets[first:tcur])
+				} else {
+					k.runConds(a, conds[:nc])
+				}
+			}
+			g.ns += sw.lap()
+		}
 	}
-	if k.obs.Enabled() {
-		// One clock read feeds both the total and the class counter, so the
-		// per-class counters sum exactly to kernel.run_ns/kernel.events.
-		ns, events := int64(time.Since(start)), int64(b.Len())
-		k.obs.Add("kernel.run_ns", ns)
-		k.obs.Add(k.runNsCounter, ns)
-		k.obs.Add("kernel.batches", 1)
-		k.obs.Add("kernel.events", events)
-		k.obs.Add(k.eventsCounter, events)
+	if err == nil && tcur != len(b.Targets) {
+		err = fmt.Errorf("kernel: batch carries %d dynamic targets, ops consumed %d", len(b.Targets), tcur)
+	}
+	if sw.on {
+		// Each pass's lap starts where the previous one ended, so the
+		// shared and per-class buckets sum exactly to kernel.run_ns. Event
+		// and batch counts are per architecture.
+		events := int64(b.Len())
+		total := sharedNs
+		k.obs.Add("kernel.run_ns.shared", sharedNs)
+		for gi := range k.groups {
+			g := &k.groups[gi]
+			k.obs.Add(g.runNsCounter, g.ns)
+			k.obs.Add(g.eventsCounter, events*int64(len(g.archs)))
+			total += g.ns
+			g.ns = 0
+		}
+		k.obs.Add("kernel.run_ns", total)
+		k.obs.Add("kernel.batches", int64(len(k.archs)))
+		k.obs.Add("kernel.events", events*int64(len(k.archs)))
 	}
 	return err
 }
 
+// stopwatch splits a batch's wall time into consecutive laps. Off
+// (telemetry disabled), it reads no clock and every lap is zero.
+type stopwatch struct {
+	on   bool
+	last time.Time
+}
+
+// lap returns the nanoseconds since the previous lap (or the start).
+func (s *stopwatch) lap() int64 {
+	if !s.on {
+		return 0
+	}
+	now := time.Now()
+	d := int64(now.Sub(s.last))
+	s.last = now
+	return d
+}
+
 // counterNextTab packs the 2-bit saturating counter's transition table into
 // one word: entry (state<<1 | taken) holds the next state, two bits each.
-// The table is the branchless twin of predict.Counter2.Update — the batch
-// loops step counters with one shift-and-mask instead of two compare
-// branches per conditional event. TestCounterStepMatchesUpdate holds it to
-// the reference transition function state for state.
+// The table is the branchless twin of predict.Counter2.Update — the passes
+// step counters with one shift-and-mask instead of two compare branches
+// per conditional event. TestCounterStepMatchesUpdate holds it to the
+// reference transition function state for state.
 const counterNextTab = 0xED84
 
 // counterStepBit returns Update(taken) for a 2-bit saturating counter,
@@ -61,7 +126,7 @@ func counterStepBit(c predict.Counter2, takenBit uint8) predict.Counter2 {
 }
 
 // batchOpErr diagnoses a malformed packed op: the cold path behind the
-// inner loops' site checks.
+// shared pass's checks.
 func (k *Kernel) batchOpErr(op int32, tcur, ntargets int) error {
 	si := op >> trace.OpShift
 	if si < 0 || int(si) >= len(k.sites) {
@@ -76,267 +141,179 @@ func (k *Kernel) batchOpErr(op int32, tcur, ntargets int) error {
 		ntargets, tcur, kind, k.sites[si].PC)
 }
 
-// runStaticBatch is the batch loop for the direction architectures with no
-// trainable state (FALLTHROUGH, BT/FNT, LIKELY): each site's prediction is
-// the compile-time predOf bit, so a conditional event reduces to one table
-// load plus the branchless charging arithmetic.
-func (k *Kernel) runStaticBatch(b *trace.Batch) error {
+// sharedPass validates ops and does the work every architecture does
+// alike: it counts events per site and kind, runs the return stack and
+// charges its misses, and collects the conditional ops into conds. It
+// returns the ops it accepted (all of them, or those before the first
+// malformed one), how many conditionals they hold, the target cursor after
+// them and the malformed op's error. len(ops) must not exceed chunkOps.
+func (k *Kernel) sharedPass(ops []int32, targets []uint64, tcur int, conds *[chunkOps]int32) ([]int32, int, int, error) {
 	var (
-		kindOf  = k.kindOf
-		predOf  = k.predOf
-		fallOf  = k.fallOf
-		costs   = k.costs
-		res     = k.res
-		targets = b.Targets
-		tcur    = 0
-		retErr  error
+		kindOf = k.kindOf
+		fallOf = k.fallOf
+		base   = k.base
+		res    = k.shared
+		nc     = 0
+		end    = len(ops)
+		err    error
 	)
+	// Reslice the per-site tables to len(kindOf), so after the validation
+	// compare the compiler can prove each site index in bounds.
 	n := len(kindOf)
-	costs = costs[:n]
 	fallOf = fallOf[:n]
-	predOf = predOf[:n]
+	base = base[:n]
 loop:
-	for _, op := range b.Ops {
+	for i, op := range ops {
 		si := int(op >> trace.OpShift)
 		kind := ir.Kind(op >> 1 & (1<<trace.SlotShift - 1))
 		if uint(si) >= uint(n) || ir.Kind(kindOf[si]) != kind {
-			retErr = k.batchOpErr(op, tcur, len(targets))
+			end, err = i, k.batchOpErr(op, tcur, len(targets))
 			break
 		}
-		res.Events++
-		c := &costs[si]
-		c.Events++
+		c := &base[si]
 		switch kind {
 		case ir.CondBr:
-			res.ByKind[ir.CondBr&7]++
-			tbit := uint8(op & 1)
-			res.Cond++
-			res.CondTaken += uint64(tbit)
-			pbit := predOf[si]
-			// Branchless charging: eq = predicted correctly; a correct
-			// taken conditional misfetches, a wrong one mispredicts.
-			eq := uint64(1 ^ (pbit ^ tbit))
-			mf := eq & uint64(tbit)
-			mp := 1 - eq
-			res.CondCorrect += eq
-			res.Misfetches += mf
-			res.Mispredicts += mp
-			c.Misfetches += mf
-			c.Mispredicts += mp
-		case ir.Br:
-			res.ByKind[ir.Br&7]++
-			res.Misfetches++
-			c.Misfetches++
+			conds[nc] = op
+			nc++
+			res.CondTaken += uint64(op & 1)
 		case ir.Call:
-			res.ByKind[ir.Call&7]++
-			res.Misfetches++
-			c.Misfetches++
 			k.rasPush(fallOf[si])
 		case ir.IJump:
-			res.ByKind[ir.IJump&7]++
-			res.Mispredicts++
-			c.Mispredicts++
 			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
+				end, err = i, k.batchOpErr(op, tcur, len(targets))
 				break loop
 			}
 			tcur++
 		case ir.Ret:
-			res.ByKind[ir.Ret&7]++
 			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
+				end, err = i, k.batchOpErr(op, tcur, len(targets))
 				break loop
 			}
 			target := targets[tcur]
 			tcur++
 			res.Rets++
-			pred, ok := k.rasPop()
-			if ok && pred == target {
+			if pred, ok := k.rasPop(); ok && pred == target {
 				res.RetsCorrect++
 			} else {
 				res.Mispredicts++
 				c.Mispredicts++
 			}
 		}
+		c.Events++
+		res.ByKind[kind&7]++
 	}
-	k.res = res
-	return retErr
+	res.Events += uint64(end)
+	res.Cond += uint64(nc)
+	k.shared = res
+	return ops[:end], nc, tcur, err
 }
 
-// runDirectionBatch is the batch loop for the trained direction-predictor
-// architectures (the PHTs plus the tagged TAGE and hashed-perceptron
-// predictors): the reference simulators' charging rules and predictor
-// updates, with every per-event load drawn from the compact per-site
-// tables (one-byte kind validation, PC slots) and the conditional-branch
-// accounting fully branchless. The PHT classes step their inlined counter
-// tables; the tagged classes call the shared predictor core's Step once
-// per conditional event, one table lookup where the reference path's
-// PredictBit then UpdateBit makes two. Per event the only unpredictable
-// branches left are the kind dispatch itself and, for the tagged classes,
-// the predictor core's own table scans.
-func (k *Kernel) runDirectionBatch(b *trace.Batch) error {
+// runConds steps direction architecture a over a chunk's conditional ops:
+// each is predicted, trained on its outcome and charged by the paper's
+// rules, branchlessly — a correct taken conditional misfetches, a wrong
+// one mispredicts. The static classes read their fixed bit, the PHT
+// classes step their inlined counter tables, and the tagged classes call
+// the shared predictor core's Step once per conditional, one table lookup
+// where the reference path's PredictBit then UpdateBit makes two. The
+// class switch is on a loop-invariant value, so it predicts perfectly.
+func (k *Kernel) runConds(a *arch, conds []int32) {
 	var (
-		kindOf   = k.kindOf
 		slotOf   = k.slotOf
-		fallOf   = k.fallOf
-		costs    = k.costs
-		cls      = k.class
-		res      = k.res
-		ghr      = k.ghr
-		counters = k.counters
-		mask     = k.mask
-		hists    = k.histories
-		histMask = k.histMask
-		idxMask  = k.idxMask
-		tage     = k.tage
-		perc     = k.perc
-		targets  = b.Targets
-		tcur     = 0
-		retErr   error
+		pen      = a.pen
+		cls      = a.class
+		predOf   = a.predOf
+		ghr      = a.ghr
+		counters = a.counters
+		mask     = a.mask
+		hists    = a.histories
+		histMask = a.histMask
+		idxMask  = a.idxMask
+		tage     = a.tage
+		perc     = a.perc
+		mf, mp   uint64
 	)
-	// Reslice every per-site table to len(kindOf) and the predictor tables
-	// to their masks, so after the single validation compare the compiler
-	// can prove each index in bounds and drop the per-event bounds checks.
-	n := len(kindOf)
-	costs = costs[:n]
-	slotOf = slotOf[:n]
-	fallOf = fallOf[:n]
+	// Reslice the predictor tables to their masks, so the compiler can
+	// prove each table index in bounds.
 	if counters != nil {
 		counters = counters[:(mask|uint64(histMask))+1]
 	}
 	if hists != nil {
 		hists = hists[:idxMask+1]
 	}
-loop:
-	for _, op := range b.Ops {
+	for _, op := range conds {
 		si := int(op >> trace.OpShift)
-		kind := ir.Kind(op >> 1 & (1<<trace.SlotShift - 1))
-		if uint(si) >= uint(n) || ir.Kind(kindOf[si]) != kind {
-			retErr = k.batchOpErr(op, tcur, len(targets))
-			break
+		tbit := uint8(op & 1)
+		var pbit uint8 // FALLTHROUGH predicts not taken
+		switch cls {
+		case classBTFNT, classLikely:
+			pbit = predOf[si]
+		case classPHTDirect:
+			idx := slotOf[si] & mask
+			cc := counters[idx]
+			pbit = uint8(cc) >> 1
+			counters[idx] = counterStepBit(cc, tbit)
+		case classPHTGshare:
+			idx := (slotOf[si] ^ ghr) & mask
+			cc := counters[idx]
+			pbit = uint8(cc) >> 1
+			counters[idx] = counterStepBit(cc, tbit)
+			ghr = ((ghr << 1) | uint64(tbit)) & mask
+		case classPHTLocal:
+			lslot := slotOf[si] & idxMask
+			h := hists[lslot] & histMask
+			cc := counters[h]
+			pbit = uint8(cc) >> 1
+			counters[h] = counterStepBit(cc, tbit)
+			hists[lslot] = ((hists[lslot] << 1) | uint16(tbit)) & histMask
+		case classTAGE:
+			pbit = tage.Step(slotOf[si], tbit)
+		case classPerceptron:
+			pbit = perc.Step(slotOf[si], tbit)
 		}
-		res.Events++
-		c := &costs[si]
-		c.Events++
-		switch kind {
-		case ir.CondBr:
-			res.ByKind[ir.CondBr&7]++
-			tbit := uint8(op & 1)
-			res.Cond++
-			res.CondTaken += uint64(tbit)
-			var pbit uint8
-			switch cls {
-			case classPHTDirect:
-				idx := slotOf[si] & mask
-				cc := counters[idx]
-				pbit = uint8(cc) >> 1
-				counters[idx] = counterStepBit(cc, tbit)
-			case classPHTGshare:
-				idx := (slotOf[si] ^ ghr) & mask
-				cc := counters[idx]
-				pbit = uint8(cc) >> 1
-				counters[idx] = counterStepBit(cc, tbit)
-				ghr = ((ghr << 1) | uint64(tbit)) & mask
-			case classPHTLocal:
-				lslot := slotOf[si] & idxMask
-				h := hists[lslot] & histMask
-				cc := counters[h]
-				pbit = uint8(cc) >> 1
-				counters[h] = counterStepBit(cc, tbit)
-				hists[lslot] = ((hists[lslot] << 1) | uint16(tbit)) & histMask
-			case classTAGE:
-				pbit = tage.Step(slotOf[si], tbit)
-			case classPerceptron:
-				pbit = perc.Step(slotOf[si], tbit)
-			}
-			// Branchless charging: eq = predicted correctly; a correct
-			// taken conditional misfetches, a wrong one mispredicts.
-			eq := uint64(1 ^ (pbit ^ tbit))
-			mf := eq & uint64(tbit)
-			mp := 1 - eq
-			res.CondCorrect += eq
-			res.Misfetches += mf
-			res.Mispredicts += mp
-			c.Misfetches += mf
-			c.Mispredicts += mp
-		case ir.Br:
-			res.ByKind[ir.Br&7]++
-			res.Misfetches++
-			c.Misfetches++
-		case ir.Call:
-			res.ByKind[ir.Call&7]++
-			res.Misfetches++
-			c.Misfetches++
-			k.rasPush(fallOf[si])
-		case ir.IJump:
-			res.ByKind[ir.IJump&7]++
-			res.Mispredicts++
-			c.Mispredicts++
-			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
-				break loop
-			}
-			tcur++
-		case ir.Ret:
-			res.ByKind[ir.Ret&7]++
-			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
-				break loop
-			}
-			target := targets[tcur]
-			tcur++
-			res.Rets++
-			pred, ok := k.rasPop()
-			if ok && pred == target {
-				res.RetsCorrect++
-			} else {
-				res.Mispredicts++
-				c.Mispredicts++
-			}
-		}
+		eq := uint64(1 ^ (pbit ^ tbit))
+		f := eq & uint64(tbit)
+		p := &pen[si]
+		p.misfetches += f
+		p.mispredicts += 1 - eq
+		mf += f
+		mp += 1 - eq
 	}
-	k.res = res
-	k.ghr = ghr
-	return retErr
+	a.misfetches += mf
+	a.mispredicts += mp
+	a.condCorrect += uint64(len(conds)) - mp
+	a.ghr = ghr
 }
 
-// runBTBBatch is the packed-op twin of runBTB: the branch-target-buffer
-// charging rules over the compact site tables, with a conditional's
-// installed target taken from takenOf (only the taken direction ever
-// touches the BTB's target word). The lookup/insert scans live in local
-// closures over the structure-of-arrays BTB state so the global LRU tick
-// stays out of the Kernel struct for the whole batch.
-func (k *Kernel) runBTBBatch(b *trace.Batch) error {
+// runBTB walks a chunk's accepted ops through BTB architecture a with the
+// reference BTBSim's charging rules. targets holds the dynamic targets of
+// the chunk's indirect jumps and returns, in op order; returns were
+// charged by the shared pass and only advance the cursor here. A
+// conditional's installed target comes from takenOf (only the taken
+// direction ever touches the BTB's target word). The lookup/insert scans
+// live in local closures over the structure-of-arrays BTB state so the
+// global LRU tick stays out of memory for the whole chunk.
+func (k *Kernel) runBTB(a *arch, ops []int32, targets []uint64) {
 	var (
-		kindOf  = k.kindOf
-		slotOf  = k.slotOf
-		fallOf  = k.fallOf
-		takenOf = k.takenOf
-		costs   = k.costs
-		res     = k.res
-		tags    = k.btbTags
-		tgts    = k.btbTargets
-		lrus    = k.btbLRU
-		ctrs    = k.btbCtr
-		tick    = k.btbTick
-		ways    = k.btbWays
-		setMask = k.btbSetMask
-		targets = b.Targets
-		tcur    = 0
-		retErr  error
+		slotOf           = k.slotOf
+		takenOf          = k.takenOf
+		pen              = a.pen
+		tags             = a.btbTags
+		tgts             = a.btbTargets
+		lrus             = a.btbLRU
+		ctrs             = a.btbCtr
+		tick             = a.btbTick
+		ways             = a.btbWays
+		setMask          = a.btbSetMask
+		mf, mp, cCorrect uint64
+		tcur             = 0
 	)
-	n := len(kindOf)
-	costs = costs[:n]
-	slotOf = slotOf[:n]
-	fallOf = fallOf[:n]
-	takenOf = takenOf[:n]
 	e := len(tags)
 	tgts = tgts[:e]
 	lrus = lrus[:e]
 	ctrs = ctrs[:e]
-	// lookup and insert mirror btbLookup/btbInsert exactly (tags hold pc+1,
-	// a hit refreshes the LRU tick, first invalid way wins eviction then
-	// lowest tick) — keep all three in sync.
+	// lookup and insert mirror predict.BTB's Lookup and Insert exactly
+	// (tags hold pc+1, a hit refreshes the LRU tick, first invalid way
+	// wins eviction, then lowest tick).
 	lookup := func(pc uint64) int {
 		tick++
 		base := int((pc/ir.InstrBytes)&setMask) * ways
@@ -367,142 +344,63 @@ func (k *Kernel) runBTBBatch(b *trace.Batch) error {
 		lrus[victim] = tick
 		ctrs[victim] = 3
 	}
-loop:
-	for _, op := range b.Ops {
+	for _, op := range ops {
 		si := int(op >> trace.OpShift)
-		kind := ir.Kind(op >> 1 & (1<<trace.SlotShift - 1))
-		if uint(si) >= uint(n) || ir.Kind(kindOf[si]) != kind {
-			retErr = k.batchOpErr(op, tcur, len(targets))
-			break
-		}
-		pc := slotOf[si] * ir.InstrBytes
-		res.Events++
-		c := &costs[si]
-		c.Events++
-		switch kind {
+		switch ir.Kind(op >> 1 & (1<<trace.SlotShift - 1)) {
 		case ir.CondBr:
-			res.ByKind[ir.CondBr&7]++
-			res.Cond++
 			tb := uint8(op & 1)
 			taken := tb != 0
-			res.CondTaken += uint64(tb)
-			li := lookup(pc)
+			li := lookup(slotOf[si] * ir.InstrBytes)
 			if li >= 0 {
 				if ctrs[li].Taken() == taken {
-					res.CondCorrect++
 					// Taken and correctly predicted: the stored target of
 					// a direct conditional is always right, so no penalty.
+					cCorrect++
 				} else {
-					res.Mispredicts++
-					c.Mispredicts++
+					mp++
+					pen[si].mispredicts++
 				}
 				ctrs[li] = counterStepBit(ctrs[li], tb)
 				if taken {
 					tgts[li] = takenOf[si]
 				}
 			} else if taken {
-				res.Mispredicts++
-				c.Mispredicts++
-				insert(pc, takenOf[si])
+				mp++
+				pen[si].mispredicts++
+				insert(slotOf[si]*ir.InstrBytes, takenOf[si])
 			} else {
-				res.CondCorrect++
+				cCorrect++
 			}
-		case ir.Br:
-			res.ByKind[ir.Br&7]++
-			if lookup(pc) < 0 {
-				res.Misfetches++
-				c.Misfetches++
+		case ir.Br, ir.Call:
+			if pc := slotOf[si] * ir.InstrBytes; lookup(pc) < 0 {
+				mf++
+				pen[si].misfetches++
 				insert(pc, takenOf[si])
 			}
-		case ir.Call:
-			res.ByKind[ir.Call&7]++
-			if lookup(pc) < 0 {
-				res.Misfetches++
-				c.Misfetches++
-				insert(pc, takenOf[si])
-			}
-			k.rasPush(fallOf[si])
 		case ir.IJump:
-			res.ByKind[ir.IJump&7]++
-			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
-				break loop
-			}
 			target := targets[tcur]
 			tcur++
-			li := lookup(pc)
+			li := lookup(slotOf[si] * ir.InstrBytes)
 			if li >= 0 && tgts[li] == target {
 				// hit with the right target: free
+				continue
+			}
+			mp++
+			pen[si].mispredicts++
+			if li >= 0 {
+				ctrs[li] = counterStepBit(ctrs[li], 1)
+				tgts[li] = target
 			} else {
-				res.Mispredicts++
-				c.Mispredicts++
-				if li >= 0 {
-					ctrs[li] = counterStepBit(ctrs[li], 1)
-					tgts[li] = target
-				} else {
-					insert(pc, target)
-				}
+				insert(slotOf[si]*ir.InstrBytes, target)
 			}
 		case ir.Ret:
-			res.ByKind[ir.Ret&7]++
-			if tcur >= len(targets) {
-				retErr = k.batchOpErr(op, tcur, len(targets))
-				break loop
-			}
-			target := targets[tcur]
 			tcur++
-			res.Rets++
-			pred, ok := k.rasPop()
-			if ok && pred == target {
-				res.RetsCorrect++
-			} else {
-				res.Mispredicts++
-				c.Mispredicts++
-			}
 		}
 	}
-	k.res = res
-	k.btbTick = tick
-	return retErr
-}
-
-// btbLookup returns the line index holding pc, or -1 on miss. A hit
-// refreshes the line's LRU tick, exactly as predict.BTB.Lookup does.
-func (k *Kernel) btbLookup(pc uint64) int {
-	k.btbTick++
-	set := int((pc / ir.InstrBytes) & k.btbSetMask)
-	base := set * k.btbWays
-	tag := pc + 1
-	for w := 0; w < k.btbWays; w++ {
-		if k.btbTags[base+w] == tag {
-			k.btbLRU[base+w] = k.btbTick
-			return base + w
-		}
-	}
-	return -1
-}
-
-// btbInsert installs a taken branch, evicting the set's LRU way with the
-// same victim scan order as predict.BTB.Insert (first invalid way wins,
-// then lowest tick).
-func (k *Kernel) btbInsert(pc, target uint64) {
-	k.btbTick++
-	set := int((pc / ir.InstrBytes) & k.btbSetMask)
-	base := set * k.btbWays
-	victim := base
-	for w := 0; w < k.btbWays; w++ {
-		if k.btbTags[base+w] == 0 {
-			victim = base + w
-			break
-		}
-		if k.btbLRU[base+w] < k.btbLRU[victim] {
-			victim = base + w
-		}
-	}
-	k.btbTags[victim] = pc + 1
-	k.btbTargets[victim] = target
-	k.btbLRU[victim] = k.btbTick
-	k.btbCtr[victim] = 3
+	a.misfetches += mf
+	a.mispredicts += mp
+	a.condCorrect += cCorrect
+	a.btbTick = tick
 }
 
 // rasPush records a return address, wrapping past the fixed capacity as

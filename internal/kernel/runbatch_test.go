@@ -130,8 +130,9 @@ endproc
 	}
 }
 
-// TestRunBatchErrors: ops from a different layout or with missing dynamic
-// targets must fail, and a valid batch must still work afterwards.
+// TestRunBatchErrors: ops from a different layout, with missing dynamic
+// targets or with surplus ones must fail, and a valid batch must still work
+// afterwards.
 func TestRunBatchErrors(t *testing.T) {
 	prog := mustAssemble(t, `
 proc main
@@ -159,6 +160,17 @@ endproc
 	wrongKind := &trace.Batch{Ops: []int32{0<<trace.OpShift | int32(ir.Ret)<<1 | 1}}
 	if err := k.RunBatch(wrongKind); err == nil {
 		t.Error("RunBatch accepted a kind mismatch")
+	}
+	// A well-formed op plus a dynamic target no op consumes.
+	cbr := int32(-1)
+	for i, s := range lay.Sites() {
+		if s.Kind == ir.CondBr {
+			cbr = int32(i)
+		}
+	}
+	surplus := &trace.Batch{Ops: []int32{cbr<<trace.OpShift | int32(ir.CondBr)<<1 | 1}, Targets: []uint64{0x1000}}
+	if err := k.RunBatch(surplus); err == nil {
+		t.Error("RunBatch accepted a dynamic target no op consumes")
 	}
 	// A Ret op with no dynamic target. The program has no ret, so borrow a
 	// second program to build one against its own layout and feed it here.

@@ -210,38 +210,48 @@ var _ trace.EdgeSink = (*Collector)(nil)
 // of prog: conditional branches take with their profiled probability and
 // indirect jumps follow the profiled target distribution. Branches never
 // executed in the profile default to not-taken.
+//
+// The model snapshots the profile: Model reads pf once into dense
+// per-procedure, per-block tables, so the walkers' per-branch questions
+// cost two slice indexes instead of two map lookups, and changes made to
+// pf's Procs afterwards do not reach the model. IJumpWeights returns the
+// model's own table row, shared by every call; callers must not modify it.
 func (pf *Profile) Model(prog *ir.Program) trace.Model {
-	return &profileModel{prog: prog, prof: pf}
+	m := &profileModel{
+		taken:   make([][]float64, len(prog.Procs)),
+		weights: make([][][]float64, len(prog.Procs)),
+	}
+	for pi, p := range prog.Procs {
+		pp, ok := pf.Procs[p.Name]
+		if !ok {
+			continue
+		}
+		taken := make([]float64, len(p.Blocks))
+		var weights [][]float64
+		for bi, b := range p.Blocks {
+			taken[bi] = pp.Branches[ir.BlockID(bi)].TakenProb()
+			term, ok := b.Terminator()
+			if !ok || term.Kind() != ir.IJump {
+				continue
+			}
+			if w := pp.ijumpWeights(ir.BlockID(bi), term.Targets); w != nil {
+				if weights == nil {
+					weights = make([][]float64, len(p.Blocks))
+				}
+				weights[bi] = w
+			}
+		}
+		m.taken[pi], m.weights[pi] = taken, weights
+	}
+	return m
 }
 
-type profileModel struct {
-	prog *ir.Program
-	prof *Profile
-}
-
-// TakenProb implements trace.Model.
-func (m *profileModel) TakenProb(procIdx int, block ir.BlockID) float64 {
-	pp, ok := m.prof.Procs[m.prog.Procs[procIdx].Name]
-	if !ok {
-		return 0
-	}
-	return pp.Branches[block].TakenProb()
-}
-
-// IJumpWeights implements trace.Model.
-func (m *profileModel) IJumpWeights(procIdx int, block ir.BlockID) []float64 {
-	p := m.prog.Procs[procIdx]
-	pp, ok := m.prof.Procs[p.Name]
-	if !ok {
-		return nil
-	}
-	term, ok := p.Blocks[block].Terminator()
-	if !ok || term.Kind() != ir.IJump {
-		return nil
-	}
-	out := make([]float64, len(term.Targets))
+// ijumpWeights returns the profiled edge weights from block to each of an
+// indirect jump's targets, or nil when none was ever taken.
+func (pp *ProcProfile) ijumpWeights(block ir.BlockID, targets []ir.BlockID) []float64 {
+	out := make([]float64, len(targets))
 	any := false
-	for i, t := range term.Targets {
+	for i, t := range targets {
 		w := pp.Edges[Edge{block, t}]
 		out[i] = float64(w)
 		if w > 0 {
@@ -252,6 +262,30 @@ func (m *profileModel) IJumpWeights(procIdx int, block ir.BlockID) []float64 {
 		return nil
 	}
 	return out
+}
+
+// profileModel is Model's snapshot, indexed [proc][block]. A procedure
+// absent from the profile has nil rows, and so does a procedure with no
+// profiled indirect jump in weights.
+type profileModel struct {
+	taken   [][]float64
+	weights [][][]float64
+}
+
+// TakenProb implements trace.Model.
+func (m *profileModel) TakenProb(procIdx int, block ir.BlockID) float64 {
+	if t := m.taken[procIdx]; int(block) < len(t) {
+		return t[block]
+	}
+	return 0
+}
+
+// IJumpWeights implements trace.Model.
+func (m *profileModel) IJumpWeights(procIdx int, block ir.BlockID) []float64 {
+	if w := m.weights[procIdx]; int(block) < len(w) {
+		return w[block]
+	}
+	return nil
 }
 
 // WriteTo serializes the profile in a stable line-oriented text format.

@@ -63,10 +63,11 @@ func ParseKernelMode(s string) (KernelMode, error) {
 type ExecStats struct {
 	// Mode is the executor's kernel mode (flat or ref).
 	Mode string `json:"mode"`
-	// StreamCells counts per-architecture consumers completed by
-	// SimulateStream.
+	// StreamCells counts the (variant, architecture) results
+	// SimulateStream completed.
 	StreamCells uint64 `json:"stream_cells"`
-	// Events is the total number of break events simulated.
+	// Events is the total number of break events simulated, counted once
+	// per architecture.
 	Events uint64 `json:"events"`
 	// CompileNs is the summed simulator-construction / kernel-compilation
 	// time; RunNs the summed event-consumption time.
@@ -114,16 +115,21 @@ func (x *Executor) Stats() ExecStats {
 }
 
 // SimulateStream runs every architecture over one streamed generation of a
-// variant: src's batches are broadcast through str, one consumer per
-// architecture consuming them incrementally against the shared per-program
-// layout. The returned results are index-aligned with archs and identical
-// in both kernel modes to a reference simulator fed the same events one by
-// one — the executor and grid oracles enforce this byte for byte.
+// variant: src's batches are broadcast through str to one consumer that
+// simulates all of archs (at least one) against the shared per-program
+// layout. In flat
+// mode that consumer is one kernel compiled for every architecture; in ref
+// mode it decodes each batch once and feeds each event to every reference
+// simulator, in architecture order. The returned results are index-aligned
+// with archs and identical in both modes to a reference simulator fed the
+// same events one by one — the executor and grid oracles enforce this byte
+// for byte.
 //
 // extra consumers ride the same broadcast beside the architectures' (the
 // experiment grid's i-cache scoring is one): each sees every batch in
 // stream order on its own goroutine, and an error from one aborts the
-// broadcast like a kernel's. They produce no result and count as no cell.
+// broadcast like the kernel's. They produce no result and count as no
+// cell.
 //
 // SimulateStream owns src: it is closed before returning, so an aborted
 // broadcast cannot leave a generator goroutine blocked.
@@ -136,65 +142,71 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 	prog *ir.Program, prof *profile.Profile, archs []predict.ArchID, extra ...func(*trace.Batch) error) ([]predict.Result, error) {
 	defer src.Close()
 	n := len(archs)
-	if n == 0 && len(extra) == 0 {
-		return nil, nil
+	if n == 0 {
+		return nil, fmt.Errorf("sim: no architectures to simulate")
 	}
-	// The kernel modes differ only in how an architecture's consumer takes
-	// a batch and returns its result: a flat kernel runs the packed batch,
-	// a reference simulator is fed its decoded events.
-	run := make([]func(*trace.Batch) error, n)
-	result := make([]func() predict.Result, n)
+	// The kernel modes differ only in how the consumer takes a batch and
+	// returns the results: a flat kernel runs the packed batch, the
+	// reference simulators are fed its decoded events.
+	var (
+		run     func(*trace.Batch) error
+		results func() []predict.Result
+	)
 	cstart := time.Now()
-	for i, arch := range archs {
-		if x.mode == KernelRef {
+	if x.mode == KernelRef {
+		sims := make([]predict.Simulator, n)
+		for i, arch := range archs {
 			s, err := predict.NewSimulator(arch, prog, prof)
 			if err != nil {
 				return nil, err
 			}
-			run[i] = func(b *trace.Batch) error { return lay.Decode(b, s.Event) }
-			result[i] = s.Result
-			continue
+			sims[i] = s
 		}
-		k, err := kernel.CompileArch(lay, prog, prof, arch, x.obs)
+		feed := func(e trace.Event) {
+			for _, s := range sims {
+				s.Event(e)
+			}
+		}
+		run = func(b *trace.Batch) error { return lay.Decode(b, feed) }
+		results = func() []predict.Result {
+			out := make([]predict.Result, n)
+			for i, s := range sims {
+				out[i] = s.Result()
+			}
+			return out
+		}
+	} else {
+		k, err := kernel.CompileArchs(lay, prog, prof, archs, x.obs)
 		if err != nil {
 			return nil, err
 		}
-		run[i], result[i] = k.RunBatch, k.Result
+		run, results = k.RunBatch, k.Results
 	}
 	x.noteCompile(cstart)
 
-	// Per-consumer accumulators, each written only by its own goroutine and
-	// read after Broadcast returns (its WaitGroup orders the accesses).
-	runNs := make([]int64, n)
-	events := make([]uint64, n)
-	consumers := make([]func(*trace.Batch) error, n, n+len(extra))
-	for i, runBatch := range run {
-		consumers[i] = func(b *trace.Batch) error {
-			start := time.Now()
-			err := runBatch(b)
-			runNs[i] += int64(time.Since(start))
-			events[i] += uint64(b.Len())
-			return err
-		}
-	}
-	if err := str.Broadcast(ctx, src, append(consumers, extra...)); err != nil {
+	// The consumer's accumulators are written only by its own goroutine
+	// and read after Broadcast returns (its WaitGroup orders the accesses).
+	var runNs int64
+	var events uint64
+	consumers := append([]func(*trace.Batch) error{func(b *trace.Batch) error {
+		start := time.Now()
+		err := run(b)
+		runNs += int64(time.Since(start))
+		events += uint64(b.Len())
+		return err
+	}}, extra...)
+	if err := str.Broadcast(ctx, src, consumers); err != nil {
 		return nil, err
 	}
-	results := make([]predict.Result, n)
-	var totalNs int64
-	var totalEvents uint64
-	for i := range results {
-		results[i] = result[i]()
-		totalNs += runNs[i]
-		totalEvents += events[i]
-	}
-	x.runNs.Add(totalNs)
-	x.events.Add(totalEvents)
-	x.obs.Add("sim.exec.run_ns", totalNs)
-	x.obs.Add("sim.exec.events", int64(totalEvents))
+	// Events count per architecture, as if each had consumed the stream.
+	events *= uint64(n)
+	x.runNs.Add(runNs)
+	x.events.Add(events)
+	x.obs.Add("sim.exec.run_ns", runNs)
+	x.obs.Add("sim.exec.events", int64(events))
 	x.streamCells.Add(uint64(n))
 	x.obs.Add("sim.exec.stream_cells", int64(n))
-	return results, nil
+	return results(), nil
 }
 
 func (x *Executor) noteCompile(start time.Time) {

@@ -222,7 +222,7 @@ func TestBroadcastSourceError(t *testing.T) {
 				t.Fatalf("SimulateStream error = %v, want the source's packing error", err)
 			}
 			if got := rec.Report().Counters["kernel.batches"]; extra.Load() != int64(k) || got != int64(k*len(archs)) {
-				t.Errorf("extra consumer saw %d batches, %d kernels %d in all; want %d per consumer",
+				t.Errorf("extra consumer saw %d batches, the kernel's %d architectures %d in all; want %d per consumer",
 					extra.Load(), len(archs), got, k)
 			}
 			if st := str.Stats(); st.Batches != uint64(k) || st.LiveBuffers != 0 || st.LiveBytes != 0 {

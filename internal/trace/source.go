@@ -59,8 +59,8 @@ type SiteInfo struct {
 
 // Layout is the per-program half of the compile split: the dense
 // PC-indexed site table shared by every consumer of one program variant's
-// event stream (the streaming walker, the batch-encoding sink, and all N
-// per-architecture simulation kernels). Compile it once per program
+// event stream (the streaming walker, the batch-encoding sink, the
+// simulation kernel and the i-cache consumer). Compile it once per program
 // variant; it is read-only afterwards and safe for concurrent use.
 type Layout struct {
 	base  uint64
@@ -246,9 +246,12 @@ func (l *Layout) Decode(b *Batch, fn func(Event)) error {
 			return fmt.Errorf("trace: batch op references site %d of %d", si, len(sites))
 		}
 		s := &sites[si]
+		if kind := ir.Kind(op >> 1 & (1<<SlotShift - 1)); kind != s.Kind {
+			return fmt.Errorf("trace: batch op kind %v at pc %#x does not match site kind %v", kind, s.PC, s.Kind)
+		}
 		taken := op&1 != 0
 		e := Event{
-			PC: s.PC, Kind: ir.Kind(op >> 1 & (1<<SlotShift - 1)), Taken: taken,
+			PC: s.PC, Kind: s.Kind, Taken: taken,
 			TakenTarget: s.TakenTarget, Fall: s.Fall,
 		}
 		switch e.Kind {

@@ -329,6 +329,51 @@ func TestLayoutAppendRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestLayoutDecodeRejectsMalformedBatches: Decode must reject a batch the
+// layout could not have packed — an op whose kind bits disagree with its
+// site, a site id out of range, a missing or a surplus dynamic target —
+// with the same rule the simulation kernel applies.
+func TestLayoutDecodeRejectsMalformedBatches(t *testing.T) {
+	prog := callTestProgram()
+	lay, err := trace.CompileLayout(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	siteOf := func(kind ir.Kind) int32 {
+		for i, s := range lay.Sites() {
+			if s.Kind == kind {
+				return int32(i)
+			}
+		}
+		t.Fatalf("no %v site compiled", kind)
+		return -1
+	}
+	op := func(si int32, kind ir.Kind) int32 { return si<<trace.OpShift | int32(kind)<<1 | 1 }
+	cbr, ret := siteOf(ir.CondBr), siteOf(ir.Ret)
+	cases := map[string]trace.Batch{
+		"site past the table":    {Ops: []int32{op(int32(lay.NumSites()), ir.CondBr)}},
+		"ret with no target":     {Ops: []int32{op(ret, ir.Ret)}},
+		"surplus dynamic target": {Ops: []int32{op(cbr, ir.CondBr)}, Targets: []uint64{0x1000}},
+	}
+	for _, kind := range []ir.Kind{ir.Op, ir.Br, ir.Call, ir.IJump, ir.Ret, ir.Halt} {
+		b := trace.Batch{Ops: []int32{op(cbr, kind)}}
+		if kind == ir.IJump || kind == ir.Ret {
+			b.Targets = []uint64{0x1000} // exactly the targets the op kind consumes
+		}
+		cases[fmt.Sprintf("%v op at a cbr site", kind)] = b
+	}
+	for name, b := range cases {
+		if err := lay.Decode(&b, func(trace.Event) {}); err == nil {
+			t.Errorf("%s: Decode accepted %+v", name, b)
+		}
+	}
+	// The well-formed batch next to the mismatch cases decodes.
+	ok := trace.Batch{Ops: []int32{op(cbr, ir.CondBr), op(ret, ir.Ret)}, Targets: []uint64{0x1000}}
+	if err := lay.Decode(&ok, func(trace.Event) {}); err != nil {
+		t.Errorf("well-formed batch: %v", err)
+	}
+}
+
 // TestCompileLayoutErrors covers the compile-time failure modes.
 func TestCompileLayoutErrors(t *testing.T) {
 	if _, err := trace.CompileLayout(nil); err == nil {
