@@ -94,7 +94,9 @@ serve-smoke:
 # against a push-fed replay, in both kernel modes; the cfgio leg is the
 # importer/exporter round-trip oracle on the same machinery; the load leg
 # pins baload's virtual-mode report byte-identical under the same wide
-# scheduler.
+# scheduler; the serve leg runs balignd's goldens, both kernel modes, mixed
+# concurrent requests and a cancelled request through the grid's engine,
+# whose variant tasks share the daemon's one streamer.
 suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
@@ -102,6 +104,7 @@ suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
 	GOMAXPROCS=4 $(GO) test -race -run 'TestVirtualReport' ./internal/load
+	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream' ./internal/serve
 
 # perfbench-check covers the nested perfbench module, which the root
 # module's `go build ./...` and `go test ./...` do not reach: a root API

@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -100,6 +101,30 @@ type Config struct {
 	// broadcasts blocked on the streaming buffer ring — and the run
 	// returns the context's error. Nil means context.Background().
 	Ctx context.Context
+	// Algos restricts the grid's columns (nil = all of Algos()).
+	// Preparation builds only the variants these columns replay, and rows
+	// come out in canonical column order whatever order Algos lists.
+	Algos []Algo
+	// Streamer is the broadcast stage the grid streams through; nil means
+	// a fresh one per run. A daemon passes its own, so that one ring and one
+	// set of sim.stream.* gauges serve every request.
+	Streamer *sim.Streamer
+}
+
+// ErrProfile and ErrAlign mark the preparation phase a grid error came
+// from: the original program's training run, or an alignment. Any other
+// error comes from a variant's generation or simulation, or from Ctx.
+var (
+	ErrProfile = errors.New("profiling")
+	ErrAlign   = errors.New("aligning")
+)
+
+// algos returns the configured columns in canonical order.
+func (c Config) algos() []Algo {
+	if len(c.Algos) == 0 {
+		return Algos()
+	}
+	return slices.DeleteFunc(Algos(), func(a Algo) bool { return !slices.Contains(c.Algos, a) })
 }
 
 func (c Config) window() int {
@@ -272,10 +297,10 @@ type simSpec struct {
 }
 
 // evalUnit is one program's prepared evaluation state: its profile, every
-// aligned variant the architecture set needs, and the (variant -> cells)
-// fan-out. Preparation is the per-program sequential prefix (profiling and
-// alignment); everything downstream of it, the variant's i-cache scoring
-// included, is a shardable simulation.
+// aligned variant the architectures and columns need, and the
+// (variant -> cells) fan-out. Preparation is the per-program sequential
+// prefix (profiling and alignment); everything downstream of it, the
+// variant's i-cache scoring included, is a shardable simulation.
 //
 // After preparation an evalUnit is read-only and safe to share across
 // worker goroutines.
@@ -306,12 +331,12 @@ type ICacheCell struct {
 }
 
 // newEvalUnit profiles one workload and builds every variant the given
-// architectures need.
+// architectures and the configured columns need.
 func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*evalUnit, error) {
 	profStart := cfg.Obs.Now()
 	pf, origInstrs, err := w.CollectProfile()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrProfile, err)
 	}
 	cfg.Obs.AddSince("exp.profile.ns", profStart)
 	cfg.Obs.Add("exp.profile.programs", 1)
@@ -327,39 +352,25 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 		}
 		u.specs[key] = append(u.specs[key], spec)
 	}
+	algos := cfg.algos()
 	for _, arch := range archs {
-		for _, algo := range Algos() {
+		for _, algo := range algos {
 			add(variantKey(arch, algo), simSpec{arch, algo})
 		}
-	}
-
-	buildGreedy := func(order core.ChainOrder) (*variant, error) {
-		res, err := core.AlignProgram(w.Prog, pf, core.Options{
-			Algorithm: core.AlgoGreedy, Order: order, Obs: cfg.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &variant{prog: res.Prog, prof: res.Prof}, nil
 	}
 
 	for _, key := range u.keys {
 		if u.variants[key] != nil {
 			continue
 		}
+		// The first architecture that maps to a key picks its model and
+		// chain order.
+		arch := u.specs[key][0].arch
+		m, order := trynModelFor(arch)
+		opts := core.Options{Order: order, Obs: cfg.Obs}
 		switch {
-		case key == "greedy":
-			v, err := buildGreedy(core.OrderHottest)
-			if err != nil {
-				return nil, err
-			}
-			u.variants[key] = v
-		case key == "greedy-btfnt":
-			v, err := buildGreedy(core.OrderBTFNT)
-			if err != nil {
-				return nil, err
-			}
-			u.variants[key] = v
+		case strings.HasPrefix(key, "greedy"):
+			opts.Algorithm = core.AlgoGreedy
 		case key == "exttsp":
 			// ExtTSP is architecture-independent (its objective encodes
 			// fetch locality, not predictor behaviour): one variant serves
@@ -368,38 +379,20 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 			// the i-cache than any reordering (see DESIGN.md §13), so the
 			// whole-binary ReorderProcsExtTSP pass stays opt-in
 			// (balign -procorder).
-			ares, err := core.AlignProgram(w.Prog, pf, core.Options{
-				Algorithm: core.AlgoExtTSP, Obs: cfg.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			u.variants[key] = &variant{prog: ares.Prog, prof: ares.Prof}
+			opts = core.Options{Algorithm: core.AlgoExtTSP, Obs: cfg.Obs}
 		case strings.HasPrefix(key, "cost-"):
-			arch := u.specs[key][0].arch
-			m, order := trynModelFor(arch)
-			ares, err := core.AlignProgram(w.Prog, pf, core.Options{
-				Algorithm: core.AlgoCost, Model: m, Order: order, Obs: cfg.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			u.variants[key] = &variant{prog: ares.Prog, prof: ares.Prof}
-		default:
-			// try-* variants: the first arch that maps here picks the model.
-			arch := u.specs[key][0].arch
-			m, order := trynModelFor(arch)
-			ares, err := core.AlignProgram(w.Prog, pf, core.Options{
-				Algorithm: core.AlgoTryN, Model: m, Order: order,
-				Window: cfg.window(), MaxCombos: cfg.MaxCombos, Obs: cfg.Obs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			u.variants[key] = &variant{prog: ares.Prog, prof: ares.Prof}
-			if arch == predict.ArchFallthrough {
-				u.tryStats = ares.Stats
-			}
+			opts.Algorithm, opts.Model = core.AlgoCost, m
+		default: // try-*
+			opts.Algorithm, opts.Model = core.AlgoTryN, m
+			opts.Window, opts.MaxCombos = cfg.window(), cfg.MaxCombos
+		}
+		res, err := core.AlignProgram(w.Prog, pf, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%w %s/%s: %w", ErrAlign, w.Name, key, err)
+		}
+		u.variants[key] = &variant{prog: res.Prog, prof: res.Prof}
+		if strings.HasPrefix(key, "try-") && arch == predict.ArchFallthrough {
+			u.tryStats = res.Stats
 		}
 	}
 
@@ -551,7 +544,10 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	str := sim.NewStreamer(0, 0, cfg.Obs)
+	str := cfg.Streamer
+	if str == nil {
+		str = sim.NewStreamer(0, 0, cfg.Obs)
+	}
 
 	// Phase 1: per-program preparation.
 	units := make([]*evalUnit, len(ws))
@@ -657,14 +653,22 @@ func Summaries(cfg Config, archs []predict.ArchID) ([]metrics.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
+	return WorkloadSummaries(ws, archs, cfg)
+}
+
+// WorkloadSummaries is Summaries over the given workloads instead of the
+// configured programs: rows in workload order, then architecture order,
+// then canonical algorithm order.
+func WorkloadSummaries(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]metrics.Summary, error) {
 	results, err := evaluatePrograms(ws, archs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]metrics.Summary, 0, len(results)*len(archs)*len(Algos()))
+	algos := cfg.algos()
+	out := make([]metrics.Summary, 0, len(results)*len(archs)*len(algos))
 	for _, r := range results {
 		for _, arch := range archs {
-			for _, algo := range Algos() {
+			for _, algo := range algos {
 				c := r.Cells[arch][algo]
 				s := metrics.NewSummary(r.Program, string(arch), string(algo), 0, c.Instrs, c.Res)
 				// NewSummary derives CPI from its own denominator; keep the

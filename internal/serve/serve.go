@@ -78,9 +78,10 @@ type Config struct {
 	// Responses are byte-identical in both modes — the serve golden tests
 	// extend the repo's parity-oracle family with this.
 	Kernel string
-	// Parallelism is the per-request experiment-engine shard bound
-	// (0 = GOMAXPROCS). Cross-request parallelism comes from MaxInFlight;
-	// per-request sharding mainly helps latency on an idle server.
+	// Parallelism is the per-request experiment-engine shard bound, in
+	// both simulate modes (0 = GOMAXPROCS). Cross-request parallelism comes
+	// from MaxInFlight; per-request sharding mainly helps latency on an idle
+	// server.
 	Parallelism int
 	// Obs receives serve.* counters and gauges plus the engine, cache and
 	// stream telemetry of request work. Nil disables telemetry.
@@ -127,7 +128,6 @@ type Server struct {
 	cache *resultCache
 	slots chan struct{}
 	str   *sim.Streamer
-	exec  *sim.Executor
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -143,8 +143,7 @@ type Server struct {
 
 // New validates cfg and returns a ready Server.
 func New(cfg Config) (*Server, error) {
-	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
-	if err != nil {
+	if _, err := sim.ParseKernelMode(cfg.Kernel); err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -153,7 +152,6 @@ func New(cfg Config) (*Server, error) {
 		mux:   http.NewServeMux(),
 		slots: make(chan struct{}, cfg.maxInFlight()),
 		str:   sim.NewStreamer(0, 0, cfg.Obs),
-		exec:  exec,
 	}
 	if cfg.CacheEntries >= 0 {
 		entries, bytes := cfg.CacheEntries, cfg.CacheBytes
@@ -213,8 +211,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // InFlight returns the number of admitted requests currently executing.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
-// Streamer exposes the server's shared broadcast stage (its stats back the
-// ring-release assertions in the cancellation tests and the run report).
+// Streamer exposes the server's broadcast stage, which every simulate
+// request streams through in either mode (its stats back the ring-release
+// assertions in the cancellation tests and the run report).
 func (s *Server) Streamer() *sim.Streamer { return s.str }
 
 // CacheStats snapshots the result cache ({} when the cache is disabled).

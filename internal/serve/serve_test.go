@@ -251,6 +251,13 @@ func TestHealthzAndDebug(t *testing.T) {
 // JSON envelope with a stable code.
 func TestErrorEnvelopes(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 2048})
+	// sampleVM is the sample VM request under a max_instrs budget. The
+	// original retires 1,302 instructions.
+	sampleVM := func(maxInstrs int) string {
+		req := simulateInlineVM(t)
+		req["max_instrs"] = maxInstrs
+		return string(mustJSON(t, req))
+	}
 	cases := []struct {
 		name   string
 		path   string
@@ -272,6 +279,10 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"bad arch", "/v1/simulate", http.MethodPost, `{"asm":"x","archs":["vax"]}`, http.StatusBadRequest, "bad_request"},
 		{"both modes", "/v1/simulate", http.MethodPost, `{"asm":"x","programs":["ora"]}`, http.StatusBadRequest, "bad_request"},
 		{"neither mode", "/v1/simulate", http.MethodPost, `{}`, http.StatusBadRequest, "bad_request"},
+		{"original over budget", "/v1/simulate", http.MethodPost, sampleVM(1000),
+			http.StatusUnprocessableEntity, "run_failed"},
+		{"variant over budget", "/v1/simulate", http.MethodPost, sampleVM(1400),
+			http.StatusUnprocessableEntity, "simulate_failed"},
 		{"too large", "/v1/align", http.MethodPost, `{"asm":"` + string(bytes.Repeat([]byte{'a'}, 4096)) + `"}`,
 			http.StatusRequestEntityTooLarge, "body_too_large"},
 	}

@@ -1,26 +1,25 @@
 package serve
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"sort"
+	"errors"
+	"net/http"
+	"slices"
 	"strings"
 
 	"balign/internal/asm"
-	"balign/internal/core"
-	"balign/internal/cost"
 	"balign/internal/experiments"
-	"balign/internal/ir"
 	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/profile"
-	"balign/internal/trace"
-	"balign/internal/vm"
 	"balign/internal/workload"
 )
 
 // Inline trace budgets: VM programs run to completion under a step cap,
 // stochastic walks are event-budgeted like the suite's synthetic workloads.
+// An aligned variant's walk stops after the original's completed runs, within
+// 3·budget and maxInlineSteps.
 const (
 	defaultVMSteps   = 1 << 22
 	defaultWalkSteps = 1 << 20
@@ -35,8 +34,8 @@ const (
 //     `baexp suite` does, and Report is byte-identical to its output.
 //
 //   - inline mode: Asm (plus optionally Profile) supplies the program; it
-//     is aligned per algorithm and stream-simulated across the requested
-//     architectures.
+//     runs through the same grid as a one-workload suite, so equal variants
+//     fold and every row divides by the original's instruction count.
 //
 // The executor kernel is server configuration, not a request field:
 // responses are byte-identical across flat and ref servers, and the golden
@@ -66,7 +65,8 @@ type SimulateRequest struct {
 	// Archs lists simulated architectures (default: all, paper order).
 	Archs []string `json:"archs"`
 	// Algos lists alignment columns: orig, greedy, cost, try15, exttsp
-	// (default all).
+	// (default all). Rows come in this canonical order whatever the
+	// request's order.
 	Algos []string `json:"algos"`
 	// Window is the TryN window size (0 = the paper's 15).
 	Window int `json:"window,omitempty"`
@@ -102,10 +102,6 @@ type SimulateResponse struct {
 	Mode      string        `json:"mode"`
 	Summaries []SummaryJSON `json:"summaries"`
 	Report    string        `json:"report"`
-}
-
-var validSimAlgos = map[string]bool{
-	"orig": true, "greedy": true, "cost": true, "try15": true, "exttsp": true,
 }
 
 // parseSimulateRequest decodes and canonicalizes a simulate body.
@@ -174,12 +170,15 @@ func parseSimulateRequest(body []byte) (any, *apiError) {
 		}
 		seen[a] = true
 	}
+	known := experiments.Algos()
 	if len(req.Algos) == 0 {
-		req.Algos = []string{"orig", "greedy", "cost", "try15", "exttsp"}
+		for _, a := range known {
+			req.Algos = append(req.Algos, string(a))
+		}
 	}
 	seen = make(map[string]bool)
 	for _, a := range req.Algos {
-		if !validSimAlgos[a] {
+		if !slices.Contains(known, experiments.Algo(a)) {
 			return nil, badRequest("bad_request", "unknown algorithm %q (known: cost, exttsp, greedy, orig, try15)", a)
 		}
 		if seen[a] {
@@ -187,29 +186,61 @@ func parseSimulateRequest(body []byte) (any, *apiError) {
 		}
 		seen[a] = true
 	}
+	// Canonical column order, so that equivalent bodies share a cache key.
+	slices.SortFunc(req.Algos, func(a, b string) int {
+		return slices.Index(known, experiments.Algo(a)) - slices.Index(known, experiments.Algo(b))
+	})
 	if req.Window < 0 || req.Window > 24 {
 		return nil, badRequest("bad_request", "window %d out of range [0,24]", req.Window)
 	}
 	return req, nil
 }
 
-// computeSimulate dispatches on the request mode.
+// computeSimulate runs the request as a grid: suite mode over the named
+// programs, inline mode over a one-workload grid of the posted program.
+// Both modes broadcast through the server's streamer.
 func (s *Server) computeSimulate(ctx context.Context, reqAny any) (any, *apiError) {
 	req := reqAny.(*SimulateRequest)
+	archs := make([]predict.ArchID, len(req.Archs))
+	for i, a := range req.Archs {
+		archs[i] = predict.ArchID(a)
+	}
+	cfg := experiments.Config{
+		Window:      req.Window,
+		Kernel:      s.cfg.Kernel,
+		Parallelism: s.cfg.Parallelism,
+		Obs:         s.obs,
+		Ctx:         ctx,
+		Streamer:    s.str,
+	}
+	for _, a := range req.Algos {
+		cfg.Algos = append(cfg.Algos, experiments.Algo(a))
+	}
 	var (
 		summaries []metrics.Summary
-		mode      string
-		aerr      *apiError
+		err       error
 	)
+	mode := "suite"
 	if len(req.Programs) > 0 {
-		mode = "suite"
-		summaries, aerr = s.simulateSuite(ctx, req)
+		cfg.Scale, cfg.Seed, cfg.Programs = req.Scale, req.Seed, req.Programs
+		summaries, err = experiments.Summaries(cfg, archs)
 	} else {
 		mode = "inline"
-		summaries, aerr = s.simulateInline(ctx, req)
+		w, aerr := inlineWorkload(req)
+		if aerr != nil {
+			return nil, aerr
+		}
+		summaries, err = experiments.WorkloadSummaries([]*workload.Workload{w}, archs, cfg)
+		// Inline rows omit the i-cache figures. The recorder's report holds
+		// the grid's rows, so clear a copy.
+		summaries = slices.Clone(summaries)
+		for i := range summaries {
+			sm := &summaries[i]
+			sm.ICFetches, sm.ICAccesses, sm.ICMisses, sm.ICMPKI = 0, 0, 0, 0
+		}
 	}
-	if aerr != nil {
-		return nil, aerr
+	if err != nil {
+		return nil, gridError(err)
 	}
 	resp := &SimulateResponse{
 		Mode:      mode,
@@ -230,284 +261,44 @@ func (s *Server) computeSimulate(ctx context.Context, reqAny any) (any, *apiErro
 	return resp, nil
 }
 
-// simulateSuite runs named workloads through the experiment grid — the
-// exact code path behind `baexp suite`, so the encoded report is
-// byte-identical to that command's output for the same inputs.
-func (s *Server) simulateSuite(ctx context.Context, req *SimulateRequest) ([]metrics.Summary, *apiError) {
-	archs := make([]predict.ArchID, len(req.Archs))
-	for i, a := range req.Archs {
-		archs[i] = predict.ArchID(a)
-	}
-	cfg := experiments.Config{
-		Scale:       req.Scale,
-		Seed:        req.Seed,
-		Window:      req.Window,
-		Programs:    req.Programs,
-		Kernel:      s.cfg.Kernel,
-		Parallelism: s.cfg.Parallelism,
-		Obs:         s.obs,
-		Ctx:         ctx,
-	}
-	summaries, err := experiments.Summaries(cfg, archs)
-	if err != nil {
-		return nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
-	}
-	keep := make(map[string]bool, len(req.Algos))
-	for _, a := range req.Algos {
-		keep[a] = true
-	}
-	kept := summaries[:0]
-	for _, sm := range summaries {
-		if keep[sm.Algo] {
-			kept = append(kept, sm)
-		}
-	}
-	return kept, nil
-}
-
-// inlineVariant is one aligned (or original) layout of the inline program
-// together with the (arch, algo) cells that consume its trace.
-type inlineVariant struct {
-	prog  *ir.Program
-	prof  *profile.Profile
-	archs []predict.ArchID
-	algos []string // index-aligned with archs
-}
-
-// simulateInline assembles the request's program, aligns it per algorithm —
-// grouping architectures that the paper gives one shared alignment (both
-// PHTs, both BTBs) — and simulates each variant's trace across its
-// architectures in one streamed generation.
-func (s *Server) simulateInline(ctx context.Context, req *SimulateRequest) ([]metrics.Summary, *apiError) {
+// inlineWorkload assembles the request's program and reads its optional
+// profile into a one-program workload. The training run happens in the
+// grid: the supplied profile's, or one that collects a profile.
+func inlineWorkload(req *SimulateRequest) (*workload.Workload, *apiError) {
 	prog, err := asm.Assemble(req.Asm)
 	if err != nil {
 		return nil, badRequest("bad_asm", "%v", err)
 	}
-	name := req.Name
-	if name == "" {
-		name = prog.Name
-	}
-	budget := req.MaxInstrs
-	if budget == 0 {
-		if req.Generator == "walk" {
-			budget = defaultWalkSteps
-		} else {
-			budget = defaultVMSteps
-		}
-	}
-
-	// The training run: read the supplied profile, or collect one by
-	// executing the original program. Either way origInstrs — the
-	// relative-CPI denominator — comes from the original layout's own
-	// generation, mirroring the suite's CollectProfile semantics.
-	var (
-		pf         *profile.Profile
-		origInstrs uint64
-		origRuns   int
-	)
+	var pf *profile.Profile
 	if req.Profile != "" {
-		pf, err = profile.Read(strings.NewReader(req.Profile))
-		if err != nil {
+		if pf, err = profile.Read(strings.NewReader(req.Profile)); err != nil {
 			return nil, badRequest("bad_profile", "%v", err)
 		}
 	}
-	switch req.Generator {
-	case "walk":
-		w := &trace.Walker{Prog: prog, Model: pf.Model(prog), Seed: req.Seed, MaxInstrs: budget}
-		origInstrs, origRuns = w.Run(nil, nil)
-	default:
-		machine := vm.New(prog)
-		machine.MaxSteps = budget
-		var edges trace.EdgeSink
-		var col *profile.Collector
-		if pf == nil {
-			col = profile.NewCollector(prog)
-			edges = col
-		}
-		res, err := machine.Run(nil, edges)
-		if err != nil {
-			return nil, &apiError{status: 422, code: "run_failed", msg: err.Error()}
-		}
-		origInstrs = res.Instrs
-		if col != nil {
-			pf = col.Profile()
-			pf.Instrs = origInstrs
+	walk := req.Generator == "walk"
+	budget := req.MaxInstrs
+	if budget == 0 {
+		budget = defaultVMSteps
+		if walk {
+			budget = defaultWalkSteps
 		}
 	}
-
-	variants, order, aerr := buildInlineVariants(ctx, prog, pf, req)
-	if aerr != nil {
-		return nil, aerr
+	w, err := workload.Inline(cmp.Or(req.Name, prog.Name), prog, pf, walk, req.Seed, budget, maxInlineSteps)
+	if err != nil {
+		return nil, badRequest("bad_request", "%v", err)
 	}
-
-	var summaries []metrics.Summary
-	for _, key := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		v := variants[key]
-		instrs, results, aerr := s.simulateVariant(ctx, v, req, budget, origRuns)
-		if aerr != nil {
-			return nil, aerr
-		}
-		for i, r := range results {
-			summaries = append(summaries, metrics.NewSummary(
-				name, string(v.archs[i]), v.algos[i], origInstrs, instrs, r))
-		}
-	}
-	// Canonical response order matches the suite's convention — rows
-	// grouped by architecture, algorithms within — using the request's
-	// arch/algo order, so bodies are deterministic across scheduling.
-	archPos := make(map[string]int, len(req.Archs))
-	for i, a := range req.Archs {
-		archPos[a] = i
-	}
-	algoPos := make(map[string]int, len(req.Algos))
-	for i, a := range req.Algos {
-		algoPos[a] = i
-	}
-	sort.SliceStable(summaries, func(i, j int) bool {
-		if summaries[i].Arch != summaries[j].Arch {
-			return archPos[summaries[i].Arch] < archPos[summaries[j].Arch]
-		}
-		return algoPos[summaries[i].Algo] < algoPos[summaries[j].Algo]
-	})
-	return summaries, nil
+	return w, nil
 }
 
-// buildInlineVariants aligns the program once per distinct (algorithm,
-// model/order group) and fans the requested architectures onto the shared
-// variants, in first-need order.
-func buildInlineVariants(ctx context.Context, prog *ir.Program, pf *profile.Profile,
-	req *SimulateRequest) (map[string]*inlineVariant, []string, *apiError) {
-
-	variants := make(map[string]*inlineVariant)
-	var order []string
-	add := func(key string, arch predict.ArchID, algo string) *inlineVariant {
-		v, ok := variants[key]
-		if !ok {
-			v = &inlineVariant{}
-			variants[key] = v
-			order = append(order, key)
-		}
-		v.archs = append(v.archs, arch)
-		v.algos = append(v.algos, algo)
-		return v
+// gridError maps a grid failure to the code of the phase that failed: the
+// original's run, an alignment, or a variant's generation or simulation.
+func gridError(err error) *apiError {
+	code := "simulate_failed"
+	switch {
+	case errors.Is(err, experiments.ErrProfile):
+		code = "run_failed"
+	case errors.Is(err, experiments.ErrAlign):
+		code = "align_failed"
 	}
-	// Variant grouping mirrors the suite: Greedy lays chains hottest-first
-	// except for BT/FNT (Pettis-Hansen precedence order); Cost and Try15
-	// align under each architecture's cost model, with architectures that
-	// share a cost group in the registry (both PHTs, both BTBs, both tagged
-	// predictors) sharing one variant; ExtTSP's objective is
-	// architecture-independent, so one variant serves every architecture.
-	keyFor := func(algo string, arch predict.ArchID) string {
-		switch algo {
-		case "orig":
-			return "orig"
-		case "exttsp":
-			return "exttsp"
-		case "greedy":
-			if arch == predict.ArchBTFNT {
-				return "greedy-btfnt"
-			}
-			return "greedy"
-		default:
-			// Archs were validated against the registry on request decode.
-			d, _ := predict.Lookup(arch)
-			return algo + "-" + string(d.CostGroup)
-		}
-	}
-	for _, algo := range req.Algos {
-		for _, a := range req.Archs {
-			arch := predict.ArchID(a)
-			v := add(keyFor(algo, arch), arch, algo)
-			if v.prog != nil {
-				continue
-			}
-			switch algo {
-			case "orig":
-				v.prog, v.prof = prog, pf
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, ctxError(err)
-			}
-			opts := core.Options{Window: req.Window}
-			switch algo {
-			case "greedy":
-				opts.Algorithm = core.AlgoGreedy
-			case "exttsp":
-				opts.Algorithm = core.AlgoExtTSP
-			default: // cost, try15: model-guided, per architecture group
-				m, err := cost.ForArch(arch)
-				if err != nil {
-					return nil, nil, badRequest("bad_request", "%v", err)
-				}
-				if algo == "cost" {
-					opts.Algorithm = core.AlgoCost
-				} else {
-					opts.Algorithm = core.AlgoTryN
-				}
-				opts.Model = m
-			}
-			if algo != "exttsp" {
-				if arch == predict.ArchBTFNT {
-					opts.Order = core.OrderBTFNT
-				} else {
-					opts.Order = core.OrderHottest
-				}
-			}
-			res, err := core.AlignProgram(prog, pf, opts)
-			if err != nil {
-				return nil, nil, &apiError{status: 422, code: "align_failed", msg: err.Error()}
-			}
-			v.prog, v.prof = res.Prog, res.Prof
-		}
-	}
-	return variants, order, nil
-}
-
-// simulateVariant traces one variant and simulates it on all of its
-// architectures, streaming its packed batches through the server's shared
-// broadcast stage. The walk generator is the compiled trace.WalkSource the
-// suite's workloads use; the VM runs on a generator goroutine behind a
-// trace.FuncSource.
-func (s *Server) simulateVariant(ctx context.Context, v *inlineVariant, req *SimulateRequest,
-	budget uint64, origRuns int) (uint64, []predict.Result, *apiError) {
-
-	lay, err := trace.CompileLayout(v.prog)
-	if err != nil {
-		return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
-	}
-	var src trace.Source
-	if req.Generator == "walk" {
-		w := &trace.Walker{Prog: v.prog, Model: v.prof.Model(v.prog), Seed: req.Seed, MaxInstrs: budget}
-		if origRuns > 0 {
-			// Work-equivalence with the original walk, as the suite's
-			// workloads do for aligned variants; the generous ceiling still
-			// stops at the inline cap.
-			w.MaxRuns = origRuns
-			w.MaxInstrs = min(budget*3, maxInlineSteps)
-		}
-		ws, err := trace.NewWalkSource(w, lay, s.str.BatchCap())
-		if err != nil {
-			return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: err.Error()}
-		}
-		src = ws
-	} else {
-		src = trace.NewFuncSource(lay, s.str.BatchCap(), func(sink trace.Sink) (uint64, error) {
-			machine := vm.New(v.prog)
-			machine.MaxSteps = budget
-			res, err := machine.Run(sink, nil)
-			return res.Instrs, err
-		})
-	}
-	results, err := s.exec.SimulateStream(ctx, s.str, lay, src, v.prog, v.prof, v.archs)
-	if err != nil {
-		if aerr := ctx.Err(); aerr != nil {
-			return 0, nil, ctxError(aerr)
-		}
-		return 0, nil, &apiError{status: 422, code: "simulate_failed", msg: fmt.Sprintf("%v", err)}
-	}
-	return src.Instrs(), results, nil
+	return &apiError{status: http.StatusUnprocessableEntity, code: code, msg: err.Error()}
 }

@@ -12,8 +12,9 @@ const (
 	// that flip hot-edge direction at phase boundaries (phased), and
 	// branch-melding (if-conversion) variants of suite kernels (*-meld).
 	Adversarial Class = "Adversarial"
-	// Imported marks workloads built from an external CFG document by
-	// internal/cfgio rather than from a Spec.
+	// Imported marks workloads built from a program supplied from outside
+	// rather than from a Spec: an external CFG document (internal/cfgio) or
+	// a program posted to balignd (Inline).
 	Imported Class = "Imported"
 )
 

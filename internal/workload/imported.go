@@ -29,7 +29,27 @@ func FromProfile(name string, prog *ir.Program, pf *profile.Profile, cfg Config)
 	}
 	return &Workload{
 		Name: name, Class: Imported, Prog: prog,
-		native: pf.Model(prog), budget: budget,
+		native: pf.Model(prog), budget: budget, ceiling: 3 * budget,
 		seed: cfg.Seed + 1 + cfg.InputSeed*7919,
 	}, nil
+}
+
+// Inline wraps a program posted to balignd's /v1/simulate as a workload.
+// Its CollectProfile returns pf after one run of the original that counts
+// its instructions, or collects a profile when pf is nil (VM only).
+//
+// A VM workload (walk false) runs every layout once, with no setup, and
+// fails a run that reaches budget steps. A walk workload needs pf: it walks
+// pf's model from seed, the original for budget instructions and an
+// aligned variant for the original's completed runs, within
+// min(3·budget, limit) instructions.
+func Inline(name string, prog *ir.Program, pf *profile.Profile, walk bool, seed int64, budget, limit uint64) (*Workload, error) {
+	w := &Workload{Name: name, Class: Imported, Prog: prog, budget: budget, seed: seed, supplied: pf}
+	if walk {
+		if pf == nil {
+			return nil, fmt.Errorf("workload: inline walk %q needs a profile", name)
+		}
+		w.native, w.ceiling = pf.Model(prog), min(3*budget, limit)
+	}
+	return w, nil
 }

@@ -66,14 +66,19 @@ type Workload struct {
 	// Prog is the original (pre-alignment) program, addresses assigned.
 	Prog *ir.Program
 
-	// VM kernels.
+	// VM kernels. A nonzero budget caps each run's steps.
 	setup  func(*vm.VM)
 	repeat int
 
-	// Synthetic programs.
-	native trace.Model
-	budget uint64
-	seed   int64
+	// Synthetic programs: the original walks for budget instructions and an
+	// aligned variant for the original's completed runs, within ceiling.
+	native  trace.Model
+	budget  uint64
+	ceiling uint64
+	seed    int64
+	// supplied, when set, is the training profile CollectProfile returns
+	// instead of collecting one.
+	supplied *profile.Profile
 	// runs is the number of complete program runs the original walk
 	// finished within the budget; walks of aligned variants stop after the
 	// same number of runs so comparisons are work-equivalent. It is set
@@ -125,6 +130,9 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 			if w.setup != nil {
 				w.setup(machine)
 			}
+			if w.budget > 0 {
+				machine.MaxSteps = w.budget
+			}
 			res, err := machine.Run(sink, edges)
 			if err != nil {
 				return total, fmt.Errorf("workload %s: %w", w.Name, err)
@@ -134,26 +142,9 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 		return total, nil
 	}
 
-	var model trace.Model
-	switch {
-	case pf != nil:
-		model = pf.Model(prog)
-	case prog == w.Prog:
-		model = w.native
-	default:
-		return 0, fmt.Errorf("workload %s: tracing a non-original program requires its profile", w.Name)
-	}
-	walker := &trace.Walker{
-		Prog:      prog,
-		Model:     model,
-		Seed:      w.seed,
-		MaxInstrs: w.budget,
-	}
-	if origRuns := w.origRuns(); prog != w.Prog && origRuns > 0 {
-		// Work-equivalence: walk the variant for as many complete runs as
-		// the original managed, with a generous instruction ceiling.
-		walker.MaxRuns = origRuns
-		walker.MaxInstrs = w.budget * 3
+	walker, err := w.walker(prog, pf)
+	if err != nil {
+		return 0, err
 	}
 	instrs, runs := walker.Run(sink, edges)
 	if prog == w.Prog {
@@ -179,24 +170,9 @@ func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layo
 		}), nil
 	}
 
-	var model trace.Model
-	switch {
-	case pf != nil:
-		model = pf.Model(prog)
-	case prog == w.Prog:
-		model = w.native
-	default:
-		return nil, fmt.Errorf("workload %s: streaming a non-original program requires its profile", w.Name)
-	}
-	walker := &trace.Walker{
-		Prog:      prog,
-		Model:     model,
-		Seed:      w.seed,
-		MaxInstrs: w.budget,
-	}
-	if origRuns := w.origRuns(); prog != w.Prog && origRuns > 0 {
-		walker.MaxRuns = origRuns
-		walker.MaxInstrs = w.budget * 3
+	walker, err := w.walker(prog, pf)
+	if err != nil {
+		return nil, err
 	}
 	ws, err := trace.NewWalkSource(walker, lay, batchCap)
 	if err != nil {
@@ -206,6 +182,29 @@ func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layo
 		return &origWalkSource{WalkSource: ws, w: w}, nil
 	}
 	return ws, nil
+}
+
+// walker configures the walk of prog, the original program or an aligned
+// variant of it. pf is prog's profile, or nil for the original program's
+// native behaviour model. The original walks for the budget; once it has
+// completed runs, a variant walks for as many (work-equivalence) within the
+// ceiling.
+func (w *Workload) walker(prog *ir.Program, pf *profile.Profile) (*trace.Walker, error) {
+	var model trace.Model
+	switch {
+	case pf != nil:
+		model = pf.Model(prog)
+	case prog == w.Prog:
+		model = w.native
+	default:
+		return nil, fmt.Errorf("workload %s: tracing a non-original program requires its profile", w.Name)
+	}
+	walker := &trace.Walker{Prog: prog, Model: model, Seed: w.seed, MaxInstrs: w.budget}
+	if origRuns := w.origRuns(); prog != w.Prog && origRuns > 0 {
+		walker.MaxRuns = origRuns
+		walker.MaxInstrs = w.ceiling
+	}
+	return walker, nil
 }
 
 // origWalkSource wraps the original program's walk source so that, like
@@ -225,8 +224,17 @@ func (s *origWalkSource) Fill(b *trace.Batch) (bool, error) {
 }
 
 // CollectProfile traces the original program and returns its edge profile
-// (the "training run" of profile-guided alignment).
+// (the "training run" of profile-guided alignment) and its instruction
+// count. A workload built with a profile returns that one, after a run that
+// counts the original's instructions.
 func (w *Workload) CollectProfile() (*profile.Profile, uint64, error) {
+	if w.supplied != nil {
+		instrs, err := w.Run(w.Prog, nil, nil, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		return w.supplied, instrs, nil
+	}
 	col := profile.NewCollector(w.Prog)
 	instrs, err := w.Run(w.Prog, nil, nil, col)
 	if err != nil {
@@ -300,7 +308,7 @@ func build(s Spec, cfg Config) (*Workload, error) {
 	budget := uint64(float64(s.TraceInstrs) * cfg.scale())
 	return &Workload{
 		Name: s.Name, Class: s.Class, Prog: prog,
-		native: model, budget: budget,
+		native: model, budget: budget, ceiling: 3 * budget,
 		seed: cfg.Seed + s.seedOffset() + 1 + cfg.InputSeed*7919,
 	}, nil
 }

@@ -145,6 +145,65 @@ func TestSyntheticAlignedRunNeedsProfile(t *testing.T) {
 	}
 }
 
+// TestInlineWalkCeiling checks where an aligned variant's walk stops once
+// the original has completed runs: after as many runs, within 3·budget for
+// a built-in workload and within min(3·budget, limit) for an inline one.
+func TestInlineWalkCeiling(t *testing.T) {
+	ora, err := ByName("ora", Config{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ora.noteOrigRuns(2)
+	walker, err := ora.walker(ora.Prog.Clone(), &profile.Profile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walker.MaxRuns != 2 || walker.MaxInstrs != 3*ora.budget {
+		t.Errorf("built-in variant walk: %d runs within %d instructions, want 2 within 3·budget = %d",
+			walker.MaxRuns, walker.MaxInstrs, 3*ora.budget)
+	}
+
+	// streamVariant streams an unaligned copy of Figure 1's fragment, as an
+	// aligned variant of an inline walk workload, and returns the
+	// instructions it retired.
+	fig := Figure1()
+	variant := fig.Prog.Clone()
+	lay, err := trace.CompileLayout(variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 16
+	streamVariant := func(limit uint64) uint64 {
+		w, err := Inline(fig.Name, fig.Prog, fig.Prof, true, 7, budget, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.CollectProfile(); err != nil {
+			t.Fatal(err)
+		}
+		src, err := w.Stream(variant, fig.Prof, lay, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		var b trace.Batch
+		for {
+			ok, err := src.Fill(&b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return src.Instrs()
+			}
+		}
+	}
+	runs := streamVariant(3 * budget) // the original's completed runs
+	limit := runs / 2
+	if got := streamVariant(limit); got > limit {
+		t.Errorf("inline variant walk retired %d instructions, over its limit %d (uncapped: %d)", got, limit, runs)
+	}
+}
+
 func TestSyntheticAlignmentRoundTrip(t *testing.T) {
 	// End-to-end: profile a synthetic program, align it, walk the aligned
 	// program with the transferred profile, and confirm the event volume is
