@@ -289,7 +289,8 @@ func TestExtTSPNeverWorsensOwnObjective(t *testing.T) {
 // FuzzExtTSPSemantics: an ExtTSP rewrite of any generated executable
 // program must preserve semantics exactly — identical registers and memory
 // under VM replay, and a dynamic instruction count matching the rewriter's
-// predicted delta.
+// predicted delta — and the original's decision log, replayed through the
+// rewrite, must equal the VM's run of it.
 func FuzzExtTSPSemantics(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -323,6 +324,9 @@ func FuzzExtTSPSemantics(f *testing.F) {
 		if int64(gotInstrs) != int64(origInstrs)+res.Stats.DynInstrDelta {
 			t.Fatalf("seed %d: instr delta mismatch: got %d, orig %d, delta %d",
 				seed, gotInstrs, origInstrs, res.Stats.DynInstrDelta)
+		}
+		if err := replayMatchesVM(t, recordLog(t, prog), res.Prog); err != nil {
+			t.Fatalf("seed %d: replay: %v", seed, err)
 		}
 	})
 }

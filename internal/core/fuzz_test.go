@@ -8,6 +8,8 @@ import (
 
 	"balign/internal/asm"
 	"balign/internal/cost"
+	"balign/internal/ir"
+	"balign/internal/trace"
 	"balign/internal/vm"
 )
 
@@ -125,6 +127,62 @@ func genProgramSrc(seed int64) string {
 	return g.sb.String()
 }
 
+// replayMatchesVM checks the replay every VM variant of the grid streams:
+// log, recorded from the original's run, replayed through layout, must
+// equal the VM's run of layout event for event and in instruction count.
+func replayMatchesVM(t *testing.T, log *trace.DecisionLog, layout *ir.Program) error {
+	t.Helper()
+	var want trace.Recorder
+	res, err := vm.New(layout).Run(&want, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	lay, err := trace.CompileLayout(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewReplaySource(log, layout, lay, 0, 1, vm.DefaultMaxSteps)
+	if err != nil {
+		return err
+	}
+	var got []trace.Event
+	var b trace.Batch
+	for {
+		ok, err := src.Fill(&b)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := lay.Decode(&b, func(e trace.Event) { got = append(got, e) }); err != nil {
+			return err
+		}
+	}
+	if len(got) != len(want.Events) {
+		return fmt.Errorf("replay streamed %d events, the VM %d", len(got), len(want.Events))
+	}
+	for i := range got {
+		if got[i] != want.Events[i] {
+			return fmt.Errorf("event %d: replay %+v, VM %+v", i, got[i], want.Events[i])
+		}
+	}
+	if src.Instrs() != res.Instrs {
+		return fmt.Errorf("replay retired %d instructions, the VM %d", src.Instrs(), res.Instrs)
+	}
+	return nil
+}
+
+// recordLog runs prog on the VM and returns its decision log.
+func recordLog(t *testing.T, prog *ir.Program) *trace.DecisionLog {
+	t.Helper()
+	log := trace.NewDecisionLog(prog)
+	if _, err := vm.New(prog).Run(nil, log); err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+	return log
+}
+
 func fuzzOptions() []Options {
 	return []Options{
 		{Algorithm: AlgoGreedy},
@@ -145,8 +203,9 @@ func fuzzOptions() []Options {
 // with every algorithm/model combination and checks, for each: the aligned
 // program validates; it computes identical registers and memory; the
 // dynamic instruction delta predicted by the rewriter matches execution;
-// and the transferred profile matches a fresh profile of the aligned
-// program exactly.
+// the transferred profile matches a fresh profile of the aligned program
+// exactly; and the original's decision log, replayed through the aligned
+// layout, equals the VM's run of it.
 func TestFuzzAlignmentSemantics(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -160,6 +219,7 @@ func TestFuzzAlignmentSemantics(t *testing.T) {
 		}
 		pf := profileByVM(t, prog, nil)
 		wantRegs, wantMem, origInstrs := runVM(t, prog, nil)
+		log := recordLog(t, prog)
 
 		for oi, opts := range fuzzOptions() {
 			res, err := AlignProgram(prog, pf, opts)
@@ -183,6 +243,9 @@ func TestFuzzAlignmentSemantics(t *testing.T) {
 			if int64(gotInstrs) != int64(origInstrs)+res.Stats.DynInstrDelta {
 				t.Fatalf("seed %d opts %d: instr delta mismatch: got %d, orig %d, delta %d",
 					seed, oi, gotInstrs, origInstrs, res.Stats.DynInstrDelta)
+			}
+			if err := replayMatchesVM(t, log, res.Prog); err != nil {
+				t.Fatalf("seed %d opts %d: replay: %v", seed, oi, err)
 			}
 			fresh := profileByVM(t, res.Prog, nil)
 			for name, want := range fresh.Procs {
@@ -305,5 +368,3 @@ func TestFuzzFormatRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-var _ = vm.New // keep the import for helpers defined in core_test.go

@@ -340,6 +340,10 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 	}
 	cfg.Obs.AddSince("exp.profile.ns", profStart)
 	cfg.Obs.Add("exp.profile.programs", 1)
+	if log := w.DecisionLog(); log != nil {
+		cfg.Obs.Add("exp.replay.decisions", int64(log.Len()))
+		cfg.Obs.Add("exp.replay.log_bytes", int64(log.SizeBytes()))
+	}
 	u := &evalUnit{
 		w: w, pf: pf, origInstrs: origInstrs,
 		variants: map[string]*variant{"orig": {prog: w.Prog, prof: pf}},
@@ -416,18 +420,22 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 }
 
 // sameVariant reports whether a and b stream the same trace to the same
-// cells: the same program, the same profile (the walk model of a synthetic
-// program, and the LIKELY hints of every one) and, for a synthetic program,
-// the same walk kind. workload.Stream stops the original program's walk at
-// its instruction budget but an aligned one's after the original's run
-// count, so an aligned layout equal to the original still walks
+// cells. The fields compared are the ones the cells read. Both executors
+// read only a profile's branch counts (the LIKELY hints). A VM variant's
+// stream replays the workload's decision log through the program, so it
+// reads no profile: VM variants are equal when their programs and branch
+// counts are. A synthetic program's walk reads the whole profile, its
+// model, and its walk kind: workload.Stream stops the original program's
+// walk at its instruction budget but an aligned one's after the original's
+// run count, so an aligned layout equal to the original still walks
 // differently. The fields are compared directly: a program has at most 16
 // variants, and comparison needs no argument about hash collisions.
 func (u *evalUnit) sameVariant(a, b *variant) bool {
-	if !u.w.IsKernel() && (a.prog == u.w.Prog) != (b.prog == u.w.Prog) {
-		return false
+	if u.w.IsKernel() {
+		return sameProgram(a.prog, b.prog) && sameBranches(a.prof, b.prof)
 	}
-	return sameProgram(a.prog, b.prog) && sameProfile(a.prof, b.prof)
+	return (a.prog == u.w.Prog) == (b.prog == u.w.Prog) &&
+		sameProgram(a.prog, b.prog) && sameProfile(a.prof, b.prof)
 }
 
 // sameProgram compares what ir.Program.Format prints (names, entry
@@ -457,6 +465,13 @@ func sameProfile(a, b *profile.Profile) bool {
 			return pa.EntryCount == pb.EntryCount && maps.Equal(pa.Edges, pb.Edges) &&
 				maps.Equal(pa.Branches, pb.Branches)
 		})
+}
+
+// sameBranches compares each procedure's branch counts.
+func sameBranches(a, b *profile.Profile) bool {
+	return maps.EqualFunc(a.Procs, b.Procs, func(pa, pb *profile.ProcProfile) bool {
+		return maps.Equal(pa.Branches, pb.Branches)
+	})
 }
 
 // makeCell derives one cell's paper metrics from its exact simulation

@@ -14,6 +14,7 @@ func fastCfg(programs ...string) Config {
 }
 
 func TestTable1MentionsAllCosts(t *testing.T) {
+	t.Parallel()
 	s := Table1()
 	for _, want := range []string{"Unconditional", "fall-through", "taken", "Mispredicted", "5", "2", "1"} {
 		if !strings.Contains(s, want) {
@@ -23,6 +24,7 @@ func TestTable1MentionsAllCosts(t *testing.T) {
 }
 
 func TestTable2SubsetShape(t *testing.T) {
+	t.Parallel()
 	rows, err := Table2(fastCfg("ora", "compress", "db++"))
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +47,7 @@ func TestTable2SubsetShape(t *testing.T) {
 }
 
 func TestTable3ShapeOnSubset(t *testing.T) {
+	t.Parallel()
 	cfg := fastCfg("ora", "compress")
 	results, err := Table3(cfg)
 	if err != nil {
@@ -85,6 +88,7 @@ func TestTable3ShapeOnSubset(t *testing.T) {
 }
 
 func TestTable4ShapeOnSubset(t *testing.T) {
+	t.Parallel()
 	cfg := fastCfg("ora")
 	results, err := Table4(cfg)
 	if err != nil {
@@ -115,6 +119,7 @@ func TestTable4ShapeOnSubset(t *testing.T) {
 }
 
 func TestAlignmentNarrowsArchitectureGap(t *testing.T) {
+	t.Parallel()
 	// Paper: "branch alignment reduces the difference in performance
 	// between the various branch architectures" — check FALLTHROUGH vs
 	// LIKELY converge after Try15.
@@ -133,6 +138,7 @@ func TestAlignmentNarrowsArchitectureGap(t *testing.T) {
 }
 
 func TestFigure1Results(t *testing.T) {
+	t.Parallel()
 	results, err := Figure1(fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +178,7 @@ func TestFigure1Results(t *testing.T) {
 }
 
 func TestFigure2Result(t *testing.T) {
+	t.Parallel()
 	r, err := Figure2(fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +193,7 @@ func TestFigure2Result(t *testing.T) {
 }
 
 func TestFigure3Result(t *testing.T) {
+	t.Parallel()
 	rows, err := Figure3(fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +211,7 @@ func TestFigure3Result(t *testing.T) {
 }
 
 func TestFigure4Subset(t *testing.T) {
+	t.Parallel()
 	rows, err := Figure4(fastCfg("compress", "eqntott"))
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +236,7 @@ func TestFigure4Subset(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
+	t.Parallel()
 	rows, err := Ablation(fastCfg("ora"))
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +259,7 @@ func TestAblation(t *testing.T) {
 }
 
 func TestEvaluateClassAverage(t *testing.T) {
+	t.Parallel()
 	cfg := fastCfg("ora")
 	w, err := workload.ByName("ora", workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
@@ -267,6 +278,7 @@ func TestEvaluateClassAverage(t *testing.T) {
 }
 
 func TestTryNNeverWorsensBTFNT(t *testing.T) {
+	t.Parallel()
 	// Regression guard for two bugs found during reproduction: BT/FNT must
 	// predict from the static displacement (not the event outcome), and
 	// the BT/FNT cost model must charge fall-through executions of a

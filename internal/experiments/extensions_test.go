@@ -6,6 +6,7 @@ import (
 )
 
 func TestPenaltySweep(t *testing.T) {
+	t.Parallel()
 	rows, err := PenaltySweep("compress", fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +30,7 @@ func TestPenaltySweep(t *testing.T) {
 }
 
 func TestCrossTraining(t *testing.T) {
+	t.Parallel()
 	rows, err := CrossTraining([]string{"compress"}, fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +51,7 @@ func TestCrossTraining(t *testing.T) {
 }
 
 func TestUnrollStudy(t *testing.T) {
+	t.Parallel()
 	rows, err := UnrollStudy([]string{"alvinn"}, fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +74,7 @@ func TestUnrollStudy(t *testing.T) {
 }
 
 func TestICacheStudy(t *testing.T) {
+	t.Parallel()
 	// This study needs a long enough walk to get past cold misses — a
 	// 100k-instruction walk of a flat-profile program barely touches the
 	// 8 KB cache in any layout and the MPKI ratio is pure noise.
@@ -94,6 +98,7 @@ func TestICacheStudy(t *testing.T) {
 }
 
 func TestHintStudy(t *testing.T) {
+	t.Parallel()
 	rows, err := HintStudy([]string{"espresso", "gcc"}, fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +123,7 @@ func TestHintStudy(t *testing.T) {
 }
 
 func TestSeedSweep(t *testing.T) {
+	t.Parallel()
 	rows, err := SeedSweep([]string{"ora"}, 4, fastCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +144,7 @@ func TestSeedSweep(t *testing.T) {
 }
 
 func TestMeanStd(t *testing.T) {
+	t.Parallel()
 	m, s := meanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if m != 5 {
 		t.Errorf("mean = %v, want 5", m)

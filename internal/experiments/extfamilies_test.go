@@ -23,6 +23,7 @@ const cfgFixture = "../../testdata/cfg/go_scanobject.dot"
 // state and shows up as a byte diff. make suite-smoke reruns this under
 // GOMAXPROCS=4 and -race.
 func TestExtendedFamiliesStreamParity(t *testing.T) {
+	t.Parallel()
 	cfg := fastCfg("phased", "mp", "sc-meld")
 	cfg.CFG = []string{cfgFixture}
 	archs := predict.DynamicArchs()
@@ -54,6 +55,7 @@ func TestExtendedFamiliesStreamParity(t *testing.T) {
 // directly: the committed fixture resolves to a runnable workload named
 // after the document's program.
 func TestImportWorkloadFromFixture(t *testing.T) {
+	t.Parallel()
 	w, err := ImportWorkload(cfgFixture, workload.Config{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +72,7 @@ func TestImportWorkloadFromFixture(t *testing.T) {
 // both suite kernels have meldable sites, every row prices all four
 // layouts, and the melded variants execute (CPI > 0) on every arch.
 func TestMeldStudyRuns(t *testing.T) {
+	t.Parallel()
 	rows, err := MeldStudy(nil, fastCfg())
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 // model to get there: its single layout reduces taken transfers enough to
 // win everywhere the predictor absorbs most mispredicts.
 func TestExtTSPBeatsCostOnDynamicArchs(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-program evaluation grid")
 	}

@@ -3,30 +3,36 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"balign/internal/predict"
+	"balign/internal/profile"
 	"balign/internal/trace"
 	"balign/internal/workload"
 )
 
 // TestFoldMatchesDigest is the oracle for preparation's fold of equal
 // variants: newEvalUnit must fold each variant key into exactly the first
-// key in first-need order whose digest of Format() text, profile text and
-// walk kind is the same, over every suite program and over the benchmark's
-// two grids at their own scales. The distinct counts pin how much the grid
-// is spared. The test prepares units only; it streams nothing.
+// key in first-need order with the same digest (variantDigest: the Format()
+// text plus, for a VM program, its branch counts, and for a synthetic
+// program its profile text and walk kind), over every suite program and
+// over the benchmark's two grids at their own scales. The distinct counts
+// pin how much the grid is spared. The test prepares units only; it
+// streams nothing.
 func TestFoldMatchesDigest(t *testing.T) {
+	t.Parallel()
 	grids := []struct {
 		name            string
 		scale           float64
 		programs        []string
 		total, distinct int
 	}{
-		{"suite", fastCfg().Scale, workload.Names(), 384, 221},
-		{"suite-sim", 3.0, []string{"compress", "li", "sc", "eqntott", "tomcatv", "db++", "alvinn"}, 112, 35},
-		{"suite-align", 0.1, []string{"ora", "compress", "espresso", "db++", "doduc", "li"}, 96, 46},
+		{"suite", fastCfg().Scale, workload.Names(), 384, 215},
+		{"suite-sim", 3.0, []string{"compress", "li", "sc", "eqntott", "tomcatv", "db++", "alvinn"}, 112, 31},
+		{"suite-align", 0.1, []string{"ora", "compress", "espresso", "db++", "doduc", "li"}, 96, 44},
 	}
 	archs := predict.AllArchs()
 	for _, g := range grids {
@@ -86,7 +92,7 @@ func assertFoldMatchesDigest(t *testing.T, u *evalUnit, archs []predict.ArchID) 
 	first := map[[sha256.Size]byte]string{}
 	var reps []string
 	for _, k := range order {
-		d := foldDigest(t, u, k)
+		d := variantDigest(t, u, u.variants[k])
 		rep, seen := first[d]
 		if !seen {
 			rep = k
@@ -103,24 +109,84 @@ func assertFoldMatchesDigest(t *testing.T, u *evalUnit, archs []predict.ArchID) 
 	if !slices.Equal(u.keys, reps) {
 		t.Errorf("%s: distinct keys %v, digests give %v", u.w.Name, u.keys, reps)
 	}
+
+	// Copies of each distinct variant with one profile field changed, which
+	// the grid itself never produces: sameVariant must agree with the
+	// digest on them too, so the fold compares exactly the fields the
+	// digest reads.
+	for _, k := range u.keys {
+		v := u.variants[k]
+		d := foldedProfile(t, u, v)
+		for field, change := range profileChanges {
+			p := &variant{prog: v.prog, prof: copyProfile(v.prof)}
+			change(p.prof)
+			want := bytes.Equal(foldedProfile(t, u, p), d) // the programs are one
+			if got := u.sameVariant(v, p); got != want {
+				t.Errorf("%s/%s: a copy with its profile's %s changed folds = %v, its digest says %v", u.w.Name, k, field, got, want)
+			}
+		}
+	}
 }
 
-// foldDigest hashes what the fold must treat as one variant: the key's
-// program text, its profile text and, for a synthetic program, whether it
-// is walked as the original.
-func foldDigest(t *testing.T, u *evalUnit, key string) [sha256.Size]byte {
+// profileChanges each change one profile field in place.
+var profileChanges = map[string]func(*profile.Profile){
+	"Edges": func(pf *profile.Profile) {
+		for _, pp := range pf.Procs {
+			for e := range pp.Edges {
+				pp.Edges[e] = 2*pp.Edges[e] + 1
+			}
+		}
+	},
+	"EntryCount": func(pf *profile.Profile) {
+		for _, pp := range pf.Procs {
+			pp.EntryCount += 7
+		}
+	},
+	"Instrs": func(pf *profile.Profile) { pf.Instrs = 3*pf.Instrs + 1 },
+	"Branches": func(pf *profile.Profile) {
+		for _, pp := range pf.Procs {
+			for b, c := range pp.Branches {
+				pp.Branches[b] = profile.BranchCount{Taken: c.Fall, Fall: c.Taken + 1}
+			}
+		}
+	},
+}
+
+// variantDigest hashes what the fold must treat as one variant: its
+// program text and what foldedProfile reads of its profile.
+func variantDigest(t *testing.T, u *evalUnit, v *variant) [sha256.Size]byte {
 	t.Helper()
-	v := u.variants[key]
 	var buf bytes.Buffer
 	buf.WriteString(v.prog.Format())
 	buf.WriteByte(0)
-	if _, err := v.prof.WriteTo(&buf); err != nil {
-		t.Fatalf("%s/%s: profile WriteTo: %v", u.w.Name, key, err)
+	buf.Write(foldedProfile(t, u, v))
+	return sha256.Sum256(buf.Bytes())
+}
+
+// foldedProfile renders what the fold must read of v's profile: for a VM
+// program, its branch counts (the replay reads no profile, the executors
+// only the branch counts); for a synthetic program, its profile text and
+// whether it is walked as the original.
+func foldedProfile(t *testing.T, u *evalUnit, v *variant) []byte {
+	t.Helper()
+	if u.w.IsKernel() {
+		var lines []string
+		for name, pp := range v.prof.Procs {
+			for b, c := range pp.Branches {
+				lines = append(lines, fmt.Sprintf("%s %d %d %d\n", name, b, c.Taken, c.Fall))
+			}
+		}
+		slices.Sort(lines)
+		return []byte(strings.Join(lines, ""))
 	}
-	if !u.w.IsKernel() && v.prog == u.w.Prog {
+	var buf bytes.Buffer
+	if _, err := v.prof.WriteTo(&buf); err != nil {
+		t.Fatalf("%s: profile WriteTo: %v", u.w.Name, err)
+	}
+	if v.prog == u.w.Prog {
 		buf.WriteString("\x00orig walk")
 	}
-	return sha256.Sum256(buf.Bytes())
+	return buf.Bytes()
 }
 
 // TestFoldKeepsWalkKind shows why the fold compares walk kinds. A copy of
@@ -133,6 +199,7 @@ func foldDigest(t *testing.T, u *evalUnit, key string) [sha256.Size]byte {
 // would hide the difference.) A VM kernel's stream does not depend on
 // which copy runs, so there the copy folds.
 func TestFoldKeepsWalkKind(t *testing.T) {
+	t.Parallel()
 	wcfg := workload.Config{Scale: fastCfg().Scale}
 	synth, err := ImportWorkload(cfgFixture, wcfg)
 	if err != nil {

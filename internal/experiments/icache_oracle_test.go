@@ -24,6 +24,7 @@ var icacheOracleWorkloads = []string{"ora", "gcc", "alvinn", "tomcatv", "compres
 // push-fed replay is the pass preparation used to run; it survives only
 // here, as the reference.
 func TestICacheStreamMatchesRun(t *testing.T) {
+	t.Parallel()
 	archs := predict.AllArchs()
 	for _, name := range icacheOracleWorkloads {
 		t.Run(name, func(t *testing.T) {

@@ -25,6 +25,7 @@ var kernelWorkloads = []string{
 // same grid on the compiled flat kernel (-kernel=flat), over every workload
 // kernel and every static and dynamic architecture.
 func TestKernelMatchesReferenceGrid(t *testing.T) {
+	t.Parallel()
 	archs := predict.AllArchs()
 	run := func(mode string) string {
 		cfg := fastCfg(kernelWorkloads...)
@@ -87,6 +88,7 @@ func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit,
 // equal to the reference simulator replaying the events the same workload
 // pushes through w.Run.
 func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
+	t.Parallel()
 	archs := predict.AllArchs()
 	for _, name := range kernelWorkloads {
 		t.Run(name, func(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 // state, unseeded RNG, order-dependent reduction — shows up as an encoding
 // diff.
 func TestParallelMatchesSerialOracle(t *testing.T) {
+	t.Parallel()
 	programs := []string{"ora", "compress", "db++", "espresso"}
 	archs := predict.AllArchs()
 
@@ -42,6 +43,7 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 // TestParallelismSettingsAgree spot-checks more worker counts on a smaller
 // grid, including the GOMAXPROCS default (0).
 func TestParallelismSettingsAgree(t *testing.T) {
+	t.Parallel()
 	archs := predict.StaticArchs()
 	var want string
 	for i, par := range []int{1, 0, 2, 3, 16} {
@@ -70,6 +72,7 @@ func TestParallelismSettingsAgree(t *testing.T) {
 // telemetry-on runs actually recorded something, so a silently disabled
 // recorder can't fake a pass.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
+	t.Parallel()
 	archs := predict.StaticArchs()
 	baseCfg := fastCfg("ora", "compress")
 	baseCfg.Parallelism = 1

@@ -24,6 +24,7 @@ import (
 // aligned variants' work-equivalent truncation, which must stop every
 // aligned walk after the profiling walk's complete-run count.
 func TestStreamMatchesRecordedSynthetic(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 42, 1337} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			for _, name := range []string{"ora", "doduc", "gcc", "db++"} {
@@ -133,18 +134,24 @@ func streamMatchesRun(t *testing.T, w *workload.Workload, key string, prog *ir.P
 	return 0, false
 }
 
+// replayWorkloads are every VM workload: the eight paper kernels and the
+// five extended families, two of which (mp, kmp) repeat their run.
+var replayWorkloads = append(append([]string{}, kernelWorkloads...), workload.ExtNames()...)
+
 // TestStreamPerSiteParityAcrossGrid is the generation half of the per-site
-// guarantee for the workload kernels: for every variant gridVariants
-// returns, the batches w.Stream produces, decoded through the variant's
-// layout, equal the events w.Run pushes, field for field, with the same
-// instruction count. Equal event sequences give every consumer — flat
-// kernel, reference simulator, per-site recorder — the same per-site
+// guarantee for the VM workloads: for every variant gridVariants returns,
+// the batches w.Stream produces — the original's decision log replayed
+// through the variant's layout — decoded through the layout, equal the
+// events w.Run pushes as the VM executes that layout, field for field, with
+// the same instruction count. Equal event sequences give every consumer —
+// flat kernel, reference simulator, per-site recorder — the same per-site
 // attribution from either generator, so a divergence in
 // TestKernelPerSiteParityAcrossGrid that this test does not share lies in
 // the kernel, not in the stream. TestStreamMatchesRecordedSynthetic makes
 // the same check for the walker-backed workloads.
 func TestStreamPerSiteParityAcrossGrid(t *testing.T) {
-	for _, name := range kernelWorkloads {
+	t.Parallel()
+	for _, name := range replayWorkloads {
 		t.Run(name, func(t *testing.T) {
 			u, keys := gridVariants(t, name, predict.AllArchs())
 			for _, key := range keys {

@@ -92,7 +92,9 @@ func TestOneStreamerPerDaemon(t *testing.T) {
 
 // TestSimulateColumnsAndFold reads the grid's preparation off balignd's
 // recorder: a suite request prepares only the variants of its columns, and
-// an inline request folds equal variants before it broadcasts.
+// an inline request folds equal variants before it broadcasts. The VM
+// request folds one variant more than the walk request, because a VM
+// variant folds on its program and branch counts alone.
 func TestSimulateColumnsAndFold(t *testing.T) {
 	counters := func(req map[string]any) map[string]int64 {
 		rec := obs.New("test")
@@ -113,12 +115,13 @@ func TestSimulateColumnsAndFold(t *testing.T) {
 		}
 	}
 
+	want := map[string]int64{"vm": 4, "walk": 5}
 	for _, tc := range inlineGoldenCases(t) {
 		c := counters(tc.req)
 		total, distinct, broadcasts := c["exp.variants.total"], c["exp.variants.distinct"], c["sim.stream.broadcasts"]
-		if total != 16 || distinct != 5 || broadcasts != 5 {
-			t.Errorf("%s: %d variant keys, %d distinct, %d broadcasts; want 16, 5 and 5",
-				tc.name, total, distinct, broadcasts)
+		if total != 16 || distinct != want[tc.name] || broadcasts != want[tc.name] {
+			t.Errorf("%s: %d variant keys, %d distinct, %d broadcasts; want 16, %d and %d",
+				tc.name, total, distinct, broadcasts, want[tc.name], want[tc.name])
 		}
 	}
 }

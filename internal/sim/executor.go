@@ -131,8 +131,7 @@ func (x *Executor) Stats() ExecStats {
 // broadcast like the kernel's. They produce no result and count as no
 // cell.
 //
-// SimulateStream owns src: it is closed before returning, so an aborted
-// broadcast cannot leave a generator goroutine blocked.
+// SimulateStream owns src: it is closed before returning.
 //
 // ctx bounds the broadcast: cancelling it (a request deadline, a failing
 // sibling shard) aborts the stream promptly and SimulateStream returns the

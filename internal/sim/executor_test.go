@@ -47,7 +47,7 @@ func TestExecutorModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewExecutor(%s): %v", mode, err)
 		}
-		got, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(0), f.w.Prog, f.prof, archs)
+		got, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(t, 0), f.w.Prog, f.prof, archs)
 		if err != nil {
 			t.Fatalf("%s: SimulateStream: %v", mode, err)
 		}
@@ -83,7 +83,7 @@ func TestExecutorSimulateErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		archs := []predict.ArchID{predict.ArchLikely}
-		if _, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(0), f.w.Prog, nil, archs); err == nil {
+		if _, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(t, 0), f.w.Prog, nil, archs); err == nil {
 			t.Errorf("%s: SimulateStream(likely, nil profile) succeeded", mode)
 		}
 	}

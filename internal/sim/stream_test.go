@@ -68,14 +68,62 @@ func newStreamFixture(t *testing.T) *streamFixture {
 }
 
 // source returns a fresh Source replaying the fixture's recorded stream.
-func (f *streamFixture) source(batchCap int) trace.Source {
-	return trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
-		for _, e := range f.events {
-			sink.Event(e)
-		}
-		return f.instrs, nil
-	})
+func (f *streamFixture) source(t *testing.T, batchCap int) trace.Source {
+	return f.packed(t, batchCap, -1, nil)
 }
+
+// packed returns a synchronous Source serving the fixture's events packed
+// into batches of batchCap (0 means trace.DefaultBatchCap). If at is
+// nonnegative, fault runs when batch at (0-based) is requested: a non-nil
+// error fails that Fill, and nil lets the stream go on.
+func (f *streamFixture) packed(t *testing.T, batchCap, at int, fault func() error) *packedSource {
+	t.Helper()
+	if batchCap <= 0 {
+		batchCap = trace.DefaultBatchCap
+	}
+	src := &packedSource{instrs: f.instrs, at: at, fault: fault}
+	for i := 0; i < len(f.events); i += batchCap {
+		var b trace.Batch
+		for _, e := range f.events[i:min(i+batchCap, len(f.events))] {
+			if err := f.lay.Append(&b, e); err != nil {
+				t.Fatalf("packing the fixture: %v", err)
+			}
+		}
+		src.batches = append(src.batches, b)
+	}
+	return src
+}
+
+// packedSource is a test Source over pre-packed batches, with an optional
+// fault at one batch.
+type packedSource struct {
+	batches []trace.Batch
+	next    int
+	instrs  uint64
+	at      int
+	fault   func() error
+}
+
+func (s *packedSource) Fill(b *trace.Batch) (bool, error) {
+	b.Reset()
+	if s.next == s.at {
+		if err := s.fault(); err != nil {
+			return false, err
+		}
+	}
+	if s.next >= len(s.batches) {
+		return false, nil
+	}
+	src := &s.batches[s.next]
+	b.Ops = append(b.Ops, src.Ops...)
+	b.Targets = append(b.Targets, src.Targets...)
+	s.next++
+	return true, nil
+}
+
+func (s *packedSource) Instrs() uint64 { return s.instrs }
+
+func (s *packedSource) Close() {}
 
 // reference feeds the fixture's events one by one to a fresh reference
 // simulator per architecture and returns their results, index-aligned
@@ -112,7 +160,7 @@ func TestSimulateStreamMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			str := NewStreamer(0, 512, rec)
-			got, err := x.SimulateStream(nil, str, f.lay, f.source(512), f.w.Prog, f.prof, archs)
+			got, err := x.SimulateStream(nil, str, f.lay, f.source(t, 512), f.w.Prog, f.prof, archs)
 			if err != nil {
 				t.Fatalf("SimulateStream: %v", err)
 			}
@@ -156,7 +204,7 @@ func TestSimulateStreamBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	str := NewStreamer(4, 1024, nil)
-	if _, err := x.SimulateStream(nil, str, f.lay, f.source(1024), f.w.Prog, f.prof, predict.AllArchs()); err != nil {
+	if _, err := x.SimulateStream(nil, str, f.lay, f.source(t, 1024), f.w.Prog, f.prof, predict.AllArchs()); err != nil {
 		t.Fatal(err)
 	}
 	peak, whole := str.Stats().PeakLiveBytes, uint64(len(f.events))*uint64(unsafe.Sizeof(trace.Event{}))
@@ -171,7 +219,7 @@ func TestBroadcastConsumerError(t *testing.T) {
 	f := newStreamFixture(t)
 	str := NewStreamer(2, 64, nil)
 	var healthyBatches atomic.Int64
-	err := str.Broadcast(nil, f.source(64), []func(*trace.Batch) error{
+	err := str.Broadcast(nil, f.source(t, 64), []func(*trace.Batch) error{
 		func(*trace.Batch) error { healthyBatches.Add(1); return nil },
 		func(*trace.Batch) error { return fmt.Errorf("consumer blew up") },
 	})
@@ -192,8 +240,7 @@ func TestBroadcastConsumerError(t *testing.T) {
 // turn of the ring. SimulateStream over every architecture plus one extra
 // consumer must return the source's packing error, every consumer must
 // have seen exactly the k good batches, the ring gauges must drain to
-// zero, and no goroutine (the generator's, the consumers') may outlive
-// the call.
+// zero, and no goroutine (the consumers') may outlive the call.
 func TestBroadcastSourceError(t *testing.T) {
 	f := newStreamFixture(t)
 	const ring, batchCap = DefaultStreamBuffers, 16
@@ -207,13 +254,10 @@ func TestBroadcastSourceError(t *testing.T) {
 				t.Fatal(err)
 			}
 			str := NewStreamer(ring, batchCap, rec)
-			src := trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
-				for _, e := range f.events[:k*batchCap] {
-					sink.Event(e)
-				}
-				// A PC with no layout slot makes the packing sink fail the fill.
-				sink.Event(trace.Event{PC: 0xbad0_0000, Kind: ir.CondBr})
-				return 0, nil
+			src := f.packed(t, batchCap, k, func() error {
+				// A PC with no layout slot fails the fill's packing.
+				var b trace.Batch
+				return f.lay.Append(&b, trace.Event{PC: 0xbad0_0000, Kind: ir.CondBr})
 			})
 			var extra atomic.Int64
 			_, err = x.SimulateStream(nil, str, f.lay, src, f.w.Prog, f.prof, archs,
@@ -235,13 +279,13 @@ func TestBroadcastSourceError(t *testing.T) {
 }
 
 // TestSimulateStreamCancel is the cancelling-source case of the
-// mid-pipeline fault matrix: a source that packs k full batches, cancels
-// the broadcast's context and then emits the rest of the fixture (so its
-// generator still ends), for k before, inside and past one turn of the
+// mid-pipeline fault matrix: a source that serves k full batches, cancels
+// the broadcast's context as batch k is requested and then serves the
+// rest of the fixture, for k before, inside and past one turn of the
 // ring. SimulateStream over every architecture plus one extra consumer
 // must return the cancellation, stream at most the one batch already
 // requested when the cancel landed, drain the ring gauges to zero, and
-// leave no goroutine (the generator's, the consumers') behind.
+// leave no goroutine (the consumers') behind.
 func TestSimulateStreamCancel(t *testing.T) {
 	f := newStreamFixture(t)
 	const ring, batchCap = DefaultStreamBuffers, 16
@@ -256,15 +300,7 @@ func TestSimulateStreamCancel(t *testing.T) {
 			str := NewStreamer(ring, batchCap, nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			src := trace.NewFuncSource(f.lay, batchCap, func(sink trace.Sink) (uint64, error) {
-				for i, e := range f.events {
-					if i == k*batchCap {
-						cancel()
-					}
-					sink.Event(e)
-				}
-				return f.instrs, nil
-			})
+			src := f.packed(t, batchCap, k, func() error { cancel(); return nil })
 			_, err = x.SimulateStream(ctx, str, f.lay, src, f.w.Prog, f.prof, archs,
 				func(*trace.Batch) error { return nil })
 			if !errors.Is(err, context.Canceled) {
@@ -290,7 +326,7 @@ func TestShardSlowConsumerStallIsolation(t *testing.T) {
 	str := NewStreamer(ring, 4096, rec)
 	var fast, slow atomic.Int64
 	var maxLead atomic.Int64
-	err := str.Broadcast(nil, f.source(4096), []func(*trace.Batch) error{
+	err := str.Broadcast(nil, f.source(t, 4096), []func(*trace.Batch) error{
 		func(*trace.Batch) error {
 			lead := fast.Add(1) - slow.Load()
 			for {
@@ -345,7 +381,7 @@ func TestStreamGaugesDrainOnError(t *testing.T) {
 	rec := obs.New("test")
 	str := NewStreamer(2, 64, rec)
 	var n atomic.Int64
-	err := str.Broadcast(nil, f.source(64), []func(*trace.Batch) error{
+	err := str.Broadcast(nil, f.source(t, 64), []func(*trace.Batch) error{
 		func(*trace.Batch) error {
 			if n.Add(1) == 3 {
 				return errors.New("consumer died")
@@ -377,7 +413,7 @@ func TestStreamArenaReuse(t *testing.T) {
 	f := newStreamFixture(t)
 	str := NewStreamer(3, 128, nil)
 	consume := []func(*trace.Batch) error{func(*trace.Batch) error { return nil }}
-	if err := str.Broadcast(nil, f.source(128), consume); err != nil {
+	if err := str.Broadcast(nil, f.source(t, 128), consume); err != nil {
 		t.Fatal(err)
 	}
 	first := str.Stats()
@@ -387,7 +423,7 @@ func TestStreamArenaReuse(t *testing.T) {
 	if first.LiveBuffers != 0 || first.LiveBytes != 0 {
 		t.Errorf("gauges not drained between broadcasts: %+v", first)
 	}
-	if err := str.Broadcast(nil, f.source(128), consume); err != nil {
+	if err := str.Broadcast(nil, f.source(t, 128), consume); err != nil {
 		t.Fatal(err)
 	}
 	second := str.Stats()
@@ -423,7 +459,7 @@ func TestBroadcastBackpressure(t *testing.T) {
 	f := newStreamFixture(t)
 	const ring = 2
 	str := NewStreamer(ring, 32, nil)
-	src := &fillCounter{Source: f.source(32)}
+	src := &fillCounter{Source: f.source(t, 32)}
 	defer src.Close()
 	held := false
 	err := str.Broadcast(nil, src, []func(*trace.Batch) error{
@@ -475,8 +511,9 @@ func TestBroadcastConcurrent(t *testing.T) {
 	errc := make(chan error, grids)
 	var events atomic.Uint64
 	for g := 0; g < grids; g++ {
+		src := f.source(t, 128)
 		go func() {
-			errc <- str.Broadcast(nil, f.source(128), []func(*trace.Batch) error{
+			errc <- str.Broadcast(nil, src, []func(*trace.Batch) error{
 				func(b *trace.Batch) error { events.Add(uint64(b.Len())); return nil },
 				func(b *trace.Batch) error { return nil },
 				func(b *trace.Batch) error { return nil },
@@ -515,9 +552,10 @@ func TestBroadcastContextCancel(t *testing.T) {
 	// prompt return is attributable only to the cancellation.
 	var consumed atomic.Int64
 	done := make(chan error, 1)
+	src := f.source(t, 32)
 	start := time.Now()
 	go func() {
-		done <- str.Broadcast(ctx, f.source(32), []func(*trace.Batch) error{
+		done <- str.Broadcast(ctx, src, []func(*trace.Batch) error{
 			func(*trace.Batch) error {
 				consumed.Add(1)
 				time.Sleep(10 * time.Millisecond)
@@ -555,7 +593,7 @@ func TestBroadcastPreCancelledContext(t *testing.T) {
 	str := NewStreamer(0, 64, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	src := f.source(64)
+	src := f.source(t, 64)
 	defer src.Close()
 	var consumed atomic.Int64
 	err := str.Broadcast(ctx, src, []func(*trace.Batch) error{

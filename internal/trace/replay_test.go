@@ -34,9 +34,12 @@ func (m multiEdgeSink) Instrs(n uint64) {
 
 // TestWalkerReplaysVMExactly is the differential test between the repo's two
 // trace producers: the VM (real semantics) and the Walker (CFG walk driven
-// by a behaviour model). A ScriptModel recorded from the VM execution forces
-// the walker down the identical path, so the two must emit byte-identical
-// event streams, identical edge profiles and identical instruction counts.
+// by a behaviour model). The decision log recorded from the VM execution,
+// replayed as the walker's model, forces the walker down the identical
+// path, so the two must emit byte-identical event streams, identical edge
+// profiles and identical instruction counts, and the walk must consume the
+// log exactly. The same log streamed by NewReplaySource, the compiled
+// replay every VM variant of the grid streams, must match too.
 // Divergence means one producer mis-handles some control-flow shape — the
 // exact class of bug that would silently skew every simulated table.
 func TestWalkerReplaysVMExactly(t *testing.T) {
@@ -51,30 +54,34 @@ func TestWalkerReplaysVMExactly(t *testing.T) {
 		}
 		tested++
 		t.Run(w.Name, func(t *testing.T) {
-			// Record the VM execution: events, edge profile and the script.
-			script := trace.NewScriptModel(w.Prog)
+			// Record the VM execution: events, edge profile and the log.
+			log := trace.NewDecisionLog(w.Prog)
 			var vmEvents trace.Recorder
 			vmProf := profile.NewCollector(w.Prog)
-			vmInstrs, err := w.Run(w.Prog, nil, &vmEvents, multiEdgeSink{script, vmProf})
+			vmInstrs, err := w.Run(w.Prog, nil, &vmEvents, multiEdgeSink{log, vmProf})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Replay through the walker under the scripted model. The VM
+			// Replay through the walker under the log's model. The VM
 			// emits no event for its final halt, so an instruction budget of
 			// exactly vmInstrs ends the walk at the same point.
+			replay, err := log.Replay(w.Prog)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var wkEvents trace.Recorder
 			wkProf := profile.NewCollector(w.Prog)
 			walker := &trace.Walker{
 				Prog:      w.Prog,
-				Model:     script,
+				Model:     replay,
 				MaxInstrs: vmInstrs,
 				MaxDepth:  1 << 12,
 			}
-			wkInstrs, _ := walker.Run(&wkEvents, wkProf)
+			wkInstrs, runs := walker.Run(&wkEvents, wkProf)
 
-			if script.Mismatches != 0 {
-				t.Errorf("walker consulted the script %d times past the recording — paths diverged", script.Mismatches)
+			if err := replay.Err(); err != nil {
+				t.Errorf("walker did not consume the log exactly — paths diverged: %v", err)
 			}
 			if wkInstrs != vmInstrs {
 				t.Errorf("instruction counts differ: vm %d, walker %d", vmInstrs, wkInstrs)
@@ -94,6 +101,21 @@ func TestWalkerReplaysVMExactly(t *testing.T) {
 			}
 			if vmBuf.String() != wkBuf.String() {
 				t.Errorf("edge profiles differ:\nvm:\n%s\nwalker:\n%s", vmBuf.String(), wkBuf.String())
+			}
+
+			lay, err := trace.CompileLayout(w.Prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := trace.NewReplaySource(log, w.Prog, lay, 512, runs, vmInstrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := compareEvents(vmEvents.Events, drainSource(t, lay, src)); err != nil {
+				t.Errorf("replay source: %v", err)
+			}
+			if src.Instrs() != vmInstrs {
+				t.Errorf("instruction counts differ: vm %d, replay source %d", vmInstrs, src.Instrs())
 			}
 		})
 	}

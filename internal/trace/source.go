@@ -2,8 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"balign/internal/ir"
@@ -59,8 +57,8 @@ type SiteInfo struct {
 
 // Layout is the per-program half of the compile split: the dense
 // PC-indexed site table shared by every consumer of one program variant's
-// event stream (the streaming walker, the batch-encoding sink, the
-// simulation kernel and the i-cache consumer). Compile it once per program
+// event stream (the streaming walker, the simulation kernel and the
+// i-cache consumer). Compile it once per program
 // variant; it is read-only afterwards and safe for concurrent use.
 type Layout struct {
 	base  uint64
@@ -292,9 +290,7 @@ type Source interface {
 	// retired; it is final once Fill has returned false.
 	Instrs() uint64
 	// Close releases the source's resources. It is safe to call more than
-	// once and after exhaustion; an abandoned push-style source keeps its
-	// generator running in the background (discarding events) until the
-	// generator finishes its current run.
+	// once and after exhaustion.
 	Close()
 }
 
@@ -302,123 +298,3 @@ type Source interface {
 // ops are 32 KiB — far smaller than a CPU's last-level cache slice, far
 // larger than the per-batch handoff overhead.
 const DefaultBatchCap = 8192
-
-// funcSource adapts a push-style generator — anything that drives a Sink,
-// like the VM — into a pull-style Source by running it on its own
-// goroutine with a small ring of handoff buffers.
-type funcSource struct {
-	full chan *Batch
-	free chan *Batch
-	done chan struct{}
-
-	closeOnce sync.Once
-	instrs    atomic.Uint64
-
-	// err is written by the generator goroutine before it closes full and
-	// read by Fill only after full is closed, so the channel close orders
-	// the accesses.
-	err error
-}
-
-// NewFuncSource returns a Source producing the events gen pushes into its
-// sink, packed against lay in batches of batchCap (0 means
-// DefaultBatchCap). gen runs on its own goroutine; its returned
-// instruction count becomes the source's Instrs. If gen's stream does not
-// match the layout, the stream fails with the encoding error.
-func NewFuncSource(lay *Layout, batchCap int, gen func(Sink) (uint64, error)) Source {
-	if batchCap <= 0 {
-		batchCap = DefaultBatchCap
-	}
-	s := &funcSource{
-		full: make(chan *Batch, 2),
-		free: make(chan *Batch, 3),
-		done: make(chan struct{}),
-	}
-	for i := 0; i < 3; i++ {
-		s.free <- &Batch{Ops: make([]int32, 0, batchCap)}
-	}
-	go func() {
-		sink := &batchSink{lay: lay, cap: batchCap, src: s}
-		sink.cur = <-s.free
-		instrs, err := gen(sink)
-		if err == nil {
-			err = sink.err
-		}
-		if err == nil && !sink.aborted && sink.cur.Len() > 0 {
-			sink.flush()
-		}
-		s.err = err
-		s.instrs.Store(instrs)
-		close(s.full)
-	}()
-	return s
-}
-
-// batchSink is the generator-side adapter: it packs pushed events into the
-// current batch and hands full batches to the consumer.
-type batchSink struct {
-	lay *Layout
-	cap int
-	src *funcSource
-	cur *Batch
-	err error
-	// aborted is set when the consumer closed the source; the sink then
-	// discards events so the generator can run to completion unobserved.
-	aborted bool
-}
-
-// Event implements Sink.
-func (k *batchSink) Event(e Event) {
-	if k.aborted || k.err != nil {
-		return
-	}
-	if err := k.lay.Append(k.cur, e); err != nil {
-		k.err = err
-		return
-	}
-	if k.cur.Len() >= k.cap {
-		k.flush()
-	}
-}
-
-// flush hands the current batch to the consumer and takes a fresh buffer,
-// aborting if the consumer has closed the source.
-func (k *batchSink) flush() {
-	select {
-	case k.src.full <- k.cur:
-	case <-k.src.done:
-		k.aborted = true
-		return
-	}
-	select {
-	case k.cur = <-k.src.free:
-		k.cur.Reset()
-	case <-k.src.done:
-		k.aborted = true
-		k.cur = &Batch{}
-	}
-}
-
-// Fill implements Source.
-func (s *funcSource) Fill(b *Batch) (bool, error) {
-	fb, ok := <-s.full
-	if !ok {
-		b.Reset()
-		return false, s.err
-	}
-	*b, *fb = *fb, *b
-	fb.Reset()
-	select {
-	case s.free <- fb:
-	default:
-	}
-	return true, nil
-}
-
-// Instrs implements Source.
-func (s *funcSource) Instrs() uint64 { return s.instrs.Load() }
-
-// Close implements Source.
-func (s *funcSource) Close() {
-	s.closeOnce.Do(func() { close(s.done) })
-}

@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"balign/internal/ir"
@@ -145,107 +144,6 @@ func TestWalkSourceMaxRuns(t *testing.T) {
 			Seed: 1, MaxInstrs: 1 << 30, MaxRuns: maxRuns,
 		}
 		walkParityCase(t, w, 16)
-	}
-}
-
-// TestFuncSourceMatchesGen streams a push-style generator (here the Walker
-// itself driving a Sink) through NewFuncSource and requires the decoded
-// batches to reproduce the generator's stream and instruction count.
-func TestFuncSourceMatchesGen(t *testing.T) {
-	prog := callTestProgram()
-	mk := func() *trace.Walker {
-		return &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.7}, Seed: 11, MaxInstrs: 3000}
-	}
-	var rec trace.Recorder
-	wantInstrs, _ := mk().Run(&rec, nil)
-
-	lay, err := trace.CompileLayout(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := trace.NewFuncSource(lay, 64, func(sink trace.Sink) (uint64, error) {
-		instrs, _ := mk().Run(sink, nil)
-		return instrs, nil
-	})
-	defer src.Close()
-	got := drainSource(t, lay, src)
-	if err := compareEvents(rec.Events, got); err != nil {
-		t.Error(err)
-	}
-	if src.Instrs() != wantInstrs {
-		t.Errorf("instrs: source %d, generator %d", src.Instrs(), wantInstrs)
-	}
-}
-
-// TestFuncSourceEarlyClose abandons a stream mid-way; the source must not
-// deadlock its generator goroutine and repeated Close must be safe.
-func TestFuncSourceEarlyClose(t *testing.T) {
-	prog := loopTestProgram()
-	lay, err := trace.CompileLayout(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genDone := make(chan struct{})
-	src := trace.NewFuncSource(lay, 8, func(sink trace.Sink) (uint64, error) {
-		defer close(genDone)
-		w := &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.9}, Seed: 2, MaxInstrs: 100_000}
-		instrs, _ := w.Run(sink, nil)
-		return instrs, nil
-	})
-	var b trace.Batch
-	if ok, err := src.Fill(&b); !ok || err != nil {
-		t.Fatalf("first Fill = %v, %v", ok, err)
-	}
-	src.Close()
-	src.Close()
-	<-genDone // generator must run to completion, discarding events
-}
-
-// TestFuncSourceGenError propagates a generator failure through Fill.
-func TestFuncSourceGenError(t *testing.T) {
-	lay, err := trace.CompileLayout(loopTestProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := trace.NewFuncSource(lay, 8, func(trace.Sink) (uint64, error) {
-		return 0, fmt.Errorf("generator exploded")
-	})
-	defer src.Close()
-	var b trace.Batch
-	for {
-		ok, err := src.Fill(&b)
-		if ok {
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "generator exploded") {
-			t.Fatalf("Fill error = %v, want generator failure", err)
-		}
-		return
-	}
-}
-
-// TestFuncSourceLayoutMismatch: a generator emitting an event the layout
-// does not know must fail the stream with the encoding error.
-func TestFuncSourceLayoutMismatch(t *testing.T) {
-	lay, err := trace.CompileLayout(loopTestProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := trace.NewFuncSource(lay, 8, func(sink trace.Sink) (uint64, error) {
-		sink.Event(trace.Event{PC: 0x9999_0000, Kind: ir.CondBr})
-		return 1, nil
-	})
-	defer src.Close()
-	var b trace.Batch
-	for {
-		ok, err := src.Fill(&b)
-		if ok {
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "control-transfer site") {
-			t.Fatalf("Fill error = %v, want layout-mismatch failure", err)
-		}
-		return
 	}
 }
 

@@ -33,6 +33,13 @@ type WalkSource struct {
 	entryProc  int32
 	entryBlock ir.BlockID
 
+	// A replay (NewReplaySource) reads its model's log directly, drawing
+	// nothing from rng, and fails, as the VM does, a run that passes
+	// runLimit instructions; maxInstrs then holds the current run's limit.
+	replay   *LogReplay
+	runLimit uint64
+	err      error
+
 	// Suspended walk state between Fill calls.
 	stack  []walkFrame
 	proc   int32
@@ -203,15 +210,15 @@ func compileBlock(prog *ir.Program, lay *Layout, pi, bi int, b *ir.Block, p *ir.
 // into b until the batch is full or the walk ends.
 func (s *WalkSource) Fill(b *Batch) (bool, error) {
 	b.Reset()
-	if s.done {
-		return false, nil
+	if s.err != nil || s.done {
+		return false, s.err
 	}
 	var (
 		procs     = s.steps
 		model     = s.model
+		replay    = s.replay
 		rng       = s.rng
 		max       = s.maxInstrs
-		maxRuns   = s.maxRuns
 		maxDepth  = s.maxDepth
 		batchCap  = s.batchCap
 		stack     = s.stack
@@ -249,7 +256,13 @@ loop:
 		switch st.op {
 		case walkCond:
 			instrs++
-			taken := rng.Float64() < model.TakenProb(int(proc), block)
+			var taken bool
+			if replay != nil {
+				// A replay's outcome is forced: it draws nothing.
+				taken = replay.taken(int(proc), block)
+			} else {
+				taken = rng.Float64() < model.TakenProb(int(proc), block)
+			}
 			if st.forceTaken {
 				taken = true
 			}
@@ -299,7 +312,12 @@ loop:
 
 		case walkIJump:
 			instrs++
-			idx := pickIndex(rng, model.IJumpWeights(int(proc), block), len(st.targets))
+			var idx int
+			if replay != nil {
+				idx = replay.target(len(st.targets))
+			} else {
+				idx = pickIndex(rng, model.IJumpWeights(int(proc), block), len(st.targets))
+			}
 			t := st.targets[idx]
 			b.Ops = append(b.Ops, st.opTaken)
 			b.Targets = append(b.Targets, t.addr)
@@ -316,8 +334,7 @@ loop:
 			if len(stack) == 0 {
 				// Entry procedure returned: one complete run, no event.
 				runs++
-				if instrs >= max || (maxRuns > 0 && runs >= maxRuns) {
-					done = true
+				if max, done = s.endRun(instrs, runs, max); done {
 					break loop
 				}
 				proc, block, stepIdx = s.entryProc, s.entryBlock, 0
@@ -338,8 +355,7 @@ loop:
 		case walkHalt:
 			instrs++
 			runs++
-			if instrs >= max || (maxRuns > 0 && runs >= maxRuns) {
-				done = true
+			if max, done = s.endRun(instrs, runs, max); done {
 				break loop
 			}
 			stack = stack[:0]
@@ -356,8 +372,7 @@ loop:
 			// layout as program end and restarts (counting a run, no
 			// instruction).
 			runs++
-			if instrs >= max || (maxRuns > 0 && runs >= maxRuns) {
-				done = true
+			if max, done = s.endRun(instrs, runs, max); done {
 				break loop
 			}
 			stack = stack[:0]
@@ -367,9 +382,43 @@ loop:
 	}
 	s.stack = stack
 	s.proc, s.block, s.step = proc, block, stepIdx
-	s.instrs, s.runs = instrs, runs
+	s.instrs, s.runs, s.maxInstrs = instrs, runs, max
 	s.done = done
+	if s.replay != nil {
+		if s.err = s.replayErr(); s.err != nil {
+			b.Reset()
+			return false, s.err
+		}
+	}
 	return len(b.Ops) > 0, nil
+}
+
+// endRun is called as each run completes: it reports whether the walk
+// ends with this run, and the instruction limit from here on. A replay's
+// next run gets a fresh step limit.
+func (s *WalkSource) endRun(instrs uint64, runs int, max uint64) (uint64, bool) {
+	switch {
+	case s.maxRuns > 0 && runs >= s.maxRuns:
+		return max, true
+	case s.runLimit != 0:
+		return instrs + s.runLimit, false
+	}
+	return max, instrs >= max
+}
+
+// replayErr checks a replay after a Fill: it must not have left the log's
+// path, and once done it must have completed every run (a run stopped at
+// its step limit is the VM's runaway error) and consumed the log exactly.
+func (s *WalkSource) replayErr() error {
+	if err := s.replay.errLost(); err != nil || !s.done {
+		return err
+	}
+	if s.runs < s.maxRuns {
+		// The VM's own message: a replayed run fails where, and as, the
+		// VM's run of the layout would.
+		return fmt.Errorf("vm: exceeded %d steps (runaway program?)", s.runLimit)
+	}
+	return s.replay.Err()
 }
 
 // Instrs implements Source.

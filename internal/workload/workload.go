@@ -79,31 +79,53 @@ type Workload struct {
 	// supplied, when set, is the training profile CollectProfile returns
 	// instead of collecting one.
 	supplied *profile.Profile
+
+	// mu guards the two facts the original's first run fixes for every
+	// variant. The experiment engine streams a workload's variants in
+	// concurrent tasks, the original's among them, so the first write may
+	// race with reads.
+	mu sync.Mutex
 	// runs is the number of complete program runs the original walk
 	// finished within the budget; walks of aligned variants stop after the
-	// same number of runs so comparisons are work-equivalent. It is set
-	// lazily by the first original-program walk, which may race with
-	// concurrent variant walks when the experiment engine shards one
-	// workload's cells — hence the mutex.
-	runsMu sync.Mutex
-	runs   int
+	// same number of runs so comparisons are work-equivalent.
+	runs int
+	// log is a VM program's decision log, recorded by the first training
+	// run and read-only afterwards: every layout's Stream replays it.
+	log *trace.DecisionLog
 }
 
 // origRuns returns the recorded original-walk run count (0 if no original
 // walk has completed yet).
 func (w *Workload) origRuns() int {
-	w.runsMu.Lock()
-	defer w.runsMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.runs
 }
 
 // noteOrigRuns records the run count of the first completed original walk.
 func (w *Workload) noteOrigRuns(runs int) {
-	w.runsMu.Lock()
+	w.mu.Lock()
 	if w.runs == 0 {
 		w.runs = runs
 	}
-	w.runsMu.Unlock()
+	w.mu.Unlock()
+}
+
+// DecisionLog returns a VM program's decision log, or nil before the first
+// training run and for a walker-backed workload.
+func (w *Workload) DecisionLog() *trace.DecisionLog {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.log
+}
+
+// noteLog keeps the first recorded decision log.
+func (w *Workload) noteLog(log *trace.DecisionLog) {
+	w.mu.Lock()
+	if w.log == nil {
+		w.log = log
+	}
+	w.mu.Unlock()
 }
 
 // IsKernel reports whether the workload executes on the VM (true) or the
@@ -121,18 +143,12 @@ func (w *Workload) IsKernel() bool { return w.native == nil }
 func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, edges trace.EdgeSink) (uint64, error) {
 	if w.IsKernel() {
 		var total uint64
-		reps := w.repeat
-		if reps <= 0 {
-			reps = 1
-		}
-		for i := 0; i < reps; i++ {
+		for range w.reps() {
 			machine := vm.New(prog)
 			if w.setup != nil {
 				w.setup(machine)
 			}
-			if w.budget > 0 {
-				machine.MaxSteps = w.budget
-			}
+			machine.MaxSteps = w.maxSteps()
 			res, err := machine.Run(sink, edges)
 			if err != nil {
 				return total, fmt.Errorf("workload %s: %w", w.Name, err)
@@ -153,21 +169,41 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 	return instrs, nil
 }
 
+// reps returns how many times a VM program runs per trace.
+func (w *Workload) reps() int { return max(w.repeat, 1) }
+
+// maxSteps returns the step limit of each VM run: the budget, if any.
+func (w *Workload) maxSteps() uint64 {
+	if w.budget > 0 {
+		return w.budget
+	}
+	return vm.DefaultMaxSteps
+}
+
 // Stream traces prog exactly as Run does — same model, seed, budget and
 // work-equivalence rules — but as a pull-style trace.Source of packed
 // batches against prog's layout, so the stream can be broadcast to many
 // simulators without materializing the trace. batchCap 0 selects
 // trace.DefaultBatchCap.
 //
-// VM kernels run on a generator goroutine behind a trace.FuncSource;
-// walker-backed workloads use the compiled trace.WalkSource directly. The
-// event stream is byte-identical to what Run would deliver — the
-// stream-vs-Run event oracles in internal/experiments enforce this.
+// Walker-backed workloads walk the compiled trace.WalkSource. A VM
+// workload executes no program here: the source replays the original's
+// decision log through prog, which must be a layout of the original (the
+// training run records the log; Stream records it first if none has run).
+// Either way the event stream is byte-identical to what Run would deliver
+// — the stream-vs-Run event oracles in internal/experiments enforce this.
 func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layout, batchCap int) (trace.Source, error) {
 	if w.IsKernel() {
-		return trace.NewFuncSource(lay, batchCap, func(sink trace.Sink) (uint64, error) {
-			return w.Run(prog, pf, sink, nil)
-		}), nil
+		if w.DecisionLog() == nil {
+			if _, _, err := w.CollectProfile(); err != nil {
+				return nil, err
+			}
+		}
+		src, err := trace.NewReplaySource(w.DecisionLog(), prog, lay, batchCap, w.reps(), w.maxSteps())
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
+		}
+		return &replaySource{WalkSource: src, name: w.Name}, nil
 	}
 
 	walker, err := w.walker(prog, pf)
@@ -182,6 +218,21 @@ func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layo
 		return &origWalkSource{WalkSource: ws, w: w}, nil
 	}
 	return ws, nil
+}
+
+// replaySource names the workload in a replay's errors, as Run does in the
+// VM's.
+type replaySource struct {
+	*trace.WalkSource
+	name string
+}
+
+func (s *replaySource) Fill(b *trace.Batch) (bool, error) {
+	ok, err := s.WalkSource.Fill(b)
+	if err != nil {
+		err = fmt.Errorf("workload %s: %w", s.name, err)
+	}
+	return ok, err
 }
 
 // walker configures the walk of prog, the original program or an aligned
@@ -226,24 +277,63 @@ func (s *origWalkSource) Fill(b *trace.Batch) (bool, error) {
 // CollectProfile traces the original program and returns its edge profile
 // (the "training run" of profile-guided alignment) and its instruction
 // count. A workload built with a profile returns that one, after a run that
-// counts the original's instructions.
+// counts the original's instructions. A VM workload's first training run
+// also records the decision log that Stream replays.
 func (w *Workload) CollectProfile() (*profile.Profile, uint64, error) {
+	var log *trace.DecisionLog
+	if w.IsKernel() && w.DecisionLog() == nil {
+		log = trace.NewDecisionLog(w.Prog)
+	}
 	if w.supplied != nil {
-		instrs, err := w.Run(w.Prog, nil, nil, nil)
+		var edges trace.EdgeSink
+		if log != nil {
+			edges = log
+		}
+		instrs, err := w.Run(w.Prog, nil, nil, edges)
 		if err != nil {
 			return nil, 0, err
+		}
+		if log != nil {
+			w.noteLog(log)
 		}
 		return w.supplied, instrs, nil
 	}
 	col := profile.NewCollector(w.Prog)
-	instrs, err := w.Run(w.Prog, nil, nil, col)
+	var edges trace.EdgeSink = col
+	if log != nil {
+		edges = &trainingSink{col: col, log: log}
+	}
+	instrs, err := w.Run(w.Prog, nil, nil, edges)
 	if err != nil {
 		return nil, 0, err
+	}
+	if log != nil {
+		w.noteLog(log)
 	}
 	pf := col.Profile()
 	pf.Instrs = instrs
 	return pf, instrs, nil
 }
+
+// trainingSink feeds one training run to the profile collector and the
+// decision log through static calls, so recording the log adds no second
+// interface dispatch per observation.
+type trainingSink struct {
+	col *profile.Collector
+	log *trace.DecisionLog
+}
+
+func (s *trainingSink) Edge(procIdx int, from, to ir.BlockID) {
+	s.col.Edge(procIdx, from, to)
+	s.log.Edge(procIdx, from, to)
+}
+
+func (s *trainingSink) Branch(procIdx int, block ir.BlockID, taken bool) {
+	s.col.Branch(procIdx, block, taken)
+	s.log.Branch(procIdx, block, taken)
+}
+
+func (s *trainingSink) Instrs(n uint64) { s.col.Instrs(n) }
 
 // Names returns the suite program names in the paper's Table 2 order.
 func Names() []string {
