@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke suite-smoke perfbench-check benchhost bench bench-suite bench-kernel bench-stream bench-serve tables report
+.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke suite-smoke perfbench-check bench bench-suite bench-serve tables report
 
 # Pinned external analyzer versions; CI installs exactly these, local runs
 # use whatever is on PATH (or skip with a notice).
@@ -116,12 +116,6 @@ perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet .
 	cd perfbench && GOWORK=off $(GO) test -count=1 -run 'TestCommittedDigests|TestBenchmarkJSON' .
 
-# benchhost prints the host block (goos/goarch/cpu/go/gomaxprocs/cpus)
-# that the committed BENCH_*.json files record; the bench targets emit it
-# first so pasted logs carry their provenance.
-benchhost:
-	@$(GO) run ./scripts/benchhost
-
 # report runs a small suite with run telemetry enabled, emitting a JSON
 # run report (per-shard spans, engine, stream and executor stats, the
 # summary grid), then sanity-checks the report schema via the dedicated
@@ -130,6 +124,8 @@ report:
 	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report out.json suite
 	$(GO) test -run TestRunReportSchema ./cmd/baexp
 
+# bench runs every root micro-benchmark once, as a smoke pass. The
+# repository's benchmark is perfbench/ (BENCHMARK.json, perfbench/run.sh).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
@@ -137,23 +133,6 @@ bench:
 # the 8-way sharded run on the same grid.
 bench-suite:
 	$(GO) test -bench 'BenchmarkSuite(Serial|Parallel)' -run '^$$' .
-
-# bench-kernel compares the reference simulators against the compiled flat
-# kernel, both end-to-end (full suite runs) and on the simulation grid in
-# isolation (pre-recorded traces: reference simulators fed one event at a
-# time versus the kernel over pre-packed batches). These are the
-# BENCH_kernel.json numbers.
-bench-kernel:
-	@$(MAKE) --no-print-directory benchhost
-	$(GO) test -bench 'Benchmark(SuiteKernel|SimulateGrid)' -benchtime 3x -run '^$$' .
-
-# bench-stream measures the streaming broadcast pipeline end-to-end (wall
-# time, allocated bytes, peak live trace bytes) and walker generation in
-# isolation (push-style Walker versus the compiled WalkSource). These are
-# the BENCH_stream.json numbers.
-bench-stream:
-	@$(MAKE) --no-print-directory benchhost
-	$(GO) test -bench 'Benchmark(SuiteStream|WalkerGenerate)' -benchtime 3x -run '^$$' .
 
 # bench-serve regenerates BENCH_serve.json: the single-node saturation
 # sweep. See scripts/benchserve for what the sweep measures.

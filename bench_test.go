@@ -164,8 +164,8 @@ func BenchmarkSuiteParallel(b *testing.B) {
 }
 
 // BenchmarkSuiteKernelRef runs the evaluation grid end-to-end on the
-// reference simulators (-kernel=ref): the committed baseline the flat
-// kernel is measured against in BENCH_kernel.json.
+// reference simulators (-kernel=ref), the baseline BenchmarkSuiteKernelFlat
+// compares the compiled flat kernel with.
 func BenchmarkSuiteKernelRef(b *testing.B) {
 	opts := suiteBenchOpts(1)
 	opts.Kernel = "ref"
@@ -327,9 +327,9 @@ func walkerBenchFixture(b *testing.B) (*workload.Workload, *trace.Layout, uint64
 	return w, lay, events
 }
 
-// BenchmarkWalkerGenerate measures push-style synthetic trace generation —
-// the Walker driving a per-event sink, as profiling and the i-cache pass
-// do.
+// BenchmarkWalkerGenerate measures synthetic trace generation into a
+// per-event sink: workload.Run's Walker.Run fills WalkSource batches and
+// decodes every event into the sink.
 func BenchmarkWalkerGenerate(b *testing.B) {
 	w, _, events := walkerBenchFixture(b)
 	sink := trace.SinkFunc(func(trace.Event) {})
@@ -342,10 +342,11 @@ func BenchmarkWalkerGenerate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*events), "ns/event")
 }
 
-// BenchmarkWalkerGenerateStream measures the same generation through the
-// compiled streaming walker (trace.WalkSource): packed int32 batches pulled
-// by Fill, no per-event interface dispatch. The ratio to
-// BenchmarkWalkerGenerate is the compiled walker's generation speedup.
+// BenchmarkWalkerGenerateStream measures the same walk as packed int32
+// batches pulled from trace.WalkSource by Fill, as the grid streams it.
+// Both benchmarks run one walk, so the difference from
+// BenchmarkWalkerGenerate is the cost of decoding the events and calling
+// the sink.
 func BenchmarkWalkerGenerateStream(b *testing.B) {
 	w, lay, events := walkerBenchFixture(b)
 	var batch trace.Batch

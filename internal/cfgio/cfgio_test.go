@@ -186,7 +186,7 @@ func TestImportedProgramWalks(t *testing.T) {
 		MaxInstrs: 50_000,
 	}
 	var conds, taken uint64
-	instrs, runs := walker.Run(trace.SinkFunc(func(ev trace.Event) {
+	instrs, runs, err := walker.Run(trace.SinkFunc(func(ev trace.Event) {
 		if ev.Kind == ir.CondBr {
 			conds++
 			if ev.Taken {
@@ -194,6 +194,9 @@ func TestImportedProgramWalks(t *testing.T) {
 			}
 		}
 	}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if instrs == 0 || runs == 0 {
 		t.Fatalf("walker produced nothing: instrs=%d runs=%d", instrs, runs)
 	}

@@ -11,18 +11,14 @@ import (
 	"balign/internal/workload"
 )
 
-// TestStreamMatchesRecordedSynthetic is the generation oracle behind the
-// single trace lifecycle: for every variant newEvalUnit builds — the
-// original and every aligned layout — and for the profiling walk that
-// precedes them, the packed batches w.Stream produces, decoded through the
-// variant's layout, must equal the events w.Run pushes into a
-// trace.Recorder, field for field, with the same instruction count. These
-// workloads (randomized synthetic programs plus an imported CFG document)
-// are walker-backed, so the stream comes from the compiled
-// trace.WalkSource and the recorded events from trace.Walker: the check
-// pins the two RNG draw for RNG draw through alignment and through the
-// aligned variants' work-equivalent truncation, which must stop every
-// aligned walk after the profiling walk's complete-run count.
+// TestStreamMatchesRecordedSynthetic checks work-equivalence for the
+// walker-backed workloads (randomized synthetic programs plus an imported
+// CFG document): for every variant newEvalUnit builds, the walk w.Stream
+// produces of an aligned layout stops after exactly the profiling walk's
+// complete-run count. Only the imported CFG halts: the synthetic programs'
+// dispatch loops never do, so their walks complete no runs and every walk
+// stops at the budget. A walker-backed stream is the trace.WalkSource that
+// w.Run decodes, so its events are Run's by construction.
 func TestStreamMatchesRecordedSynthetic(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{1, 42, 1337} {
@@ -32,7 +28,7 @@ func TestStreamMatchesRecordedSynthetic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ByName(%s): %v", name, err)
 				}
-				assertStreamMatchesRun(t, w)
+				assertWorkEquivalent(t, w)
 			}
 		})
 	}
@@ -41,14 +37,13 @@ func TestStreamMatchesRecordedSynthetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertStreamMatchesRun(t, w)
+		assertWorkEquivalent(t, w)
 	})
 }
 
-// assertStreamMatchesRun prepares w's evaluation unit and checks the
-// profiling walk and every variant's streamed generation against the
-// pushed one.
-func assertStreamMatchesRun(t *testing.T, w *workload.Workload) {
+// assertWorkEquivalent prepares w's evaluation unit and requires every
+// aligned variant's stream to complete as many runs as the profiling walk.
+func assertWorkEquivalent(t *testing.T, w *workload.Workload) {
 	t.Helper()
 	u, err := newEvalUnit(w, predict.AllArchs(), fastCfg())
 	if err != nil {
@@ -67,23 +62,39 @@ func assertStreamMatchesRun(t *testing.T, w *workload.Workload) {
 	}
 }
 
-// streamedRuns checks prog's streamed generation against w.Run and
-// returns the number of complete program runs the walker-backed stream
-// generated.
+// streamedRuns drains prog's walker-backed stream under pf and returns the
+// number of complete program runs it generated.
 func streamedRuns(t *testing.T, w *workload.Workload, key string, prog *ir.Program, pf *profile.Profile) int {
 	t.Helper()
-	runs, ok := streamMatchesRun(t, w, key, prog, pf)
+	lay, err := trace.CompileLayout(prog)
+	if err != nil {
+		t.Fatalf("%s/%s: CompileLayout: %v", w.Name, key, err)
+	}
+	src, err := w.Stream(prog, pf, lay, 0)
+	if err != nil {
+		t.Fatalf("%s/%s: Stream: %v", w.Name, key, err)
+	}
+	defer src.Close()
+	var b trace.Batch
+	for {
+		ok, err := src.Fill(&b)
+		if err != nil {
+			t.Fatalf("%s/%s: Fill: %v", w.Name, key, err)
+		}
+		if !ok {
+			break
+		}
+	}
+	rr, ok := src.(interface{ Runs() int })
 	if !ok {
 		t.Fatalf("%s/%s: walker-backed stream reports no run count", w.Name, key)
 	}
-	return runs
+	return rr.Runs()
 }
 
 // streamMatchesRun streams prog under pf and requires the decoded batches
-// and the instruction count to equal what w.Run pushes. It returns the
-// number of complete program runs the stream generated, and false for a
-// stream that does not count them (only walker-backed streams do).
-func streamMatchesRun(t *testing.T, w *workload.Workload, key string, prog *ir.Program, pf *profile.Profile) (runs int, counted bool) {
+// and the instruction count to equal what w.Run pushes.
+func streamMatchesRun(t *testing.T, w *workload.Workload, key string, prog *ir.Program, pf *profile.Profile) {
 	t.Helper()
 	var rec trace.Recorder
 	instrs, err := w.Run(prog, pf, &rec, nil)
@@ -128,10 +139,6 @@ func streamMatchesRun(t *testing.T, w *workload.Workload, key string, prog *ir.P
 	if got := src.Instrs(); got != instrs {
 		t.Errorf("%s/%s: streamed %d instrs, Run retired %d", w.Name, key, got, instrs)
 	}
-	if rr, ok := src.(interface{ Runs() int }); ok {
-		return rr.Runs(), true
-	}
-	return 0, false
 }
 
 // replayWorkloads are every VM workload: the eight paper kernels and the
@@ -147,8 +154,8 @@ var replayWorkloads = append(append([]string{}, kernelWorkloads...), workload.Ex
 // flat kernel, reference simulator, per-site recorder — the same per-site
 // attribution from either generator, so a divergence in
 // TestKernelPerSiteParityAcrossGrid that this test does not share lies in
-// the kernel, not in the stream. TestStreamMatchesRecordedSynthetic makes
-// the same check for the walker-backed workloads.
+// the kernel, not in the stream. A walker-backed workload's stream needs
+// no such check: Run decodes the same trace.WalkSource.
 func TestStreamPerSiteParityAcrossGrid(t *testing.T) {
 	t.Parallel()
 	for _, name := range replayWorkloads {

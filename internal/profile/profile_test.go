@@ -86,7 +86,10 @@ func TestCollectorViaWalker(t *testing.T) {
 	prog := smallProgram()
 	col := NewCollector(prog)
 	w := &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.5}, Seed: 9, MaxInstrs: 10_000}
-	instrs, _ := w.Run(nil, col)
+	instrs, _, err := w.Run(nil, col)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pf := col.Profile()
 	if pf.Instrs != instrs {
 		t.Errorf("profile instrs = %d, walker reported %d", pf.Instrs, instrs)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -546,24 +547,33 @@ func TestBroadcastContextCancel(t *testing.T) {
 	f := newStreamFixture(t)
 	str := NewStreamer(2, 32, nil)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	// At 32 events per batch the fixture stream is hundreds of batches; a
 	// consumer sleeping 10ms per batch would take seconds to drain it, so a
-	// prompt return is attributable only to the cancellation.
+	// prompt return is attributable only to the cancellation. The cancel
+	// waits for the consumer's first batch, however late it arrives.
 	var consumed atomic.Int64
+	first := make(chan struct{})
+	var once sync.Once
 	done := make(chan error, 1)
 	src := f.source(t, 32)
-	start := time.Now()
 	go func() {
 		done <- str.Broadcast(ctx, src, []func(*trace.Batch) error{
 			func(*trace.Batch) error {
 				consumed.Add(1)
+				once.Do(func() { close(first) })
 				time.Sleep(10 * time.Millisecond)
 				return nil
 			},
 		})
 	}()
-	time.Sleep(30 * time.Millisecond)
+	select {
+	case <-first:
+	case <-time.After(30 * time.Second):
+		t.Fatal("consumer saw no batch within 30s")
+	}
+	start := time.Now()
 	cancel()
 
 	select {
@@ -575,10 +585,10 @@ func TestBroadcastContextCancel(t *testing.T) {
 		t.Fatal("Broadcast did not return within 2s of cancellation")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Broadcast took %v, want prompt abort", elapsed)
+		t.Fatalf("Broadcast took %v after the cancel, want prompt abort", elapsed)
 	}
 	if consumed.Load() == 0 {
-		t.Error("consumer saw no batches before the cancel (test raced the stream start)")
+		t.Error("consumer saw no batches before the cancel")
 	}
 	st := str.Stats()
 	if st.LiveBuffers != 0 || st.LiveBytes != 0 {

@@ -78,7 +78,10 @@ func TestWalkerReplaysVMExactly(t *testing.T) {
 				MaxInstrs: vmInstrs,
 				MaxDepth:  1 << 12,
 			}
-			wkInstrs, runs := walker.Run(&wkEvents, wkProf)
+			wkInstrs, runs, err := walker.Run(&wkEvents, wkProf)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if err := replay.Err(); err != nil {
 				t.Errorf("walker did not consume the log exactly — paths diverged: %v", err)

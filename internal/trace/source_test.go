@@ -36,17 +36,16 @@ func drainSource(t *testing.T, lay *trace.Layout, src trace.Source) []trace.Even
 	}
 }
 
-// walkParityCase runs Walker and WalkSource over the same spec and requires
-// byte-identical decoded events plus matching instruction and run counts.
-func walkParityCase(t *testing.T, w *trace.Walker, batchCap int) {
-	t.Helper()
-	var rec trace.Recorder
-	// WalkSource captures the walker spec at construction, so build an
-	// identical copy for the reference run (Run mutates nothing, but the
-	// shared Model may be stateful — these cases use stateless models).
-	ref := *w
-	wantInstrs, wantRuns := ref.Run(&rec, nil)
+// walkCaps are the batch capacities every walk is compared at: one event
+// per batch, an odd split, and batches that suspend the walk rarely or
+// never.
+var walkCaps = []int{1, 7, 64, 8192}
 
+// decodeWalk streams w's walk from a WalkSource of the given batch
+// capacity and returns its decoded events and its instruction and run
+// counts.
+func decodeWalk(t *testing.T, w *trace.Walker, batchCap int) ([]trace.Event, uint64, int) {
+	t.Helper()
 	lay, err := trace.CompileLayout(w.Prog)
 	if err != nil {
 		t.Fatalf("CompileLayout: %v", err)
@@ -56,23 +55,38 @@ func walkParityCase(t *testing.T, w *trace.Walker, batchCap int) {
 		t.Fatalf("NewWalkSource: %v", err)
 	}
 	defer src.Close()
-	got := drainSource(t, lay, src)
+	events := drainSource(t, lay, src)
+	return events, src.Instrs(), src.Runs()
+}
 
-	if src.Instrs() != wantInstrs {
-		t.Errorf("instrs: source %d, walker %d", src.Instrs(), wantInstrs)
+// walkCapCase requires w's walk, streamed at batchCap, to equal the same
+// walk as Walker.Run decodes it from batches of its own capacity: the
+// events, the instruction count and the run count must not depend on
+// where full batches suspend the walk, so a walk resumes exactly where it
+// stopped.
+func walkCapCase(t *testing.T, w *trace.Walker, batchCap int) {
+	t.Helper()
+	var rec trace.Recorder
+	wantInstrs, wantRuns, err := w.Run(&rec, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	if src.Runs() != wantRuns {
-		t.Errorf("runs: source %d, walker %d", src.Runs(), wantRuns)
+	got, instrs, runs := decodeWalk(t, w, batchCap)
+	if instrs != wantInstrs {
+		t.Errorf("cap=%d: instrs %d, Run %d", batchCap, instrs, wantInstrs)
+	}
+	if runs != wantRuns {
+		t.Errorf("cap=%d: runs %d, Run %d", batchCap, runs, wantRuns)
 	}
 	if err := compareEvents(rec.Events, got); err != nil {
 		t.Errorf("cap=%d: %v", batchCap, err)
 	}
 }
 
-// TestWalkSourceMatchesWalkerSynthetic drives the compiled streaming walker
+// TestWalkSourceMatchesWalkerSynthetic checks batch-capacity independence
 // over hand-built control-flow shapes — loops, calls, indirect jumps,
-// depth-capped recursion — across seeds and batch capacities, requiring the
-// decoded stream to equal the Walker's exactly.
+// depth-capped recursion — across seeds: the walk streamed at each of
+// walkCaps must equal the walk Walker.Run decodes.
 func TestWalkSourceMatchesWalkerSynthetic(t *testing.T) {
 	progs := map[string]*ir.Program{
 		"loop":  loopTestProgram(),
@@ -82,21 +96,22 @@ func TestWalkSourceMatchesWalkerSynthetic(t *testing.T) {
 	}
 	for name, prog := range progs {
 		for _, seed := range []int64{1, 7, 99} {
-			for _, cap := range []int{1, 7, 64, 8192} {
+			for _, cap := range walkCaps {
 				t.Run(fmt.Sprintf("%s/seed%d/cap%d", name, seed, cap), func(t *testing.T) {
 					w := &trace.Walker{
 						Prog: prog, Model: trace.UniformModel{P: 0.6},
 						Seed: seed, MaxInstrs: 5000, MaxDepth: 8,
 					}
-					walkParityCase(t, w, cap)
+					walkCapCase(t, w, cap)
 				})
 			}
 		}
 	}
 }
 
-// TestWalkSourceMatchesWalkerSuite repeats the parity check over the real
-// experiment suite's synthetic programs (randomized structure per seed).
+// TestWalkSourceMatchesWalkerSuite repeats the batch-capacity check over
+// the real experiment suite's synthetic programs (randomized structure per
+// seed), streamed 7 events per batch.
 func TestWalkSourceMatchesWalkerSuite(t *testing.T) {
 	for _, seed := range []int64{0, 3} {
 		ws, err := workload.Suite(workload.Config{Scale: 0.02, Seed: seed})
@@ -109,15 +124,15 @@ func TestWalkSourceMatchesWalkerSuite(t *testing.T) {
 					Prog: w.Prog, Model: trace.UniformModel{P: 0.55},
 					Seed: seed*31 + 5, MaxInstrs: 20_000,
 				}
-				walkParityCase(t, walker, 512)
+				walkCapCase(t, walker, 7)
 			})
 		}
 	}
 }
 
 // TestWalkSourceTruncationBoundaries sweeps tiny instruction budgets so
-// every stop position — mid straight-line run, on a transfer, on a restart —
-// is exercised against the Walker's exact semantics.
+// that every stop position — mid straight-line run, on a transfer, on a
+// restart — meets every batch boundary of walkCaps.
 func TestWalkSourceTruncationBoundaries(t *testing.T) {
 	progs := map[string]*ir.Program{
 		"loop": loopTestProgram(), "calls": callTestProgram(), "rec": recursiveTestProgram(),
@@ -125,25 +140,35 @@ func TestWalkSourceTruncationBoundaries(t *testing.T) {
 	for name, prog := range progs {
 		t.Run(name, func(t *testing.T) {
 			for budget := uint64(1); budget <= 40; budget++ {
-				w := &trace.Walker{
-					Prog: prog, Model: trace.UniformModel{P: 0.5},
-					Seed: int64(budget), MaxInstrs: budget, MaxDepth: 4,
+				for _, cap := range walkCaps {
+					w := &trace.Walker{
+						Prog: prog, Model: trace.UniformModel{P: 0.5},
+						Seed: int64(budget), MaxInstrs: budget, MaxDepth: 4,
+					}
+					walkCapCase(t, w, cap)
 				}
-				walkParityCase(t, w, 3)
 			}
 		})
 	}
 }
 
 // TestWalkSourceMaxRuns checks the work-equivalence stop condition: the
-// source must stop after exactly MaxRuns complete runs, like the Walker.
+// walk stops after exactly MaxRuns complete runs, at every batch capacity.
+// With P=0 each run of the loop program is li, addi, a bnez that falls
+// through, and halt: 4 instructions and one event.
 func TestWalkSourceMaxRuns(t *testing.T) {
 	for _, maxRuns := range []int{1, 2, 7} {
-		w := &trace.Walker{
-			Prog: loopTestProgram(), Model: trace.UniformModel{P: 0.0},
-			Seed: 1, MaxInstrs: 1 << 30, MaxRuns: maxRuns,
+		for _, cap := range walkCaps {
+			w := &trace.Walker{
+				Prog: loopTestProgram(), Model: trace.UniformModel{P: 0.0},
+				Seed: 1, MaxInstrs: 1 << 30, MaxRuns: maxRuns,
+			}
+			events, instrs, runs := decodeWalk(t, w, cap)
+			if runs != maxRuns || instrs != 4*uint64(maxRuns) || len(events) != maxRuns {
+				t.Errorf("MaxRuns=%d cap=%d: %d runs, %d instrs, %d events; want %d, %d, %d",
+					maxRuns, cap, runs, instrs, len(events), maxRuns, 4*maxRuns, maxRuns)
+			}
 		}
-		walkParityCase(t, w, 16)
 	}
 }
 
@@ -156,7 +181,9 @@ func TestLayoutAppendDecodeRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var rec trace.Recorder
 			w := &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.4}, Seed: 9, MaxInstrs: 2000}
-			w.Run(&rec, nil)
+			if _, _, err := w.Run(&rec, nil); err != nil {
+				t.Fatal(err)
+			}
 			if len(rec.Events) == 0 {
 				t.Fatal("no events")
 			}
@@ -192,7 +219,9 @@ func TestLayoutAppendRejectsMismatches(t *testing.T) {
 	}
 	var rec trace.Recorder
 	w := &trace.Walker{Prog: prog, Model: trace.UniformModel{P: 0.5}, Seed: 1, MaxInstrs: 50}
-	w.Run(&rec, nil)
+	if _, _, err := w.Run(&rec, nil); err != nil {
+		t.Fatal(err)
+	}
 	if len(rec.Events) == 0 {
 		t.Fatal("no events")
 	}
@@ -272,18 +301,29 @@ func TestLayoutDecodeRejectsMalformedBatches(t *testing.T) {
 	}
 }
 
-// TestCompileLayoutErrors covers the compile-time failure modes.
+// TestCompileLayoutErrors covers the programs that cannot be laid out:
+// CompileLayout rejects them, and Walker.Run returns the error without
+// walking.
 func TestCompileLayoutErrors(t *testing.T) {
-	if _, err := trace.CompileLayout(nil); err == nil {
-		t.Error("CompileLayout(nil) succeeded")
+	cases := map[string]*ir.Program{
+		"nil": nil,
+		// Two procs whose blocks share addresses (AssignAddresses never ran).
+		"dup": {Procs: []*ir.Proc{
+			{Name: "a", Blocks: []*ir.Block{{Instrs: []ir.Instr{{Op: ir.OpRet}}}}},
+			{Name: "b", Blocks: []*ir.Block{{Instrs: []ir.Instr{{Op: ir.OpRet}}}}},
+		}},
 	}
-	// Two procs whose blocks share addresses (AssignAddresses never ran).
-	dup := &ir.Program{Procs: []*ir.Proc{
-		{Name: "a", Blocks: []*ir.Block{{Instrs: []ir.Instr{{Op: ir.OpRet}}}}},
-		{Name: "b", Blocks: []*ir.Block{{Instrs: []ir.Instr{{Op: ir.OpRet}}}}},
-	}}
-	if _, err := trace.CompileLayout(dup); err == nil {
-		t.Error("CompileLayout accepted duplicate site addresses")
+	for name, prog := range cases {
+		if _, err := trace.CompileLayout(prog); err == nil {
+			t.Errorf("%s: CompileLayout succeeded", name)
+		}
+		w := &trace.Walker{Prog: prog, Model: trace.UniformModel{}, MaxInstrs: 100}
+		var events int
+		instrs, runs, err := w.Run(trace.SinkFunc(func(trace.Event) { events++ }), nil)
+		if err == nil || instrs != 0 || runs != 0 || events != 0 {
+			t.Errorf("%s: Run walked %d instrs, %d runs, %d events, err %v; want an error and no walk",
+				name, instrs, runs, events, err)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"balign/internal/ir"
@@ -80,7 +82,10 @@ func TestWalkerRespectsBudgetAndRestarts(t *testing.T) {
 	prog := loopProgram()
 	w := &Walker{Prog: prog, Model: UniformModel{P: 0.0}, Seed: 1, MaxInstrs: 100}
 	var c Counter
-	instrs, runs := w.Run(&c, nil)
+	instrs, runs, err := w.Run(&c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if instrs < 100 {
 		t.Errorf("instrs = %d, want >= 100", instrs)
 	}
@@ -180,7 +185,10 @@ func TestWalkerDepthCap(t *testing.T) {
 	prog := &ir.Program{Name: "rec", Procs: []*ir.Proc{main, f}}
 	prog.AssignAddresses(0x1000)
 	w := &Walker{Prog: prog, Model: UniformModel{}, Seed: 1, MaxInstrs: 1000, MaxDepth: 8}
-	instrs, _ := w.Run(nil, nil)
+	instrs, _, err := w.Run(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if instrs < 1000 {
 		t.Errorf("instrs = %d, want budget reached despite recursion", instrs)
 	}
@@ -190,7 +198,10 @@ func TestWalkerMaxRuns(t *testing.T) {
 	prog := loopProgram()
 	w := &Walker{Prog: prog, Model: UniformModel{P: 0.0}, Seed: 1,
 		MaxInstrs: 1 << 30, MaxRuns: 7}
-	instrs, runs := w.Run(nil, nil)
+	instrs, runs, err := w.Run(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if runs != 7 {
 		t.Errorf("runs = %d, want exactly MaxRuns", runs)
 	}
@@ -222,5 +233,125 @@ func TestWalkerTakenTargetStatic(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no not-taken conditional events recorded")
+	}
+}
+
+// edgeLog is an EdgeSink recording every observation in order.
+type edgeLog []string
+
+func (l *edgeLog) Edge(proc int, from, to ir.BlockID) {
+	*l = append(*l, fmt.Sprintf("edge %d:%d->%d", proc, from, to))
+}
+
+func (l *edgeLog) Branch(proc int, block ir.BlockID, taken bool) {
+	*l = append(*l, fmt.Sprintf("branch %d:%d %v", proc, block, taken))
+}
+
+func (l *edgeLog) Instrs(n uint64) { *l = append(*l, fmt.Sprintf("instrs %d", n)) }
+
+// TestWalkerEdgeObservations pins the walk's edge hook against hand-traced
+// walks: a conditional reports its outcome and then its edge, br, ijump
+// and a block falling into the next report an edge, calls, returns and
+// halts report nothing, and the instruction total is reported once, at the
+// end.
+func TestWalkerEdgeObservations(t *testing.T) {
+	prog := func(procs ...*ir.Proc) *ir.Program {
+		p := &ir.Program{Name: "edges", Procs: procs}
+		p.AssignAddresses(0x1000)
+		return p
+	}
+	block := func(ops ...ir.Instr) *ir.Block { return &ir.Block{Instrs: ops} }
+	addi := ir.Instr{Op: ir.OpAddi, Rd: 1, Rs: 1, Imm: 1}
+	halt := ir.Instr{Op: ir.OpHalt}
+	ret := ir.Instr{Op: ir.OpRet}
+	call := func(proc int) ir.Instr { return ir.Instr{Op: ir.OpCall, TargetProc: proc} }
+	bnez := func(to ir.BlockID) ir.Instr { return ir.Instr{Op: ir.OpBnez, Rd: 1, TargetBlock: to} }
+
+	cases := []struct {
+		name   string
+		w      Walker
+		want   []string
+		instrs uint64
+		runs   int
+	}{{
+		// f's last block ends in a conditional with no fall-through: it is
+		// taken although P=0 draws not-taken, and its edge goes back to
+		// f's entry. f's entry falls into that block.
+		name: "forced taken",
+		w: Walker{Prog: prog(
+			&ir.Proc{Name: "main", Blocks: []*ir.Block{block(call(1), halt)}},
+			&ir.Proc{Name: "f", Blocks: []*ir.Block{block(addi), block(bnez(0))}},
+		), Model: UniformModel{P: 0}, MaxInstrs: 7},
+		want: []string{
+			"edge 1:0->1", "branch 1:1 true", "edge 1:1->0",
+			"edge 1:0->1", "branch 1:1 true", "edge 1:1->0",
+			"edge 1:0->1", "branch 1:1 true", "edge 1:1->0",
+			"instrs 7",
+		},
+		instrs: 7,
+	}, {
+		// A conditional that falls through, into a block with no
+		// terminator, which falls into the halt.
+		name: "fall through",
+		w: Walker{Prog: prog(&ir.Proc{Name: "main", Blocks: []*ir.Block{
+			block(bnez(3)), block(addi), block(halt), block(halt),
+		}}), Model: UniformModel{P: 0}, MaxInstrs: 1 << 20, MaxRuns: 2},
+		want: []string{
+			"branch 0:0 false", "edge 0:0->1", "edge 0:1->2",
+			"branch 0:0 false", "edge 0:0->1", "edge 0:1->2",
+			"instrs 6",
+		},
+		instrs: 6, runs: 2,
+	}, {
+		// One-hot weights send every indirect jump to its third target,
+		// whose br returns to the jump.
+		name: "ijump",
+		w: Walker{Prog: prog(&ir.Proc{Name: "main", Blocks: []*ir.Block{
+			block(ir.Instr{Op: ir.OpIJump, Rd: 1, Targets: []ir.BlockID{1, 2, 3}}),
+			block(halt), block(halt),
+			block(addi, ir.Instr{Op: ir.OpBr, TargetBlock: 0}),
+		}}), Model: weightedModel{weights: []float64{0, 0, 1}}, MaxInstrs: 7},
+		want: []string{
+			"edge 0:0->3", "edge 0:3->0",
+			"edge 0:0->3", "edge 0:3->0",
+			"edge 0:0->3",
+			"instrs 7",
+		},
+		instrs: 7,
+	}, {
+		// At depth cap 1, f's call to g is one straight-line instruction:
+		// g's edge 0->1 is never taken, and the call itself adds no edge.
+		name: "depth cap",
+		w: Walker{Prog: prog(
+			&ir.Proc{Name: "main", Blocks: []*ir.Block{block(call(1), halt)}},
+			&ir.Proc{Name: "f", Blocks: []*ir.Block{block(call(2)), block(ret)}},
+			&ir.Proc{Name: "g", Blocks: []*ir.Block{block(addi), block(ret)}},
+		), Model: UniformModel{}, MaxInstrs: 1 << 20, MaxRuns: 1, MaxDepth: 1},
+		want:   []string{"edge 1:0->1", "instrs 4"},
+		instrs: 4, runs: 1,
+	}, {
+		// The budget runs out on the third of b1's five instructions: the
+		// walk reports b0's fall-through and nothing of b1.
+		name: "budget mid-block",
+		w: Walker{Prog: prog(&ir.Proc{Name: "main", Blocks: []*ir.Block{
+			block(addi, addi), block(addi, addi, addi, addi, bnez(0)), block(halt),
+		}}), Model: UniformModel{P: 1}, MaxInstrs: 5},
+		want:   []string{"edge 0:0->1", "instrs 5"},
+		instrs: 5,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got edgeLog
+			instrs, runs, err := c.w.Run(nil, &got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if instrs != c.instrs || runs != c.runs {
+				t.Errorf("walked %d instrs, %d runs; want %d, %d", instrs, runs, c.instrs, c.runs)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("observations:\n got %q\nwant %q", got, c.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand"
 
 	"balign/internal/ir"
@@ -34,11 +33,13 @@ func (u UniformModel) IJumpWeights(int, ir.BlockID) []float64 { return nil }
 // DefaultMaxDepth is the walker's default call-stack depth cap.
 const DefaultMaxDepth = 64
 
-// Walker performs a seeded random walk over a program's control flow graph,
-// emitting the same event stream real execution would produce. It stands in
-// for tracing workloads whose data we do not have: the walk respects block
+// Walker is the spec of a seeded random walk over a program's control flow
+// graph: the program, the Model driving its data-dependent branches, the
+// seed, and the instruction, run and call-depth limits. It stands in for
+// tracing workloads whose data we do not have: the walk respects block
 // sizes, call structure and the Model's branch statistics, which is all the
-// branch-prediction simulators observe.
+// branch-prediction simulators observe. WalkSource performs the walk; Run
+// decodes it into events.
 //
 // When the walked program halts or its entry procedure returns, the walk
 // restarts from the entry point (a fresh "run") until MaxInstrs have been
@@ -60,174 +61,50 @@ type Walker struct {
 	MaxDepth int
 }
 
-type frame struct {
-	proc  int
-	block ir.BlockID
-	index int
-}
+// runBatchCap is the batch capacity of Run's WalkSource. Run decodes each
+// batch as soon as it is filled, so a small batch keeps its buffers small.
+const runBatchCap = 512
 
 // Run walks the program, sending break events to sink and CFG observations
 // to edges (either may be nil). It returns the number of instructions
-// executed and the number of complete program runs.
-func (w *Walker) Run(sink Sink, edges EdgeSink) (instrs uint64, runs int) {
-	if sink == nil {
-		sink = SinkFunc(func(Event) {})
+// executed and the number of complete program runs. A program that cannot
+// be laid out — nil, or with its addresses never assigned — is an error,
+// and is not walked.
+func (w *Walker) Run(sink Sink, edges EdgeSink) (instrs uint64, runs int, err error) {
+	lay, err := CompileLayout(w.Prog)
+	if err != nil {
+		return 0, 0, err
 	}
-	if edges == nil {
-		edges = NopEdgeSink{}
+	src, err := NewWalkSource(w, lay, runBatchCap)
+	if err != nil {
+		return 0, 0, err
 	}
-	maxDepth := w.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = DefaultMaxDepth
-	}
-	rng := rand.New(rand.NewSource(w.Seed))
-
-	var stack []frame
-	proc := w.Prog.EntryProc
-	block := w.Prog.Procs[proc].Entry()
-	index := 0
-
-	restart := func() bool {
-		runs++
-		if instrs >= w.MaxInstrs {
-			return false
-		}
-		if w.MaxRuns > 0 && runs >= w.MaxRuns {
-			return false
-		}
-		stack = stack[:0]
-		proc = w.Prog.EntryProc
-		block = w.Prog.Procs[proc].Entry()
-		index = 0
-		return true
-	}
-
+	src.edges = edges
+	var b Batch
 	for {
-		p := w.Prog.Procs[proc]
-		b := p.Blocks[block]
-		if index >= len(b.Instrs) {
-			// Empty block or resumed past the end: fall through.
-			next := block + 1
-			if int(next) >= len(p.Blocks) {
-				// Malformed layout; treat as program end.
-				if !restart() {
-					return instrs, runs
-				}
-				continue
-			}
-			edges.Edge(proc, block, next)
-			block, index = next, 0
-			continue
+		ok, err := src.Fill(&b)
+		if err != nil {
+			return src.Instrs(), src.Runs(), err
 		}
-		in := &b.Instrs[index]
-		pc := b.Addr + uint64(index)*ir.InstrBytes
-		instrs++
-		edges.Instrs(1)
-
-		switch in.Kind() {
-		case ir.Op:
-			index++
-
-		case ir.Call:
-			callee := w.Prog.Procs[in.TargetProc]
-			calleeAddr := callee.Blocks[callee.Entry()].Addr
-			sink.Event(Event{
-				PC: pc, Kind: ir.Call, Taken: true,
-				Target: calleeAddr, TakenTarget: calleeAddr,
-				Fall: pc + ir.InstrBytes,
-			})
-			if len(stack) >= maxDepth {
-				index++ // depth cap: skip the callee body
-				continue
-			}
-			stack = append(stack, frame{proc, block, index + 1})
-			proc, block, index = in.TargetProc, callee.Entry(), 0
-
-		case ir.CondBr:
-			taken := rng.Float64() < w.Model.TakenProb(proc, block)
-			var dest ir.BlockID
-			if taken {
-				dest = in.TargetBlock
-			} else {
-				dest = block + 1
-				if int(dest) >= len(p.Blocks) {
-					// Fall off the end; treat as not possible -> force taken.
-					dest, taken = in.TargetBlock, true
-				}
-			}
-			sink.Event(Event{
-				PC: pc, Kind: ir.CondBr, Taken: taken,
-				Target:      p.Blocks[dest].Addr,
-				TakenTarget: p.Blocks[in.TargetBlock].Addr,
-				Fall:        pc + ir.InstrBytes,
-			})
-			edges.Branch(proc, block, taken)
-			edges.Edge(proc, block, dest)
-			block, index = dest, 0
-
-		case ir.Br:
-			dest := in.TargetBlock
-			sink.Event(Event{
-				PC: pc, Kind: ir.Br, Taken: true,
-				Target: p.Blocks[dest].Addr, TakenTarget: p.Blocks[dest].Addr,
-				Fall: pc + ir.InstrBytes,
-			})
-			edges.Edge(proc, block, dest)
-			block, index = dest, 0
-
-		case ir.IJump:
-			dest := in.Targets[w.pickTarget(rng, proc, block, len(in.Targets))]
-			sink.Event(Event{
-				PC: pc, Kind: ir.IJump, Taken: true,
-				Target: p.Blocks[dest].Addr, TakenTarget: p.Blocks[dest].Addr,
-				Fall: pc + ir.InstrBytes,
-			})
-			edges.Edge(proc, block, dest)
-			block, index = dest, 0
-
-		case ir.Ret:
-			if len(stack) == 0 {
-				if !restart() {
-					return instrs, runs
-				}
-				continue
-			}
-			fr := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			retP := w.Prog.Procs[fr.proc]
-			retB := retP.Blocks[fr.block]
-			retAddr := retB.Addr + uint64(fr.index)*ir.InstrBytes
-			sink.Event(Event{
-				PC: pc, Kind: ir.Ret, Taken: true,
-				Target: retAddr, TakenTarget: retAddr,
-				Fall: pc + ir.InstrBytes,
-			})
-			proc, block, index = fr.proc, fr.block, fr.index
-
-		case ir.Halt:
-			if !restart() {
-				return instrs, runs
-			}
-
-		default:
-			panic(fmt.Sprintf("trace: walker hit unknown kind %v", in.Kind()))
+		if !ok {
+			break
 		}
-
-		if instrs >= w.MaxInstrs {
-			return instrs, runs
+		if sink != nil {
+			if err := lay.Decode(&b, sink.Event); err != nil {
+				return src.Instrs(), src.Runs(), err
+			}
 		}
 	}
-}
-
-// pickTarget samples an indirect-jump target index using the model weights.
-func (w *Walker) pickTarget(rng *rand.Rand, proc int, block ir.BlockID, n int) int {
-	return pickIndex(rng, w.Model.IJumpWeights(proc, block), n)
+	if edges != nil {
+		edges.Instrs(src.Instrs())
+	}
+	return src.Instrs(), src.Runs(), nil
 }
 
 // pickIndex samples an index in [0, n) from the given relative weights,
 // falling back to uniform when the weights are missing, mis-sized or
-// degenerate. Shared by Walker and WalkSource so both consume the RNG
-// identically.
+// degenerate. It fixes how an indirect jump draws from the walk's RNG: one
+// Intn without usable weights, one Float64 with them.
 func pickIndex(rng *rand.Rand, weights []float64, n int) int {
 	if len(weights) != n {
 		return rng.Intn(n)

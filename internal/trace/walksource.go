@@ -7,20 +7,28 @@ import (
 	"balign/internal/ir"
 )
 
-// WalkSource is the compiled, suspendable form of Walker: the same seeded
-// random walk, but emitting packed Batch words instead of Events through a
-// Sink. Compilation collapses each basic block into a short list of steps
-// (runs of straight-line instructions folded into a counter, one step per
-// control transfer with its batch words and destinations precomputed), so
-// the per-event work is a step dispatch plus an int32 append rather than
-// per-instruction switching, Event construction and two interface calls.
+// WalkSource performs a Walker's seeded random walk, suspendably, emitting
+// packed Batch words. It is the only CFG walk: Walker.Run decodes it into
+// events, every walker workload streams it, and NewReplaySource replays a
+// VM execution's decision log through it. Compilation collapses each basic
+// block into a short list of steps (runs of straight-line instructions
+// folded into a counter, one step per control transfer with its batch
+// words and destinations precomputed), so the per-event work is a step
+// dispatch plus an int32 append.
 //
-// The walk is byte-identical to Walker.Run over the same program, model
-// and seed: decoding the produced batches through the Layout reproduces
-// the Walker's event stream field for field, because the step interpreter
-// preserves the Walker's exact RNG/Model call sequence and its
-// MaxInstrs/MaxRuns/restart/depth-cap semantics (including the corner
-// where a depth-capped call skips the instruction-budget check).
+// The walk's rules:
+//   - Each conditional draws one Float64 and compares it with the Model's
+//     TakenProb, even where its outcome is forced: a conditional in its
+//     procedure's last block has no fall-through and is always taken.
+//   - Each indirect jump draws through pickIndex, which fixes its draw.
+//   - The instruction budget is checked after each instruction, so a walk
+//     can end in the middle of a block. A call at the depth cap counts as
+//     one straight-line instruction and skips that check.
+//   - When the program halts, its entry procedure returns or control runs
+//     past its procedure's last block, the run ends and, unless the budget
+//     or MaxRuns is reached, the walk restarts at the entry point.
+//
+// The committed goldens and the walker tests pin these rules.
 type WalkSource struct {
 	steps     [][][]walkStep // per proc, per block
 	model     Model
@@ -39,6 +47,10 @@ type WalkSource struct {
 	replay   *LogReplay
 	runLimit uint64
 	err      error
+
+	// edges, set only by Walker.Run, receives each conditional's outcome
+	// and each intraprocedural edge as the walk takes it.
+	edges EdgeSink
 
 	// Suspended walk state between Fill calls.
 	stack  []walkFrame
@@ -71,7 +83,7 @@ type walkStep struct {
 	op  walkOp
 	ops uint32 // straight-line instructions executed before the transfer
 	// forceTaken marks a conditional whose fall-through would run off the
-	// proc's block list; the Walker forces those taken (RNG still drawn).
+	// proc's block list; it is always taken (its RNG draw still happens).
 	forceTaken bool
 	opTaken    int32 // packed batch word for the taken outcome
 	opFall     int32 // packed batch word for a conditional's fall-through
@@ -97,9 +109,9 @@ type walkFrame struct {
 }
 
 // NewWalkSource compiles w's program against lay and returns a Source
-// producing the exact batch-packed form of the event stream w.Run would
-// emit. batchCap <= 0 means DefaultBatchCap. The walker spec is captured
-// at construction; the Source does not observe later mutation of w.
+// performing w's walk. batchCap <= 0 means DefaultBatchCap. The walker
+// spec is captured at construction; the Source does not observe later
+// mutation of w.
 func NewWalkSource(w *Walker, lay *Layout, batchCap int) (*WalkSource, error) {
 	if batchCap <= 0 {
 		batchCap = DefaultBatchCap
@@ -142,8 +154,8 @@ func NewWalkSource(w *Walker, lay *Layout, batchCap int) (*WalkSource, error) {
 // compileBlock folds one block's instructions into its step list. Every
 // block ends with a trailing walkFall/walkEnd step carrying the
 // straight-line instructions after its last transfer, so resuming past the
-// final instruction (a call in last position, or an empty block) follows
-// the Walker's fall-through path.
+// final instruction (a call in last position, or an empty block) falls
+// into the next block.
 func compileBlock(prog *ir.Program, lay *Layout, pi, bi int, b *ir.Block, p *ir.Proc) ([]walkStep, error) {
 	var steps []walkStep
 	ops := uint32(0)
@@ -217,6 +229,7 @@ func (s *WalkSource) Fill(b *Batch) (bool, error) {
 		procs     = s.steps
 		model     = s.model
 		replay    = s.replay
+		edges     = s.edges
 		rng       = s.rng
 		max       = s.maxInstrs
 		maxDepth  = s.maxDepth
@@ -237,10 +250,10 @@ loop:
 		}
 		st := &blockStep[stepIdx]
 		if st.ops != 0 {
-			// The Walker checks the instruction budget after every
-			// instruction, so a straight-line run executes until the budget
-			// is reached — or exactly one instruction if a depth-capped
-			// call already overshot it.
+			// The budget is checked after every instruction, so a
+			// straight-line run executes until the budget is reached — or
+			// exactly one instruction if a depth-capped call already
+			// overshot it.
 			if instrs >= max {
 				instrs++
 				done = true
@@ -266,12 +279,17 @@ loop:
 			if st.forceTaken {
 				taken = true
 			}
+			from := block
 			if taken {
 				b.Ops = append(b.Ops, st.opTaken)
 				block = st.destTaken
 			} else {
 				b.Ops = append(b.Ops, st.opFall)
 				block = st.destFall
+			}
+			if edges != nil {
+				edges.Branch(int(proc), from, taken)
+				edges.Edge(int(proc), from, block)
 			}
 			blockStep = procs[proc][block]
 			stepIdx = 0
@@ -283,6 +301,9 @@ loop:
 		case walkBr:
 			instrs++
 			b.Ops = append(b.Ops, st.opTaken)
+			if edges != nil {
+				edges.Edge(int(proc), block, st.destTaken)
+			}
 			block = st.destTaken
 			blockStep = procs[proc][block]
 			stepIdx = 0
@@ -295,8 +316,7 @@ loop:
 			instrs++
 			b.Ops = append(b.Ops, st.opTaken)
 			if len(stack) >= maxDepth {
-				// Depth cap: skip the callee body. The Walker's continue
-				// bypasses its budget check here; preserve that.
+				// Depth cap: skip the callee body, and the budget check.
 				stepIdx++
 				continue
 			}
@@ -321,6 +341,9 @@ loop:
 			t := st.targets[idx]
 			b.Ops = append(b.Ops, st.opTaken)
 			b.Targets = append(b.Targets, t.addr)
+			if edges != nil {
+				edges.Edge(int(proc), block, t.block)
+			}
 			block = t.block
 			blockStep = procs[proc][block]
 			stepIdx = 0
@@ -363,14 +386,16 @@ loop:
 			blockStep = procs[proc][block]
 
 		case walkFall:
+			if edges != nil {
+				edges.Edge(int(proc), block, st.destFall)
+			}
 			block = st.destFall
 			blockStep = procs[proc][block]
 			stepIdx = 0
 
 		case walkEnd:
-			// Ran off the proc's block list: the Walker treats a malformed
-			// layout as program end and restarts (counting a run, no
-			// instruction).
+			// Ran off the proc's block list: the run ends, with no
+			// instruction executed.
 			runs++
 			if max, done = s.endRun(instrs, runs, max); done {
 				break loop
@@ -425,7 +450,7 @@ func (s *WalkSource) replayErr() error {
 func (s *WalkSource) Instrs() uint64 { return s.instrs }
 
 // Runs returns the number of complete program runs the walk has finished;
-// final once Fill has returned false (the Walker's second return value).
+// final once Fill has returned false.
 func (s *WalkSource) Runs() int { return s.runs }
 
 // Close implements Source; a WalkSource holds no resources.

@@ -95,14 +95,17 @@ func clampF(v, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, v)) }
 // synthesize generates a program matching the spec's statistics, with one
 // calibration round: generate, walk briefly, measure break density and
 // taken rate, correct the knobs, regenerate.
-func synthesize(s Spec, seed int64) (*ir.Program, trace.Model) {
+func synthesize(s Spec, seed int64) (*ir.Program, trace.Model, error) {
 	knobs := deriveKnobs(s)
 	prog, model := generate(s, knobs, seed)
 
 	// Calibration walk.
 	col := metrics.NewCollector()
 	w := &trace.Walker{Prog: prog, Model: model, Seed: seed + 7, MaxInstrs: 200_000}
-	instrs, _ := w.Run(col, nil)
+	instrs, _, err := w.Run(col, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	col.Instrs = instrs
 	attr := col.Attributes(prog)
 
@@ -118,7 +121,8 @@ func synthesize(s Spec, seed int64) (*ir.Program, trace.Model) {
 		x := clampF(knobs.meanTrips/(knobs.meanTrips+1)+diff/2, 0.4, 0.995)
 		knobs.meanTrips = clampF(x/(1-x), 2, 400)
 	}
-	return generate(s, knobs, seed)
+	prog, model = generate(s, knobs, seed)
+	return prog, model, nil
 }
 
 // generate builds the program: a dispatch loop in main selecting leaf

@@ -162,7 +162,10 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 	if err != nil {
 		return 0, err
 	}
-	instrs, runs := walker.Run(sink, edges)
+	instrs, runs, err := walker.Run(sink, edges)
+	if err != nil {
+		return 0, fmt.Errorf("workload %s: %w", w.Name, err)
+	}
 	if prog == w.Prog {
 		w.noteOrigRuns(runs)
 	}
@@ -186,12 +189,13 @@ func (w *Workload) maxSteps() uint64 {
 // simulators without materializing the trace. batchCap 0 selects
 // trace.DefaultBatchCap.
 //
-// Walker-backed workloads walk the compiled trace.WalkSource. A VM
-// workload executes no program here: the source replays the original's
-// decision log through prog, which must be a layout of the original (the
-// training run records the log; Stream records it first if none has run).
-// Either way the event stream is byte-identical to what Run would deliver
-// — the stream-vs-Run event oracles in internal/experiments enforce this.
+// A walker-backed workload streams the trace.WalkSource that Run decodes,
+// so its stream is Run's by construction. A VM workload executes no
+// program here: the source replays the original's decision log through
+// prog, which must be a layout of the original (the training run records
+// the log; Stream records it first if none has run), and the VM-vs-replay
+// oracles in internal/experiments check that the stream is byte-identical
+// to what Run delivers.
 func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layout, batchCap int) (trace.Source, error) {
 	if w.IsKernel() {
 		if w.DecisionLog() == nil {
@@ -391,7 +395,10 @@ func build(s Spec, cfg Config) (*Workload, error) {
 		}
 		return &Workload{Name: s.Name, Class: s.Class, Prog: prog, setup: setup, repeat: repeat}, nil
 	}
-	prog, model := synthesize(s, cfg.Seed+s.seedOffset())
+	prog, model, err := synthesize(s, cfg.Seed+s.seedOffset())
+	if err != nil {
+		return nil, fmt.Errorf("synthesizing %s: %w", s.Name, err)
+	}
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("synthesized %s invalid: %w", s.Name, err)
 	}

@@ -143,6 +143,16 @@ func TestSyntheticAlignedRunNeedsProfile(t *testing.T) {
 	if _, err := w.Run(other, nil, nil, nil); err == nil {
 		t.Error("tracing a non-original program without profile should error")
 	}
+	// A variant whose addresses were never assigned cannot be laid out.
+	unplaced := w.Prog.Clone()
+	for _, p := range unplaced.Procs {
+		for _, b := range p.Blocks {
+			b.Addr = 0
+		}
+	}
+	if _, err := w.Run(unplaced, &profile.Profile{}, nil, nil); err == nil {
+		t.Error("tracing a program with unassigned addresses should error")
+	}
 }
 
 // TestInlineWalkCeiling checks where an aligned variant's walk stops once
