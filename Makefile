@@ -96,7 +96,10 @@ serve-smoke:
 # pins baload's virtual-mode report byte-identical under the same wide
 # scheduler; the serve leg runs balignd's goldens, both kernel modes, mixed
 # concurrent requests and a cancelled request through the grid's engine,
-# whose variant tasks share the daemon's one streamer.
+# whose variant tasks share the daemon's one streamer; the studies leg runs
+# baexp's studies golden in both kernel modes, whose Table 2 collector,
+# pipeline model and heuristic-LIKELY simulator run on broadcast consumer
+# goroutines and are read after the broadcast returns.
 suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
@@ -105,6 +108,7 @@ suite-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
 	GOMAXPROCS=4 $(GO) test -race -run 'TestVirtualReport' ./internal/load
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream' ./internal/serve
+	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenStudies' ./cmd/baexp
 
 # perfbench-check covers the nested perfbench module, which the root
 # module's `go build ./...` and `go test ./...` do not reach: a root API

@@ -2,7 +2,11 @@
 //
 // Usage:
 //
-//	baexp [flags] table1|table2|table3|table4|fig1|fig2|fig3|fig4|ablation|suite|all
+//	baexp [flags] table1..table4|fig1..fig4|ablation|suite|all|
+//	              penalty|crosstrain|unroll|icache|hints|seeds|meld|ext...
+//
+// The group ids all (table1 through ablation) and ext (penalty through
+// meld, the extension studies) expand in place wherever they appear.
 //
 // Flags:
 //
@@ -15,9 +19,10 @@
 //	             internal/cfgio) imported as additional workloads
 //	-parallel n  experiment shards to run concurrently (0 = GOMAXPROCS,
 //	             1 = serial oracle path; output is identical either way)
-//	-kernel s    simulation executor: flat (default, the compiled
-//	             struct-of-arrays kernel) or ref (the interface-dispatched
-//	             reference simulators); output is identical either way
+//	-kernel s    simulation executor of every experiment: flat (default,
+//	             the compiled struct-of-arrays kernel) or ref (the
+//	             interface-dispatched reference simulators); output is
+//	             identical either way
 //	-v           log per-shard progress to stderr
 //	-report f    write a JSON run report (timing spans, engine, stream and
 //	             executor stats, counters, the suite summary grid) to file f
@@ -96,14 +101,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("an experiment id is required (table1..table4, fig1..fig4, ablation, all)")
+		return fmt.Errorf("an experiment id is required (table1..table4, fig1..fig4, ablation, suite, all; " +
+			"penalty, crosstrain, unroll, icache, hints, seeds, meld, ext)")
 	}
-	ids := rest
-	if len(rest) == 1 && rest[0] == "all" {
-		ids = []string{"table1", "table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4", "ablation"}
-	}
-	if len(rest) == 1 && rest[0] == "ext" {
-		ids = []string{"penalty", "crosstrain", "unroll", "icache", "hints", "seeds", "meld"}
+	var ids []string
+	for _, id := range rest {
+		switch id {
+		case "all":
+			ids = append(ids, "table1", "table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4", "ablation")
+		case "ext":
+			ids = append(ids, "penalty", "crosstrain", "unroll", "icache", "hints", "seeds", "meld")
+		default:
+			ids = append(ids, id)
+		}
 	}
 	for _, id := range ids {
 		if err := runOne(id, cfg, stdout); err != nil {

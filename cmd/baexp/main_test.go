@@ -55,6 +55,31 @@ func TestGoldenCFGExperiments(t *testing.T) {
 	checkGolden(t, "cfg_experiments.txt", out.Bytes())
 }
 
+// TestGoldenStudies pins Table 2, Figure 4, the ablation and every
+// extension study, in both kernel modes: each mode must reproduce the
+// golden byte for byte, so the modes agree with each other too. The second
+// case covers both ways the unroll study streams: a walker workload (ora)
+// streams the unrolled program as a variant of the original, a VM workload
+// (alvinn) runs it as a workload of its own.
+func TestGoldenStudies(t *testing.T) {
+	cases := [][]string{
+		{"-scale", "0.05", "table2", "fig4", "ablation", "penalty", "crosstrain", "unroll", "icache", "hints", "seeds", "meld"},
+		{"-scale", "0.05", "-programs", "ora,alvinn", "unroll"},
+	}
+	for _, mode := range []string{"flat", "ref"} {
+		t.Run(mode, func(t *testing.T) {
+			t.Parallel()
+			var out, errBuf bytes.Buffer
+			for _, args := range cases {
+				if err := run(append([]string{"-kernel", mode}, args...), &out, &errBuf); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+			}
+			checkGolden(t, "studies.txt", out.Bytes())
+		})
+	}
+}
+
 func TestRunTable1(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{"table1"}, &out, &errBuf); err != nil {
@@ -288,6 +313,35 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-programs", "nope", "table2"}, &buf, &buf); err == nil {
 		t.Error("unknown program should error")
+	}
+}
+
+// TestRunGroupsExpandAnywhere runs the group ids beside other ids: all and
+// ext each expand in place wherever they appear, not only alone.
+func TestRunGroupsExpandAnywhere(t *testing.T) {
+	for _, tc := range []struct {
+		ids      []string
+		headings int
+	}{
+		{[]string{"table1", "ext"}, 1 + 7},
+		{[]string{"all", "ext"}, 9 + 7},
+	} {
+		var out, errBuf bytes.Buffer
+		args := append([]string{"-scale", "0.02", "-window", "5", "-programs", "sc"}, tc.ids...)
+		if err := run(args, &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v", tc.ids, err)
+		}
+		var headings []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "== ") {
+				headings = append(headings, line)
+			}
+		}
+		if len(headings) != tc.headings || !strings.Contains(headings[0], "Table 1") ||
+			!strings.Contains(headings[len(headings)-1], "branch elimination") {
+			t.Errorf("%v: ran %d experiments, want %d from Table 1 to the meld study:\n%s",
+				tc.ids, len(headings), tc.headings, strings.Join(headings, "\n"))
+		}
 	}
 }
 

@@ -12,9 +12,7 @@
 // With -report f the run additionally writes a JSON run report (timing
 // spans, engine stats, counters, the measured attribute rows) to f; with
 // -pprof addr it serves net/http/pprof and expvar on addr while the
-// measurement runs. -kernel flat|ref selects the compiled flat simulation
-// kernel (default) or the reference simulators. None of these flags change
-// any measured output.
+// measurement runs. Neither flag changes any measured output.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 
 	"balign/internal/experiments"
 	"balign/internal/obs"
-	"balign/internal/sim"
 	"balign/internal/workload"
 )
 
@@ -46,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 1.0, "trace budget scale")
 	seed := fs.Int64("seed", 0, "workload seed")
 	parallel := fs.Int("parallel", 0, "concurrent measurement shards (0 = GOMAXPROCS, 1 = serial)")
-	kernelMode := fs.String("kernel", "flat", "simulation executor: flat (compiled kernel) or ref (reference simulators)")
 	report := fs.String("report", "", "write a JSON run report to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address")
 	if err := fs.Parse(args); err != nil {
@@ -59,12 +55,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	if _, err := sim.ParseKernelMode(*kernelMode); err != nil {
-		return err
-	}
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed,
-		Parallelism: *parallel, Kernel: *kernelMode,
+		Parallelism: *parallel,
 	}
 	switch {
 	case *bench != "":

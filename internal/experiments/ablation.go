@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
 
 	"balign/internal/core"
 	"balign/internal/cost"
-	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/workload"
 )
@@ -46,7 +46,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		programs = []string{"espresso", "eqntott", "doduc"}
 	}
 	rows := make([]AblationRow, len(programs))
-	err := runIndexed(cfg, "ablation", programs, func(i int) error {
+	err := runIndexed(cfg, "ablation", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
@@ -64,15 +64,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 			if err != nil {
 				return 0, err
 			}
-			sim, err := predict.NewSimulator(predict.ArchBTFNT, res.Prog, res.Prof)
-			if err != nil {
-				return 0, err
-			}
-			instrs, err := w.Run(res.Prog, res.Prof, sim, nil)
-			if err != nil {
-				return 0, err
-			}
-			return metrics.RelativeCPI(origInstrs, instrs, metrics.BEPFromResult(sim.Result())), nil
+			return p.cpi(ctx, w, &variant{prog: res.Prog, prof: res.Prof}, predict.ArchBTFNT, origInstrs)
 		}
 		if row.GreedyHottestCPI, err = cpiOn(core.Options{Algorithm: core.AlgoGreedy, Order: core.OrderHottest}); err != nil {
 			return err

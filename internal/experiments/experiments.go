@@ -11,7 +11,8 @@
 // batch-by-batch to one kernel simulating all of its architectures,
 // holding only a bounded buffer ring in memory. Results reduce in
 // canonical order, so every kernel mode and parallelism setting produces
-// byte-identical output; the differential oracle tests enforce this.
+// byte-identical output; the differential oracle tests enforce this. Every
+// other experiment streams each of its layouts through the same path.
 package experiments
 
 import (
@@ -76,10 +77,11 @@ type Config struct {
 	// walked from its embedded edge profile. With Programs empty, a run
 	// with CFG paths evaluates only the imported programs.
 	CFG []string
-	// Kernel selects the simulation executor: "flat" (default) runs the
-	// compiled flattened kernel in internal/kernel; "ref" runs the
-	// interface-dispatched reference simulators. Both produce byte-identical
-	// results — the kernel oracle tests enforce this.
+	// Kernel selects the simulation executor of every experiment: "flat"
+	// (default) runs the compiled flattened kernel in internal/kernel;
+	// "ref" runs the interface-dispatched reference simulators. Both
+	// produce byte-identical results — the kernel oracle tests and
+	// cmd/baexp's studies golden enforce this.
 	Kernel string
 	// Parallelism bounds the number of concurrently executing experiment
 	// shards. 0 means runtime.GOMAXPROCS(0); 1 selects the serial oracle
@@ -105,8 +107,8 @@ type Config struct {
 	// Preparation builds only the variants these columns replay, and rows
 	// come out in canonical column order whatever order Algos lists.
 	Algos []Algo
-	// Streamer is the broadcast stage the grid streams through; nil means
-	// a fresh one per run. A daemon passes its own, so that one ring and one
+	// Streamer is the broadcast stage every experiment streams through;
+	// nil means a fresh one per run. A daemon passes its own, so that one ring and one
 	// set of sim.stream.* gauges serve every request.
 	Streamer *sim.Streamer
 }
@@ -139,16 +141,77 @@ func (c Config) engine() *sim.Engine {
 	return sim.New(sim.Options{Parallelism: c.Parallelism, Verbose: c.Verbose, Log: c.Log, Obs: c.Obs})
 }
 
-// runIndexed shards fn(i) over n items on the configured engine. Each call
-// must write only its own result slot; the engine guarantees first-error
-// semantics match a serial in-order run.
-func runIndexed(cfg Config, kind string, labels []string, fn func(i int) error) error {
+// runIndexed shards fn(ctx, p, i) over n items on the configured engine and
+// simulation path. Each call must write only its own result slot; the
+// engine guarantees first-error semantics match a serial in-order run.
+func runIndexed(cfg Config, kind string, labels []string, fn func(ctx context.Context, p simPath, i int) error) error {
+	p, err := cfg.simPath()
+	if err != nil {
+		return err
+	}
 	tasks := make([]sim.Task, len(labels))
 	for i := range labels {
 		i := i
-		tasks[i] = sim.Task{Label: kind + "/" + labels[i], Run: func(context.Context) error { return fn(i) }}
+		tasks[i] = sim.Task{Label: kind + "/" + labels[i], Run: func(ctx context.Context) error { return fn(ctx, p, i) }}
 	}
 	return cfg.engine().Run(cfg.Ctx, tasks)
+}
+
+// simPath is the one simulation path every experiment streams through.
+type simPath struct {
+	str  *sim.Streamer
+	exec *sim.Executor
+	rec  *obs.Recorder
+}
+
+// simPath returns the configured simulation path: cfg.Streamer, or a fresh
+// streamer, and an executor in cfg.Kernel's mode.
+func (c Config) simPath() (simPath, error) {
+	exec, err := sim.NewExecutor(c.Kernel, c.Obs)
+	if err != nil {
+		return simPath{}, err
+	}
+	str := c.Streamer
+	if str == nil {
+		str = sim.NewStreamer(0, 0, c.Obs)
+	}
+	return simPath{str: str, exec: exec, rec: c.Obs}, nil
+}
+
+// stream generates v, w's program or a layout of it, once and broadcasts
+// it to the consumers the caller reads: the executor simulating archs (if
+// any), ic (if not nil; its busy time is exp.icache.ns) and each sink, fed
+// the decoded events. It returns the results, index-aligned with archs,
+// and the instructions v retired; what consumers wrote is safe to read.
+func (p simPath) stream(ctx context.Context, w *workload.Workload, v *variant, archs []predict.ArchID,
+	ic *icache.Sim, sinks ...trace.Sink) ([]predict.Result, uint64, error) {
+	lay, err := trace.CompileLayout(v.prog)
+	if err != nil {
+		return nil, 0, err
+	}
+	src, err := w.Stream(v.prog, v.prof, lay, p.str.BatchCap())
+	if err != nil {
+		return nil, 0, err
+	}
+	consumers := make([]func(*trace.Batch) error, 0, 4) // room for the i-cache and three sinks, on the stack
+	if ic != nil {
+		consumers = append(consumers, func(b *trace.Batch) error {
+			start := p.rec.Now()
+			err := ic.Batch(lay, b)
+			p.rec.AddSince("exp.icache.ns", start)
+			return err
+		})
+	}
+	for _, s := range sinks {
+		consumers = append(consumers, func(b *trace.Batch) error { return lay.Decode(b, s.Event) })
+	}
+	if len(archs) == 0 {
+		err = p.str.Broadcast(ctx, src, consumers)
+		src.Close()
+		return nil, src.Instrs(), err
+	}
+	results, err := p.exec.SimulateStream(ctx, p.str, lay, src, v.prog, v.prof, archs, consumers...)
+	return results, src.Instrs(), err
 }
 
 func (c Config) workloads() ([]*workload.Workload, error) {
@@ -488,27 +551,26 @@ func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
 	}
 }
 
+// cpi streams v, a variant of w, through one architecture and returns its
+// relative CPI against base, the original's instruction count on w's input.
+func (p simPath) cpi(ctx context.Context, w *workload.Workload, v *variant, arch predict.ArchID, base uint64) (float64, error) {
+	r, instrs, err := p.stream(ctx, w, v, []predict.ArchID{arch}, nil)
+	if err != nil {
+		return 0, err
+	}
+	return metrics.RelativeCPI(base, instrs, metrics.BEPFromResult(r[0])), nil
+}
+
 // runVariant simulates every cell of one distinct variant in a single
-// streamed generation: the variant's event stream is generated once and
-// broadcast to one kernel simulating every distinct architecture among its
-// cells (cells folded from equal variants can share one) and to one
-// i-cache consumer concurrently. The fetch stream does not depend on the predictor, so that
-// one i-cache measurement is every cell's IC; rec receives its busy time as
-// exp.icache.ns. cells[base:base+len(specs)], the task's own slots, receive
-// the results in spec order. ctx is the shard's context: when the engine
-// cancels (another shard failed, the run's deadline passed) the broadcast
-// aborts promptly instead of draining the stream.
-func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer, exec *sim.Executor,
-	rec *obs.Recorder, cells []Cell, base int) error {
-	v := u.variants[key]
-	lay, err := trace.CompileLayout(v.prog)
-	if err != nil {
-		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
-	}
-	src, err := u.w.Stream(v.prog, v.prof, lay, str.BatchCap())
-	if err != nil {
-		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
-	}
+// streamed generation: one kernel simulates every distinct architecture
+// among its cells (cells folded from equal variants can share one) and the
+// i-cache is scored on the same batches. The fetch stream does not depend
+// on the predictor, so that one i-cache measurement is every cell's IC.
+// cells[base:base+len(specs)], the task's own slots, receive the results in
+// spec order. ctx is the shard's context: when the engine cancels (another
+// shard failed, the run's deadline passed) the broadcast aborts promptly
+// instead of draining the stream.
+func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, cells []Cell, base int) error {
 	specs := u.specs[key]
 	var archs []predict.ArchID
 	archOf := make([]int, len(specs)) // index of each spec's result in archs
@@ -521,17 +583,10 @@ func runVariant(ctx context.Context, u *evalUnit, key string, str *sim.Streamer,
 		archOf[i] = j
 	}
 	ic := icache.New(icache.DefaultConfig())
-	scoreICache := func(b *trace.Batch) error {
-		start := rec.Now()
-		err := ic.Batch(lay, b)
-		rec.AddSince("exp.icache.ns", start)
-		return err
-	}
-	results, err := exec.SimulateStream(ctx, str, lay, src, v.prog, v.prof, archs, scoreICache)
+	results, instrs, err := p.stream(ctx, u.w, u.variants[key], archs, ic)
 	if err != nil {
 		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
 	}
-	instrs := src.Instrs()
 	icc := ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
 	for i := range specs {
 		c := makeCell(u.origInstrs, instrs, results[archOf[i]])
@@ -555,13 +610,9 @@ type cellSlot struct {
 // a canonical-order reduction.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
 	eng := cfg.engine()
-	exec, err := sim.NewExecutor(cfg.Kernel, cfg.Obs)
+	p, err := cfg.simPath()
 	if err != nil {
 		return nil, err
-	}
-	str := cfg.Streamer
-	if str == nil {
-		str = sim.NewStreamer(0, 0, cfg.Obs)
 	}
 
 	// Phase 1: per-program preparation.
@@ -611,7 +662,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		tasks[i] = sim.Task{
 			Label: fmt.Sprintf("%s/%s", u.w.Name, vt.key),
 			Run: func(ctx context.Context) error {
-				return runVariant(ctx, u, vt.key, str, exec, cfg.Obs, cells, vt.base)
+				return runVariant(ctx, u, vt.key, p, cells, vt.base)
 			},
 		}
 	}
@@ -637,7 +688,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		r.Cells[s.spec.arch][s.spec.algo] = cells[i]
 	}
 
-	st, sst := eng.Stats(), str.Stats()
+	st, sst := eng.Stats(), p.str.Stats()
 	eng.Logf("sim: %d programs, %d cells, %d variants (%d distinct), busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
 		len(units), len(slots), totalKeys, len(vtasks), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
 	// Snapshot the engine, streamer and executor into the run report. A
@@ -645,7 +696,7 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	// the report's counters still accumulate across grids.
 	cfg.Obs.Attach("engine", st)
 	cfg.Obs.Attach("stream", sst)
-	cfg.Obs.Attach("executor", exec.Stats())
+	cfg.Obs.Attach("executor", p.exec.Stats())
 	return results, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -46,28 +47,23 @@ func PenaltySweep(program string, cfg Config) ([]PenaltyRow, error) {
 		return nil, err
 	}
 
-	simOrig, err := predict.NewSimulator(predict.ArchFallthrough, w.Prog, pf)
+	p, err := cfg.simPath()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.Run(w.Prog, pf, simOrig, nil); err != nil {
-		return nil, err
-	}
-	simTry, err := predict.NewSimulator(predict.ArchFallthrough, res.Prog, res.Prof)
+	ro, _, err := p.stream(cfg.Ctx, w, &variant{prog: w.Prog, prof: pf}, []predict.ArchID{predict.ArchFallthrough}, nil)
 	if err != nil {
 		return nil, err
 	}
-	tryInstrs, err := w.Run(res.Prog, res.Prof, simTry, nil)
+	rt, tryInstrs, err := p.stream(cfg.Ctx, w, &variant{prog: res.Prog, prof: res.Prof}, []predict.ArchID{predict.ArchFallthrough}, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []PenaltyRow
 	for _, mp := range []uint64{2, 4, 8, 12} {
-		ro := simOrig.Result()
-		rt := simTry.Result()
-		cpiO := metrics.RelativeCPI(origInstrs, origInstrs, ro.BEP(1, mp))
-		cpiT := metrics.RelativeCPI(origInstrs, tryInstrs, rt.BEP(1, mp))
+		cpiO := metrics.RelativeCPI(origInstrs, origInstrs, ro[0].BEP(1, mp))
+		cpiT := metrics.RelativeCPI(origInstrs, tryInstrs, rt[0].BEP(1, mp))
 		rows = append(rows, PenaltyRow{
 			MispredictPenalty: mp,
 			CPIOrig:           cpiO,
@@ -108,7 +104,7 @@ func CrossTraining(programs []string, cfg Config) ([]CrossTrainRow, error) {
 		programs = []string{"compress", "eqntott", "li"}
 	}
 	rows := make([]CrossTrainRow, len(programs))
-	err := runIndexed(cfg, "crosstrain", programs, func(i int) error {
+	err := runIndexed(cfg, "crosstrain", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		train, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed, InputSeed: 0})
 		if err != nil {
@@ -118,7 +114,13 @@ func CrossTraining(programs []string, cfg Config) ([]CrossTrainRow, error) {
 		if err != nil {
 			return err
 		}
-		pf, _, err := train.CollectProfile()
+		// Each column's CPI denominator is the original's instruction
+		// count on the input that column runs.
+		pf, trainInstrs, err := train.CollectProfile()
+		if err != nil {
+			return err
+		}
+		_, testInstrs, err := test.CollectProfile()
 		if err != nil {
 			return err
 		}
@@ -129,36 +131,16 @@ func CrossTraining(programs []string, cfg Config) ([]CrossTrainRow, error) {
 		if err != nil {
 			return err
 		}
-
-		cpi := func(w *workload.Workload, prog *core.Result, orig bool) (float64, error) {
-			var p = w.Prog
-			var prof = pf
-			if !orig {
-				p, prof = prog.Prog, prog.Prof
-			}
-			sim, err := predict.NewSimulator(predict.ArchFallthrough, p, prof)
-			if err != nil {
-				return 0, err
-			}
-			instrs, err := w.Run(p, prof, sim, nil)
-			if err != nil {
-				return 0, err
-			}
-			baseline, err := baselineInstrs(w)
-			if err != nil {
-				return 0, err
-			}
-			return metrics.RelativeCPI(baseline, instrs, metrics.BEPFromResult(sim.Result())), nil
-		}
+		aligned := &variant{prog: res.Prog, prof: res.Prof}
 
 		row := CrossTrainRow{Program: name}
-		if row.CPIOrig, err = cpi(test, res, true); err != nil {
+		if row.CPIOrig, err = p.cpi(ctx, test, &variant{prog: test.Prog, prof: pf}, predict.ArchFallthrough, testInstrs); err != nil {
 			return err
 		}
-		if row.CPISameInput, err = cpi(train, res, false); err != nil {
+		if row.CPISameInput, err = p.cpi(ctx, train, aligned, predict.ArchFallthrough, trainInstrs); err != nil {
 			return err
 		}
-		if row.CPICrossIn, err = cpi(test, res, false); err != nil {
+		if row.CPICrossIn, err = p.cpi(ctx, test, aligned, predict.ArchFallthrough, testInstrs); err != nil {
 			return err
 		}
 		rows[i] = row
@@ -168,12 +150,6 @@ func CrossTraining(programs []string, cfg Config) ([]CrossTrainRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// baselineInstrs runs a workload's original program once to get the
-// denominator instruction count on its own input.
-func baselineInstrs(w *workload.Workload) (uint64, error) {
-	return w.Run(w.Prog, nil, nil, nil)
 }
 
 // FormatCrossTraining renders the cross-training rows.
@@ -205,7 +181,7 @@ func UnrollStudy(programs []string, cfg Config) ([]UnrollRow, error) {
 		programs = []string{"alvinn", "tomcatv"}
 	}
 	rows := make([]UnrollRow, len(programs))
-	err := runIndexed(cfg, "unroll", programs, func(i int) error {
+	err := runIndexed(cfg, "unroll", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
@@ -227,36 +203,28 @@ func UnrollStudy(programs []string, cfg Config) ([]UnrollRow, error) {
 		if err != nil {
 			return err
 		}
+		// An unrolled program is not a layout of the original: a VM workload
+		// runs it as a workload of its own, a walk as a variant.
+		uw := w
+		if w.IsKernel() {
+			uw = w.WithProgram(up)
+			up = uw.Prog
+		}
 		unrolled, err := core.AlignProgram(up, upf, opts)
 		if err != nil {
 			return err
 		}
 
-		cpi := func(prog *core.Result) (float64, error) {
-			sim, err := predict.NewSimulator(predict.ArchFallthrough, prog.Prog, prog.Prof)
-			if err != nil {
-				return 0, err
-			}
-			instrs, err := w.Run(prog.Prog, prog.Prof, sim, nil)
-			if err != nil {
-				return 0, err
-			}
-			return metrics.RelativeCPI(origInstrs, instrs, metrics.BEPFromResult(sim.Result())), nil
-		}
-		simO, err := predict.NewSimulator(predict.ArchFallthrough, w.Prog, pf)
+		ro, _, err := p.stream(ctx, w, &variant{prog: w.Prog, prof: pf}, []predict.ArchID{predict.ArchFallthrough}, nil)
 		if err != nil {
 			return err
 		}
-		if _, err := w.Run(w.Prog, pf, simO, nil); err != nil {
-			return err
-		}
-
 		row := UnrollRow{Program: name, LoopsHandled: ustats.LoopsUnrolled}
-		row.CPIOrig = metrics.RelativeCPI(origInstrs, origInstrs, metrics.BEPFromResult(simO.Result()))
-		if row.CPIAligned, err = cpi(aligned); err != nil {
+		row.CPIOrig = metrics.RelativeCPI(origInstrs, origInstrs, metrics.BEPFromResult(ro[0]))
+		if row.CPIAligned, err = p.cpi(ctx, w, &variant{prog: aligned.Prog, prof: aligned.Prof}, predict.ArchFallthrough, origInstrs); err != nil {
 			return err
 		}
-		if row.CPIUnrolled, err = cpi(unrolled); err != nil {
+		if row.CPIUnrolled, err = p.cpi(ctx, uw, &variant{prog: unrolled.Prog, prof: unrolled.Prof}, predict.ArchFallthrough, origInstrs); err != nil {
 			return err
 		}
 		rows[i] = row
@@ -298,7 +266,7 @@ func ICacheStudy(programs []string, cfg Config) ([]ICacheRow, error) {
 		programs = []string{"gcc", "cfront", "espresso"}
 	}
 	rows := make([]ICacheRow, len(programs))
-	err := runIndexed(cfg, "icache", programs, func(i int) error {
+	err := runIndexed(cfg, "icache", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
@@ -309,11 +277,11 @@ func ICacheStudy(programs []string, cfg Config) ([]ICacheRow, error) {
 			return err
 		}
 		mpki := func(prog *ir.Program, prof *profile.Profile) (float64, error) {
-			sim := icache.New(icache.DefaultConfig())
-			if _, err := w.Run(prog, prof, sim, nil); err != nil {
+			ic := icache.New(icache.DefaultConfig())
+			if _, _, err := p.stream(ctx, w, &variant{prog: prog, prof: prof}, nil, ic); err != nil {
 				return 0, err
 			}
-			return sim.MPKI(), nil
+			return ic.MPKI(), nil
 		}
 		row := ICacheRow{Program: name}
 		if row.MPKIOrig, err = mpki(w.Prog, pf); err != nil {

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -256,17 +258,7 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 		return nil, err
 	}
 	if len(cfg.Programs) > 0 {
-		keep := map[string]bool{}
-		for _, p := range cfg.Programs {
-			keep[p] = true
-		}
-		var filtered []*workload.Workload
-		for _, w := range ws {
-			if keep[w.Name] {
-				filtered = append(filtered, w)
-			}
-		}
-		ws = filtered
+		ws = slices.DeleteFunc(ws, func(w *workload.Workload) bool { return !slices.Contains(cfg.Programs, w.Name) })
 	}
 
 	labels := make([]string, len(ws))
@@ -274,7 +266,7 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 		labels[i] = w.Name
 	}
 	rows := make([]Figure4Row, len(ws))
-	err = runIndexed(cfg, "fig4", labels, func(i int) error {
+	err = runIndexed(cfg, "fig4", labels, func(ctx context.Context, p simPath, i int) error {
 		w := ws[i]
 		pf, _, err := w.CollectProfile()
 		if err != nil {
@@ -282,7 +274,7 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 		}
 		cycles := func(prog *ir.Program, prof *profile.Profile) (float64, error) {
 			sim := pipeline.New(pipeline.DefaultConfig())
-			instrs, err := w.Run(prog, prof, sim, nil)
+			_, instrs, err := p.stream(ctx, w, &variant{prog: prog, prof: prof}, nil, nil, sim)
 			if err != nil {
 				return 0, err
 			}

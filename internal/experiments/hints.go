@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
 
 	"balign/internal/predict"
-	"balign/internal/trace"
 	"balign/internal/workload"
 )
 
@@ -29,7 +29,7 @@ func HintStudy(programs []string, cfg Config) ([]HintRow, error) {
 		programs = []string{"espresso", "gcc", "li"}
 	}
 	rows := make([]HintRow, len(programs))
-	err := runIndexed(cfg, "hints", programs, func(i int) error {
+	err := runIndexed(cfg, "hints", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		w, err := workload.ByName(name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
@@ -39,13 +39,14 @@ func HintStudy(programs []string, cfg Config) ([]HintRow, error) {
 		if err != nil {
 			return err
 		}
-		profileSim := predict.NewStaticSim(predict.NewLikely(w.Prog, pf))
+		// LIKELY uses the profile's hints; the heuristic simulator decodes events.
 		heuristicSim := predict.NewStaticSim(predict.NewHeuristicLikely(w.Prog))
-		btfntSim := predict.NewStaticSim(predict.BTFNT{})
-		if _, err := w.Run(w.Prog, pf, trace.MultiSink{profileSim, heuristicSim, btfntSim}, nil); err != nil {
+		r, _, err := p.stream(ctx, w, &variant{prog: w.Prog, prof: pf},
+			[]predict.ArchID{predict.ArchLikely, predict.ArchBTFNT}, nil, heuristicSim)
+		if err != nil {
 			return err
 		}
-		rp, rh, rb := profileSim.Result(), heuristicSim.Result(), btfntSim.Result()
+		rp, rh, rb := r[0], heuristicSim.Result(), r[1]
 		rows[i] = HintRow{
 			Program:      name,
 			ProfileAcc:   rp.CondAccuracy(),

@@ -49,7 +49,7 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 				str := sim.NewStreamer(0, 0, nil)
 				for _, key := range keys {
 					cells := make([]Cell, len(u.specs[key]))
-					if err := runVariant(context.Background(), u, key, str, exec, nil, cells, 0); err != nil {
+					if err := runVariant(context.Background(), u, key, simPath{str: str, exec: exec}, cells, 0); err != nil {
 						t.Fatalf("kernel=%s %s: runVariant: %v", kern, key, err)
 					}
 					for i, c := range cells {

@@ -1,16 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
 
 	"balign/internal/core"
 	"balign/internal/cost"
-	"balign/internal/ir"
-	"balign/internal/metrics"
 	"balign/internal/predict"
-	"balign/internal/profile"
 	"balign/internal/workload"
 )
 
@@ -49,7 +47,7 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 	}
 	archs := meldStudyArchs()
 	rows := make([]MeldRow, len(programs)*len(archs))
-	err := runIndexed(cfg, "meld", programs, func(i int) error {
+	err := runIndexed(cfg, "meld", programs, func(ctx context.Context, p simPath, i int) error {
 		name := programs[i]
 		wcfg := workload.Config{Scale: cfg.Scale, Seed: cfg.Seed}
 		base, err := workload.ByName(name, wcfg)
@@ -91,29 +89,17 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 				return err
 			}
 
-			cpi := func(w *workload.Workload, prog *corePair) (float64, error) {
-				sim, err := predict.NewSimulator(arch, prog.prog, prog.prof)
-				if err != nil {
-					return 0, err
-				}
-				instrs, err := w.Run(prog.prog, prog.prof, sim, nil)
-				if err != nil {
-					return 0, err
-				}
-				return metrics.RelativeCPI(origInstrs, instrs, metrics.BEPFromResult(sim.Result())), nil
-			}
-
 			row := MeldRow{Program: name, Arch: arch, Sites: sites}
-			if row.CPIOrig, err = cpi(base, &corePair{base.Prog, basePf}); err != nil {
+			if row.CPIOrig, err = p.cpi(ctx, base, &variant{prog: base.Prog, prof: basePf}, arch, origInstrs); err != nil {
 				return err
 			}
-			if row.CPIAligned, err = cpi(base, &corePair{alignedBase.Prog, alignedBase.Prof}); err != nil {
+			if row.CPIAligned, err = p.cpi(ctx, base, &variant{prog: alignedBase.Prog, prof: alignedBase.Prof}, arch, origInstrs); err != nil {
 				return err
 			}
-			if row.CPIMeld, err = cpi(meld, &corePair{meld.Prog, meldPf}); err != nil {
+			if row.CPIMeld, err = p.cpi(ctx, meld, &variant{prog: meld.Prog, prof: meldPf}, arch, origInstrs); err != nil {
 				return err
 			}
-			if row.CPIMeldAligned, err = cpi(meld, &corePair{alignedMeld.Prog, alignedMeld.Prof}); err != nil {
+			if row.CPIMeldAligned, err = p.cpi(ctx, meld, &variant{prog: alignedMeld.Prog, prof: alignedMeld.Prof}, arch, origInstrs); err != nil {
 				return err
 			}
 			rows[i*len(archs)+j] = row
@@ -124,12 +110,6 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// corePair bundles a program variant with the profile keyed to its layout.
-type corePair struct {
-	prog *ir.Program
-	prof *profile.Profile
 }
 
 // FormatMeldStudy renders the ablation.

@@ -72,7 +72,7 @@ func TestVMFoldReadsOnlyBranchCounts(t *testing.T) {
 			u.specs["probe"] = append(u.specs["probe"], simSpec{arch, AlgoOrig})
 		}
 		out := make([]Cell, len(archs))
-		if err := runVariant(context.Background(), u, "probe", sim.NewStreamer(0, 0, nil), exec, nil, out, 0); err != nil {
+		if err := runVariant(context.Background(), u, "probe", simPath{str: sim.NewStreamer(0, 0, nil), exec: exec}, out, 0); err != nil {
 			t.Fatal(err)
 		}
 		return out

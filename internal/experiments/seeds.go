@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -51,9 +52,9 @@ func SeedSweep(programs []string, seeds int, cfg Config) ([]SeedRow, error) {
 		}
 	}
 	gainAt := make([]float64, len(points))
-	err := runIndexed(cfg, "seeds", labels, func(i int) error {
-		p := points[i]
-		w, err := workload.ByName(p.name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed + int64(p.seed)*1001})
+	err := runIndexed(cfg, "seeds", labels, func(ctx context.Context, p simPath, i int) error {
+		pt := points[i]
+		w, err := workload.ByName(pt.name, workload.Config{Scale: cfg.Scale, Seed: cfg.Seed + int64(pt.seed)*1001})
 		if err != nil {
 			return err
 		}
@@ -68,23 +69,15 @@ func SeedSweep(programs []string, seeds int, cfg Config) ([]SeedRow, error) {
 		if err != nil {
 			return err
 		}
-		simO, err := predict.NewSimulator(predict.ArchFallthrough, w.Prog, pf)
+		ro, _, err := p.stream(ctx, w, &variant{prog: w.Prog, prof: pf}, []predict.ArchID{predict.ArchFallthrough}, nil)
 		if err != nil {
 			return err
 		}
-		if _, err := w.Run(w.Prog, pf, simO, nil); err != nil {
-			return err
-		}
-		simT, err := predict.NewSimulator(predict.ArchFallthrough, res.Prog, res.Prof)
+		cpiT, err := p.cpi(ctx, w, &variant{prog: res.Prog, prof: res.Prof}, predict.ArchFallthrough, origInstrs)
 		if err != nil {
 			return err
 		}
-		tryInstrs, err := w.Run(res.Prog, res.Prof, simT, nil)
-		if err != nil {
-			return err
-		}
-		cpiO := metrics.RelativeCPI(origInstrs, origInstrs, metrics.BEPFromResult(simO.Result()))
-		cpiT := metrics.RelativeCPI(origInstrs, tryInstrs, metrics.BEPFromResult(simT.Result()))
+		cpiO := metrics.RelativeCPI(origInstrs, origInstrs, metrics.BEPFromResult(ro[0]))
 		gainAt[i] = 100 * (1 - cpiT/cpiO)
 		return nil
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -43,10 +44,10 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		labels[i] = w.Name
 	}
 	rows := make([]Table2Row, len(ws))
-	err = runIndexed(cfg, "table2", labels, func(i int) error {
+	err = runIndexed(cfg, "table2", labels, func(ctx context.Context, p simPath, i int) error {
 		w := ws[i]
 		col := metrics.NewCollector()
-		instrs, err := w.Run(w.Prog, nil, col, nil)
+		_, instrs, err := p.stream(ctx, w, &variant{prog: w.Prog}, nil, nil, col)
 		if err != nil {
 			return fmt.Errorf("table2: %s: %w", w.Name, err)
 		}

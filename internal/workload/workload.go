@@ -135,6 +135,7 @@ func (w *Workload) IsKernel() bool { return w.native == nil }
 // Run traces prog — the workload's original program or an aligned variant
 // of it — delivering break events to sink and CFG observations to edges
 // (either may be nil), and returns the number of instructions executed.
+// It is the training run, and the reference the oracles hold Stream to.
 //
 // For walker-backed workloads, pf must be an edge profile keyed to prog's
 // block IDs when prog is not the original program (alignment returns the
@@ -172,6 +173,21 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 	return instrs, nil
 }
 
+// WithProgram returns a VM workload that runs prog, a rewrite of w's
+// program that is not a layout of it, on w's setup, repeats and step limit.
+// Its original is a copy of prog whose blocks are each their own
+// provenance (Block.Orig), so a layout aligned from it replays its decision
+// log. w must execute on the VM: a walk models only w's own program.
+func (w *Workload) WithProgram(prog *ir.Program) *Workload {
+	own := prog.Clone()
+	for _, p := range own.Procs {
+		for id, b := range p.Blocks {
+			b.Orig = ir.BlockID(id)
+		}
+	}
+	return &Workload{Name: w.Name, Class: w.Class, Prog: own, setup: w.setup, repeat: w.repeat, budget: w.budget}
+}
+
 // reps returns how many times a VM program runs per trace.
 func (w *Workload) reps() int { return max(w.repeat, 1) }
 
@@ -199,9 +215,11 @@ func (w *Workload) maxSteps() uint64 {
 func (w *Workload) Stream(prog *ir.Program, pf *profile.Profile, lay *trace.Layout, batchCap int) (trace.Source, error) {
 	if w.IsKernel() {
 		if w.DecisionLog() == nil {
-			if _, _, err := w.CollectProfile(); err != nil {
+			log := trace.NewDecisionLog(w.Prog)
+			if _, err := w.Run(w.Prog, nil, nil, log); err != nil {
 				return nil, err
 			}
+			w.noteLog(log)
 		}
 		src, err := trace.NewReplaySource(w.DecisionLog(), prog, lay, batchCap, w.reps(), w.maxSteps())
 		if err != nil {
