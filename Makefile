@@ -120,12 +120,15 @@ perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet .
 	cd perfbench && GOWORK=off $(GO) test -count=1 -run 'TestCommittedDigests|TestBenchmarkJSON' .
 
-# report runs a small suite with run telemetry enabled, emitting a JSON
-# run report (per-shard spans, engine, stream and executor stats, the
-# summary grid), then sanity-checks the report schema via the dedicated
-# test in cmd/baexp.
+# report runs a small suite with run telemetry enabled, writing a JSON run
+# report (per-shard spans, the engine, stream and executor counters and
+# gauges, the summary grid) under $TMPDIR (default /tmp) and printing its
+# path, then sanity-checks the report schema via the dedicated test in
+# cmd/baexp.
 report:
-	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report out.json suite
+	@out="$${TMPDIR:-/tmp}/balign-report.json"; \
+	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report "$$out" suite && \
+	echo "run report: $$out"
 	$(GO) test -run TestRunReportSchema ./cmd/baexp
 
 # bench runs every root micro-benchmark once, as a smoke pass. The

@@ -19,13 +19,16 @@
 // # Quick start
 //
 //	prog, _ := balign.Assemble(src)
-//	prof, _, _ := balign.ProfileVM(prog, nil)
+//	prof, origInstrs, _ := balign.ProfileVM(prog, nil)
 //	res, _ := balign.Align(prog, prof, balign.Options{
 //	    Algorithm: balign.AlgoTryN,
 //	    Model:     balign.ModelFallthrough,
 //	})
-//	before, _ := balign.SimulateVM(balign.ArchFallthrough, prog, prof, nil)
-//	after, _ := balign.SimulateVM(balign.ArchFallthrough, res.Prog, res.Prof, nil)
+//	before, _, _ := balign.SimulateVM(balign.ArchFallthrough, prog, prof, nil)
+//	after, n, _ := balign.SimulateVM(balign.ArchFallthrough, res.Prog, res.Prof, nil)
+//	fmt.Printf("CPI %.2f -> %.2f\n",
+//	    balign.RelativeCPI(origInstrs, origInstrs, balign.BEP(before)),
+//	    balign.RelativeCPI(origInstrs, n, balign.BEP(after)))
 package balign
 
 import (

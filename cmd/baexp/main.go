@@ -24,8 +24,9 @@
 //	             interface-dispatched reference simulators); output is
 //	             identical either way
 //	-v           log per-shard progress to stderr
-//	-report f    write a JSON run report (timing spans, engine, stream and
-//	             executor stats, counters, the suite summary grid) to file f
+//	-report f    write a JSON run report (timing spans, the engine, stream
+//	             and executor counters and gauges, the suite summary grid)
+//	             to file f
 //	-pprof addr  serve net/http/pprof and expvar on addr (e.g. :6060) for
 //	             the duration of the run; /debug/vars includes the live
 //	             run report under "baexp"

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,11 +61,13 @@ func TestGoldenCFGExperiments(t *testing.T) {
 // golden byte for byte, so the modes agree with each other too. The second
 // case covers both ways the unroll study streams: a walker workload (ora)
 // streams the unrolled program as a variant of the original, a VM workload
-// (alvinn) runs it as a workload of its own.
+// (alvinn) runs it as a workload of its own. The third pins Tables 3 and 4
+// over two programs of each class, so every class-average row is printed.
 func TestGoldenStudies(t *testing.T) {
 	cases := [][]string{
 		{"-scale", "0.05", "table2", "fig4", "ablation", "penalty", "crosstrain", "unroll", "icache", "hints", "seeds", "meld"},
 		{"-scale", "0.05", "-programs", "ora,alvinn", "unroll"},
+		{"-scale", "0.05", "-programs", "ora,doduc,compress,li,db++,cfront", "table3", "table4"},
 	}
 	for _, mode := range []string{"flat", "ref"} {
 		t.Run(mode, func(t *testing.T) {
@@ -112,50 +115,37 @@ type runReport struct {
 	Counters map[string]int64 `json:"counters"`
 	Gauges   map[string]int64 `json:"gauges"`
 	Spans    []struct {
-		Name     string `json:"name"`
-		DurNs    int64  `json:"dur_ns"`
+		Name     string           `json:"name"`
+		DurNs    int64            `json:"dur_ns"`
+		Attrs    map[string]int64 `json:"attrs"`
 		Children []struct {
 			Name  string           `json:"name"`
 			DurNs int64            `json:"dur_ns"`
 			Attrs map[string]int64 `json:"attrs"`
 		} `json:"children"`
 	} `json:"spans"`
-	Sections struct {
-		Engine struct {
-			Tasks       uint64 `json:"tasks"`
-			Errors      uint64 `json:"errors"`
-			BusyNs      int64  `json:"busy_ns"`
-			QueueWaitNs int64  `json:"queue_wait_ns"`
-		} `json:"engine"`
-		Stream struct {
-			Broadcasts    uint64 `json:"broadcasts"`
-			Batches       uint64 `json:"batches"`
-			Events        uint64 `json:"events"`
-			StallsNs      int64  `json:"stalls_ns"`
-			GenNs         int64  `json:"gen_ns"`
-			LiveBuffers   int64  `json:"live_buffers"`
-			LiveBytes     uint64 `json:"live_bytes"`
-			PeakLiveBytes uint64 `json:"peak_live_bytes"`
-			ArenaReuses   uint64 `json:"arena_reuses"`
-		} `json:"stream"`
-		Executor struct {
-			Mode        string `json:"mode"`
-			StreamCells uint64 `json:"stream_cells"`
-			Events      uint64 `json:"events"`
-			CompileNs   int64  `json:"compile_ns"`
-			RunNs       int64  `json:"run_ns"`
-		} `json:"executor"`
-		Grid []struct {
-			Program string  `json:"Program"`
-			Arch    string  `json:"Arch"`
-			Algo    string  `json:"Algo"`
-			CPI     float64 `json:"CPI"`
-		} `json:"grid"`
-	} `json:"sections"`
+	Sections map[string]json.RawMessage `json:"sections"`
+}
+
+// gridKeys are the JSON keys of one grid row, a metrics.Summary of a cell
+// whose variant was scored in the i-cache.
+var gridKeys = []string{"program", "arch", "algo", "instrs", "bep", "events", "misfetches", "mispredicts",
+	"cond", "cond_taken", "cond_correct", "ic_fetches", "ic_accesses", "ic_misses", "cpi", "fall_pct",
+	"cond_accuracy", "ic_mpki"}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // reportFor runs a tiny suite with -report and decodes the resulting
-// document, checking its engine, executor and grid sections.
+// document, checking its engine and executor counts, its spans and its
+// grid section.
 func reportFor(t *testing.T) *runReport {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "report.json")
@@ -190,6 +180,9 @@ func reportFor(t *testing.T) *runReport {
 		if s.Name != "sim.run" {
 			t.Errorf("unexpected root span %q", s.Name)
 		}
+		if s.Attrs["busy_ns"] <= 0 {
+			t.Errorf("sim.run span busy_ns = %d, want positive", s.Attrs["busy_ns"])
+		}
 		for _, c := range s.Children {
 			shards++
 			if _, ok := c.Attrs["queue_wait_ns"]; !ok {
@@ -197,34 +190,38 @@ func reportFor(t *testing.T) *runReport {
 			}
 		}
 	}
-	eng := rep.Sections.Engine
-	if uint64(shards) != eng.Tasks {
-		t.Errorf("%d shard spans but engine reports %d tasks", shards, eng.Tasks)
+	if int64(shards) != rep.Counters["sim.tasks"] {
+		t.Errorf("%d shard spans but sim.tasks = %d", shards, rep.Counters["sim.tasks"])
 	}
-	if eng.BusyNs <= 0 || eng.Errors != 0 {
-		t.Errorf("engine stats malformed: %+v", eng)
+	if n, ok := rep.Counters["sim.task_errors"]; ok {
+		t.Errorf("sim.task_errors = %d, want none", n)
 	}
-	// The executor section must report the kernel mode and split simulation
-	// cost into compile and run phases (so per-consumer setup can't be
-	// misattributed to simulation time).
-	ex := rep.Sections.Executor
-	if ex.Mode != "flat" {
-		t.Errorf("executor mode = %q, want flat default", ex.Mode)
-	}
-	if ex.Events == 0 || ex.CompileNs <= 0 || ex.RunNs <= 0 {
-		t.Errorf("executor phase split malformed: %+v", ex)
-	}
-	if rep.Counters["sim.exec.compile_ns"] == 0 || rep.Counters["sim.exec.run_ns"] == 0 ||
+	// The executor splits simulation cost into compile and run phases (so
+	// per-consumer setup can't be misattributed to simulation time).
+	if rep.Counters["sim.exec.events"] == 0 || rep.Counters["sim.exec.compile_ns"] == 0 || rep.Counters["sim.exec.run_ns"] == 0 ||
 		rep.Counters["kernel.compiles"] == 0 || rep.Counters["kernel.run_ns"] == 0 {
 		t.Errorf("executor/kernel counters missing: %v", rep.Counters)
 	}
-	// The grid section must be the full {program x arch x algo} matrix.
-	if want := len(predict.AllArchs()) * len(experiments.Algos()); len(rep.Sections.Grid) != want {
-		t.Errorf("grid rows = %d, want %d", len(rep.Sections.Grid), want)
+	// The grid is the only section: the full {program x arch x algo}
+	// matrix, under snake_case keys.
+	if len(rep.Sections) != 1 {
+		t.Errorf("report sections %v; want the grid alone", sortedKeys(rep.Sections))
 	}
-	for _, row := range rep.Sections.Grid {
-		if row.Program != "ora" || row.Arch == "" || row.Algo == "" || row.CPI <= 0 {
-			t.Errorf("degenerate grid row: %+v", row)
+	var grid []map[string]any
+	if err := json.Unmarshal(rep.Sections["grid"], &grid); err != nil {
+		t.Fatalf("grid section: %v", err)
+	}
+	if want := len(predict.AllArchs()) * len(experiments.Algos()); len(grid) != want {
+		t.Errorf("grid rows = %d, want %d", len(grid), want)
+	}
+	wantKeys := slices.Clone(gridKeys)
+	slices.Sort(wantKeys)
+	for _, row := range grid {
+		if keys := sortedKeys(row); !slices.Equal(keys, wantKeys) {
+			t.Errorf("grid row keys %v, want %v", keys, gridKeys)
+		}
+		if cpi, _ := row["cpi"].(float64); row["program"] != "ora" || row["arch"] == "" || row["algo"] == "" || cpi <= 0 {
+			t.Errorf("degenerate grid row: %v", row)
 		}
 	}
 	return rep
@@ -232,33 +229,28 @@ func reportFor(t *testing.T) *runReport {
 
 // TestRunReportSchema is the run-report schema check `make report` relies
 // on: a suite run with -report must emit one JSON document carrying the
-// summary grid, per-shard timing spans, engine stats, broadcast-stage stats
-// and ring gauges, under the stable field names asserted here.
+// summary grid, per-shard timing spans, the engine's, the broadcast
+// stage's and the executor's counters and the ring gauges, under the
+// stable names asserted here.
 func TestRunReportSchema(t *testing.T) {
 	rep := reportFor(t)
-	if rep.Counters["sim.stream.broadcasts"] == 0 || rep.Counters["sim.stream.batches"] == 0 {
-		t.Errorf("stream counters missing: %v", rep.Counters)
+	c, g := rep.Counters, rep.Gauges
+	for _, name := range []string{"broadcasts", "batches", "events", "gen_ns", "arena_reuses"} {
+		if c["sim.stream."+name] <= 0 {
+			t.Errorf("sim.stream.%s = %d, want positive", name, c["sim.stream."+name])
+		}
 	}
-	if rep.Gauges["sim.stream.peak_live_bytes"] == 0 {
-		t.Errorf("stream ring gauges missing: %v", rep.Gauges)
+	// A broadcast whose producer never waited for a buffer adds zero.
+	if n, ok := c["sim.stream.stalls_ns"]; !ok || n < 0 {
+		t.Errorf("sim.stream.stalls_ns = %d (recorded %v), want recorded and not negative", n, ok)
 	}
-	if rep.Gauges["sim.stream.live_buffers"] != 0 || rep.Gauges["sim.stream.live_bytes"] != 0 {
-		t.Errorf("stream ring not drained: %v", rep.Gauges)
+	if g["sim.stream.peak_live_bytes"] == 0 {
+		t.Errorf("stream ring gauges missing: %v", g)
 	}
-	ss := rep.Sections.Stream
-	if ss.Broadcasts == 0 || ss.Batches == 0 || ss.Events == 0 || ss.PeakLiveBytes == 0 {
-		t.Errorf("stream stats malformed: %+v", ss)
-	}
-	if ss.LiveBuffers != 0 || ss.LiveBytes != 0 {
-		t.Errorf("stream ring leaked: %+v", ss)
-	}
-	if ss.GenNs == 0 {
-		t.Error("streamed run recorded no generation time")
-	}
-	// ora's grid broadcasts 11 distinct variants through one streamer, so
-	// every broadcast after the first draws its ring from the arena.
-	if ss.ArenaReuses == 0 {
-		t.Error("multi-variant streamed run reused no arena buffers")
+	for _, name := range []string{"sim.stream.live_buffers", "sim.stream.live_bytes"} {
+		if n, ok := g[name]; !ok || n != 0 {
+			t.Errorf("%s = %d (recorded %v); want recorded and drained to 0", name, n, ok)
+		}
 	}
 	// Preparation folds ora's 16 variant keys into fewer distinct
 	// variants, and the grid broadcasts each distinct variant once.
@@ -271,9 +263,8 @@ func TestRunReportSchema(t *testing.T) {
 	// (variant, architecture) pair. For ora at this scale no two variants of one
 	// architecture fold together, so that adds up to every (architecture,
 	// algorithm) cell.
-	ex := rep.Sections.Executor
-	if want := uint64(len(predict.AllArchs()) * len(experiments.Algos())); ex.StreamCells != want {
-		t.Errorf("executor stream cells = %d, want %d", ex.StreamCells, want)
+	if want := int64(len(predict.AllArchs()) * len(experiments.Algos())); c["sim.exec.stream_cells"] != want {
+		t.Errorf("sim.exec.stream_cells = %d, want %d", c["sim.exec.stream_cells"], want)
 	}
 	// Kernel time splits into the shared pass and one pass per
 	// architecture class, and events split by class. Each batch times its

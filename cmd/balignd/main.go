@@ -11,8 +11,7 @@
 //
 //	balignd [-addr :8421] [-addr-file path] [-inflight 8] [-queue-wait 250ms]
 //	        [-timeout 60s] [-max-body 8388608] [-cache-entries 256]
-//	        [-cache-bytes 67108864] [-kernel flat|ref] [-parallel N]
-//	        [-drain 30s] [-v]
+//	        [-cache-bytes 67108864] [-parallel N] [-drain 30s] [-v]
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: /healthz flips to 503,
 // new work is rejected, in-flight requests run to completion (bounded by
@@ -58,7 +57,6 @@ func run(args []string, stderr io.Writer) error {
 	maxBody := fs.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size limit in bytes")
 	cacheEntries := fs.Int("cache-entries", serve.DefaultCacheEntries, "result cache entry bound (-1 disables the cache)")
 	cacheBytes := fs.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache byte bound")
-	kernel := fs.String("kernel", "", "simulation executor: flat | ref (default flat)")
 	parallel := fs.Int("parallel", 0, "per-request experiment-engine shards (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for in-flight work")
 	verbose := fs.Bool("v", false, "write the telemetry report to stderr on exit")
@@ -82,7 +80,6 @@ func run(args []string, stderr io.Writer) error {
 		MaxBodyBytes: *maxBody,
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheBytes,
-		Kernel:       *kernel,
 		Parallelism:  *parallel,
 		Obs:          rec,
 	})
@@ -130,8 +127,6 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	if *verbose {
-		rec.Attach("serve_cache", srv.CacheStats())
-		rec.Attach("stream", srv.Streamer().Stats())
 		if err := rec.WriteJSON(stderr); err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ import (
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	cases := [][]string{
-		{"-kernel", "bogus"},
 		{"-not-a-flag"},
 	}
 	for _, args := range cases {

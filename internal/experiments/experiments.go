@@ -9,10 +9,11 @@
 // profiling are prepared per program and equal variants fold, then each
 // distinct variant's event stream is generated once and broadcast
 // batch-by-batch to one kernel simulating all of its architectures,
-// holding only a bounded buffer ring in memory. Results reduce in
-// canonical order, so every kernel mode and parallelism setting produces
-// byte-identical output; the differential oracle tests enforce this. Every
-// other experiment streams each of its layouts through the same path.
+// holding only a bounded buffer ring in memory. Each cell writes its own
+// metrics.Summary row of a slice laid out in canonical order, so every
+// kernel mode and parallelism setting produces byte-identical output; the
+// differential oracle tests enforce this. Every other experiment streams
+// each of its layouts through the same path.
 package experiments
 
 import (
@@ -91,9 +92,9 @@ type Config struct {
 	Verbose bool
 	// Log receives -v progress output; nil discards it.
 	Log io.Writer
-	// Obs receives run telemetry: per-shard engine spans, stream counters
-	// and gauges, per-procedure alignment timings, and attached "engine" /
-	// "stream" / "executor" / "grid" report sections. Nil (the
+	// Obs receives run telemetry: per-shard engine spans, the engine,
+	// stream and executor counters and gauges, per-procedure alignment
+	// timings, and the summary grid as the "grid" report section. Nil (the
 	// default) disables telemetry at zero cost. Telemetry is
 	// observation-only, so results are byte-identical with it on or off —
 	// the differential oracle tests assert this.
@@ -257,37 +258,6 @@ func ImportWorkload(path string, wcfg workload.Config) (*workload.Workload, erro
 	return workload.FromProfile(name, prog, pf, wcfg)
 }
 
-// Cell is one (architecture, algorithm) measurement.
-type Cell struct {
-	// CPI is the paper's relative cycles-per-instruction metric.
-	CPI float64
-	// FallPct is the percentage of executed conditional branches that fell
-	// through.
-	FallPct float64
-	// CondAccuracy is the conditional branch prediction accuracy.
-	CondAccuracy float64
-	// Instrs is the number of instructions the traced variant retired.
-	Instrs uint64
-	// BEP is the branch execution penalty in cycles.
-	BEP uint64
-	// Res holds the exact simulation counts behind the derived metrics.
-	Res predict.Result
-	// IC is the variant's instruction-cache measurement (shared by every
-	// architecture cell of the variant; the fetch stream does not depend on
-	// the predictor).
-	IC ICacheCell
-}
-
-// ProgramResult is the full evaluation matrix of one program.
-type ProgramResult struct {
-	Program string
-	Class   workload.Class
-	Cells   map[predict.ArchID]map[Algo]Cell
-	// Stats reports what the TryN rewrite did (per the FALLTHROUGH-model
-	// alignment, the most aggressive).
-	TryStats core.RewriteStats
-}
-
 // variant is one aligned (or original) version of a program.
 type variant struct {
 	prog *ir.Program
@@ -353,10 +323,12 @@ func variantKeyForGreedy(arch predict.ArchID) string {
 }
 
 // simSpec names one simulation of a variant: which architecture consumes
-// its trace and which algorithm column the result lands in.
+// its trace, which algorithm column the result lands in, and the index of
+// its row among the unit's rows (architecture order, then algorithm order).
 type simSpec struct {
 	arch predict.ArchID
 	algo Algo
+	row  int
 }
 
 // evalUnit is one program's prepared evaluation state: its profile, every
@@ -380,17 +352,6 @@ type evalUnit struct {
 	keys      []string
 	specs     map[string][]simSpec
 	totalKeys int
-	tryStats  core.RewriteStats
-}
-
-// ICacheCell is one variant's instruction-cache measurement: the exact
-// counters of an icache.Sim fed the variant's streamed trace, plus the
-// derived MPKI metric.
-type ICacheCell struct {
-	Fetches  uint64
-	Accesses uint64
-	Misses   uint64
-	MPKI     float64
 }
 
 // newEvalUnit profiles one workload and builds every variant the given
@@ -420,9 +381,9 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 		u.specs[key] = append(u.specs[key], spec)
 	}
 	algos := cfg.algos()
-	for _, arch := range archs {
-		for _, algo := range algos {
-			add(variantKey(arch, algo), simSpec{arch, algo})
+	for i, arch := range archs {
+		for j, algo := range algos {
+			add(variantKey(arch, algo), simSpec{arch, algo, i*len(algos) + j})
 		}
 	}
 
@@ -458,9 +419,6 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 			return nil, fmt.Errorf("%w %s/%s: %w", ErrAlign, w.Name, key, err)
 		}
 		u.variants[key] = &variant{prog: res.Prog, prof: res.Prof}
-		if strings.HasPrefix(key, "try-") && arch == predict.ArchFallthrough {
-			u.tryStats = res.Stats
-		}
 	}
 
 	// Fold every key into the first earlier key whose variant is equal, so
@@ -537,20 +495,6 @@ func sameBranches(a, b *profile.Profile) bool {
 	})
 }
 
-// makeCell derives one cell's paper metrics from its exact simulation
-// result; instrs is the traced variant's retired-instruction count.
-func makeCell(origInstrs, instrs uint64, r predict.Result) Cell {
-	bep := metrics.BEPFromResult(r)
-	return Cell{
-		CPI:          metrics.RelativeCPI(origInstrs, instrs, bep),
-		FallPct:      metrics.FallthroughPct(r),
-		CondAccuracy: r.CondAccuracy(),
-		Instrs:       instrs,
-		BEP:          bep,
-		Res:          r,
-	}
-}
-
 // cpi streams v, a variant of w, through one architecture and returns its
 // relative CPI against base, the original's instruction count on w's input.
 func (p simPath) cpi(ctx context.Context, w *workload.Workload, v *variant, arch predict.ArchID, base uint64) (float64, error) {
@@ -565,12 +509,12 @@ func (p simPath) cpi(ctx context.Context, w *workload.Workload, v *variant, arch
 // streamed generation: one kernel simulates every distinct architecture
 // among its cells (cells folded from equal variants can share one) and the
 // i-cache is scored on the same batches. The fetch stream does not depend
-// on the predictor, so that one i-cache measurement is every cell's IC.
-// cells[base:base+len(specs)], the task's own slots, receive the results in
-// spec order. ctx is the shard's context: when the engine cancels (another
-// shard failed, the run's deadline passed) the broadcast aborts promptly
-// instead of draining the stream.
-func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, cells []Cell, base int) error {
+// on the predictor, so that one i-cache measurement is every cell's. Each
+// cell's row lands in rows[spec.row], the unit's slot for it, which no other
+// variant writes. ctx is the shard's context: when the engine cancels
+// (another shard failed, the run's deadline passed) the broadcast aborts
+// promptly instead of draining the stream.
+func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, rows []metrics.Summary) error {
 	specs := u.specs[key]
 	var archs []predict.ArchID
 	archOf := make([]int, len(specs)) // index of each spec's result in archs
@@ -587,28 +531,22 @@ func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, cells [
 	if err != nil {
 		return fmt.Errorf("evaluating %s/%s: %w", u.w.Name, key, err)
 	}
-	icc := ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
-	for i := range specs {
-		c := makeCell(u.origInstrs, instrs, results[archOf[i]])
-		c.IC = icc
-		cells[base+i] = c
+	for i, spec := range specs {
+		r := metrics.NewSummary(u.w.Name, string(spec.arch), string(spec.algo), u.origInstrs, instrs, results[archOf[i]])
+		r.ICFetches, r.ICAccesses, r.ICMisses, r.ICMPKI = ic.Fetches, ic.Accesses, ic.Misses, ic.MPKI()
+		rows[spec.row] = r
 	}
 	return nil
 }
 
-// cellSlot addresses one cell's result across the flattened grid.
-type cellSlot struct {
-	unit int
-	spec simSpec
-}
-
 // evaluatePrograms runs the full evaluation grid over the given workloads:
 // a preparation pass (profile + alignments + the fold of equal variants,
-// sharded per program), then the flat {program x architecture x algorithm}
-// cell grid (sharded per distinct variant, each variant's stream generated
-// once and broadcast to its kernel and its i-cache consumer), then
-// a canonical-order reduction.
-func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]*ProgramResult, error) {
+// sharded per program), then the cell grid, sharded per distinct variant,
+// each variant's stream generated once and broadcast to its kernel and its
+// i-cache consumer. Every variant writes its cells' rows in place, so the
+// rows come back in canonical order: workload, then architecture, then
+// algorithm.
+func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]metrics.Summary, error) {
 	eng := cfg.engine()
 	p, err := cfg.simPath()
 	if err != nil {
@@ -619,7 +557,6 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 	units := make([]*evalUnit, len(ws))
 	prep := make([]sim.Task, len(ws))
 	for i := range ws {
-		i := i
 		prep[i] = sim.Task{Label: "prep/" + ws[i].Name, Run: func(context.Context) error {
 			u, err := newEvalUnit(ws[i], archs, cfg)
 			if err != nil {
@@ -633,85 +570,32 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 		return nil, err
 	}
 
-	// Phase 2: the cell grid, in canonical slot order (unit, then variant
-	// key, then spec), sharded one task per distinct variant: each
-	// generates its stream once and broadcasts it to all of the variant's
-	// architectures, filling the variant's contiguous slot range.
-	var slots []cellSlot
-	type variantTask struct {
-		unit int
-		key  string
-		base int
-	}
-	var vtasks []variantTask
+	// Phase 2: the cell grid, one task per distinct variant. Each unit owns
+	// one block of rows, and each of its variants fills the rows of its
+	// cells.
+	perUnit := len(archs) * len(cfg.algos())
+	rows := make([]metrics.Summary, len(units)*perUnit)
+	var tasks []sim.Task
 	totalKeys := 0
 	for ui, u := range units {
 		totalKeys += u.totalKeys
+		block := rows[ui*perUnit : (ui+1)*perUnit]
 		for _, key := range u.keys {
-			vtasks = append(vtasks, variantTask{unit: ui, key: key, base: len(slots)})
-			for _, spec := range u.specs[key] {
-				slots = append(slots, cellSlot{unit: ui, spec: spec})
-			}
-		}
-	}
-	cells := make([]Cell, len(slots))
-	tasks := make([]sim.Task, len(vtasks))
-	for i := range vtasks {
-		vt := vtasks[i]
-		u := units[vt.unit]
-		tasks[i] = sim.Task{
-			Label: fmt.Sprintf("%s/%s", u.w.Name, vt.key),
-			Run: func(ctx context.Context) error {
-				return runVariant(ctx, u, vt.key, p, cells, vt.base)
-			},
+			tasks = append(tasks, sim.Task{
+				Label: u.w.Name + "/" + key,
+				Run:   func(ctx context.Context) error { return runVariant(ctx, u, key, p, block) },
+			})
 		}
 	}
 	if err := eng.Run(cfg.Ctx, tasks); err != nil {
 		return nil, err
 	}
-
-	// Phase 3: deterministic reduction in canonical slot order.
-	results := make([]*ProgramResult, len(units))
-	for ui, u := range units {
-		results[ui] = &ProgramResult{
-			Program:  u.w.Name,
-			Class:    u.w.Class,
-			Cells:    make(map[predict.ArchID]map[Algo]Cell),
-			TryStats: u.tryStats,
-		}
-	}
-	for i, s := range slots {
-		r := results[s.unit]
-		if r.Cells[s.spec.arch] == nil {
-			r.Cells[s.spec.arch] = make(map[Algo]Cell)
-		}
-		r.Cells[s.spec.arch][s.spec.algo] = cells[i]
-	}
-
-	st, sst := eng.Stats(), p.str.Stats()
-	eng.Logf("sim: %d programs, %d cells, %d variants (%d distinct), busy %v; streamed %d variants in %d batches (peak ring %d bytes)",
-		len(units), len(slots), totalKeys, len(vtasks), st.Busy, sst.Broadcasts, sst.Batches, sst.PeakLiveBytes)
-	// Snapshot the engine, streamer and executor into the run report. A
-	// multi-grid run (baexp all) overwrites with each grid's final state;
-	// the report's counters still accumulate across grids.
-	cfg.Obs.Attach("engine", st)
-	cfg.Obs.Attach("stream", sst)
-	cfg.Obs.Attach("executor", p.exec.Stats())
-	return results, nil
+	eng.Logf("sim: %d programs, %d cells, %d variants (%d distinct)", len(units), len(rows), totalKeys, len(tasks))
+	return rows, nil
 }
 
-// Evaluate runs the complete evaluation matrix for one workload over the
-// given architectures.
-func Evaluate(w *workload.Workload, archs []predict.ArchID, cfg Config) (*ProgramResult, error) {
-	results, err := evaluatePrograms([]*workload.Workload{w}, archs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// Summaries evaluates the grid for the configured programs and reduces it
-// to canonical metrics.Summary rows (suite program order, then architecture
+// Summaries evaluates the grid for the configured programs and returns its
+// canonical metrics.Summary rows (suite program order, then architecture
 // order, then algorithm order). This is the byte-comparable form the
 // differential parallel-vs-serial oracle checks.
 func Summaries(cfg Config, archs []predict.ArchID) ([]metrics.Summary, error) {
@@ -726,71 +610,12 @@ func Summaries(cfg Config, archs []predict.ArchID) ([]metrics.Summary, error) {
 // configured programs: rows in workload order, then architecture order,
 // then canonical algorithm order.
 func WorkloadSummaries(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]metrics.Summary, error) {
-	results, err := evaluatePrograms(ws, archs, cfg)
+	rows, err := evaluatePrograms(ws, archs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	algos := cfg.algos()
-	out := make([]metrics.Summary, 0, len(results)*len(archs)*len(algos))
-	for _, r := range results {
-		for _, arch := range archs {
-			for _, algo := range algos {
-				c := r.Cells[arch][algo]
-				s := metrics.NewSummary(r.Program, string(arch), string(algo), 0, c.Instrs, c.Res)
-				// NewSummary derives CPI from its own denominator; keep the
-				// grid's exact values instead.
-				s.CPI, s.FallPct, s.CondAccuracy = c.CPI, c.FallPct, c.CondAccuracy
-				s.ICFetches, s.ICAccesses, s.ICMisses = c.IC.Fetches, c.IC.Accesses, c.IC.Misses
-				s.ICMPKI = c.IC.MPKI
-				out = append(out, s)
-			}
-		}
-	}
 	// The canonical summary grid is the run's primary artifact; attach it
 	// so a -report run carries results and telemetry in one document.
-	cfg.Obs.Attach("grid", out)
-	return out, nil
-}
-
-// ClassAverage computes the arithmetic mean cell over a class of results,
-// as the paper's per-group average rows do.
-func ClassAverage(results []*ProgramResult, class workload.Class, archs []predict.ArchID) *ProgramResult {
-	avg := &ProgramResult{
-		Program: "avg-" + string(class),
-		Class:   class,
-		Cells:   make(map[predict.ArchID]map[Algo]Cell),
-	}
-	n := 0
-	for _, r := range results {
-		if r.Class != class {
-			continue
-		}
-		n++
-		for _, arch := range archs {
-			if avg.Cells[arch] == nil {
-				avg.Cells[arch] = make(map[Algo]Cell)
-			}
-			for _, algo := range Algos() {
-				c := avg.Cells[arch][algo]
-				rc := r.Cells[arch][algo]
-				c.CPI += rc.CPI
-				c.FallPct += rc.FallPct
-				c.CondAccuracy += rc.CondAccuracy
-				avg.Cells[arch][algo] = c
-			}
-		}
-	}
-	if n == 0 {
-		return avg
-	}
-	for _, arch := range archs {
-		for _, algo := range Algos() {
-			c := avg.Cells[arch][algo]
-			c.CPI /= float64(n)
-			c.FallPct /= float64(n)
-			c.CondAccuracy /= float64(n)
-			avg.Cells[arch][algo] = c
-		}
-	}
-	return avg
+	cfg.Obs.Attach("grid", rows)
+	return rows, nil
 }

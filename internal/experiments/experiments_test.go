@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/workload"
 )
@@ -11,6 +12,17 @@ import (
 // fastCfg keeps test experiments small: short traces.
 func fastCfg(programs ...string) Config {
 	return Config{Scale: 0.05, Programs: programs}
+}
+
+// archCells maps each algorithm to one program's row for arch.
+func archCells(block []metrics.Summary, arch predict.ArchID) map[Algo]metrics.Summary {
+	cells := make(map[Algo]metrics.Summary)
+	for _, r := range block {
+		if r.Arch == string(arch) {
+			cells[Algo(r.Algo)] = r
+		}
+	}
+	return cells
 }
 
 func TestTable1MentionsAllCosts(t *testing.T) {
@@ -49,39 +61,40 @@ func TestTable2SubsetShape(t *testing.T) {
 func TestTable3ShapeOnSubset(t *testing.T) {
 	t.Parallel()
 	cfg := fastCfg("ora", "compress")
-	results, err := Table3(cfg)
+	rows, err := Table3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2 programs + 2 class averages.
+	results := programBlocks(rows)
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
 	}
 	for _, r := range results {
-		if strings.HasPrefix(r.Program, "avg-") {
+		if strings.HasPrefix(r[0].Program, "avg-") {
 			continue
 		}
-		ft := r.Cells[predict.ArchFallthrough]
+		ft := archCells(r, predict.ArchFallthrough)
 		// Alignment must help (or at least not hurt) under FALLTHROUGH —
 		// the architecture the paper says has the most headroom.
 		if ft[AlgoTry].CPI > ft[AlgoOrig].CPI+0.01 {
 			t.Errorf("%s: FALLTHROUGH Try15 CPI %.3f worse than Orig %.3f",
-				r.Program, ft[AlgoTry].CPI, ft[AlgoOrig].CPI)
+				r[0].Program, ft[AlgoTry].CPI, ft[AlgoOrig].CPI)
 		}
 		// Try15 raises the fall-through rate under FALLTHROUGH.
 		if ft[AlgoTry].FallPct < ft[AlgoOrig].FallPct {
 			t.Errorf("%s: fall-through %%%.0f did not improve over %.0f",
-				r.Program, ft[AlgoTry].FallPct, ft[AlgoOrig].FallPct)
+				r[0].Program, ft[AlgoTry].FallPct, ft[AlgoOrig].FallPct)
 		}
 		// LIKELY has less headroom than FALLTHROUGH.
-		lk := r.Cells[predict.ArchLikely]
+		lk := archCells(r, predict.ArchLikely)
 		gainFT := ft[AlgoOrig].CPI - ft[AlgoTry].CPI
 		gainLK := lk[AlgoOrig].CPI - lk[AlgoTry].CPI
 		if gainLK > gainFT+0.02 {
-			t.Errorf("%s: LIKELY gained more (%.3f) than FALLTHROUGH (%.3f)", r.Program, gainLK, gainFT)
+			t.Errorf("%s: LIKELY gained more (%.3f) than FALLTHROUGH (%.3f)", r[0].Program, gainLK, gainFT)
 		}
 	}
-	text := FormatCPITable(results, predict.StaticArchs(), true)
+	text := FormatCPITable(rows, predict.StaticArchs(), true)
 	if !strings.Contains(text, "fallthrough:Orig") {
 		t.Errorf("FormatCPITable missing headers:\n%s", text)
 	}
@@ -90,19 +103,19 @@ func TestTable3ShapeOnSubset(t *testing.T) {
 func TestTable4ShapeOnSubset(t *testing.T) {
 	t.Parallel()
 	cfg := fastCfg("ora")
-	results, err := Table4(cfg)
+	rows, err := Table4(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := results[0]
+	r := programBlocks(rows)[0]
 	for _, arch := range predict.DynamicArchs() {
-		cells := r.Cells[arch]
+		cells := archCells(r, arch)
 		if cells[AlgoOrig].CPI <= 1.0 {
-			t.Errorf("%s/%s: Orig CPI %.3f should exceed 1.0 (penalties exist)", r.Program, arch, cells[AlgoOrig].CPI)
+			t.Errorf("%s/%s: Orig CPI %.3f should exceed 1.0 (penalties exist)", r[0].Program, arch, cells[AlgoOrig].CPI)
 		}
 		if cells[AlgoTry].CPI > cells[AlgoOrig].CPI+0.05 {
 			t.Errorf("%s/%s: Try15 CPI %.3f much worse than Orig %.3f",
-				r.Program, arch, cells[AlgoTry].CPI, cells[AlgoOrig].CPI)
+				r[0].Program, arch, cells[AlgoTry].CPI, cells[AlgoOrig].CPI)
 		}
 	}
 	// The BTB architectures should already be efficient: their original
@@ -111,8 +124,8 @@ func TestTable4ShapeOnSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftOrig := t3[0].Cells[predict.ArchFallthrough][AlgoOrig].CPI
-	btbOrig := r.Cells[predict.ArchBTB256][AlgoOrig].CPI
+	ftOrig := cell(t3, predict.ArchFallthrough, AlgoOrig).CPI
+	btbOrig := cell(r, predict.ArchBTB256, AlgoOrig).CPI
 	if btbOrig >= ftOrig {
 		t.Errorf("BTB-256 orig CPI %.3f not better than FALLTHROUGH %.3f", btbOrig, ftOrig)
 	}
@@ -124,12 +137,12 @@ func TestAlignmentNarrowsArchitectureGap(t *testing.T) {
 	// between the various branch architectures" — check FALLTHROUGH vs
 	// LIKELY converge after Try15.
 	cfg := fastCfg("compress")
-	results, err := Table3(cfg)
+	rows, err := Table3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := results[0]
-	ft, lk := r.Cells[predict.ArchFallthrough], r.Cells[predict.ArchLikely]
+	r := programBlocks(rows)[0]
+	ft, lk := archCells(r, predict.ArchFallthrough), archCells(r, predict.ArchLikely)
 	gapBefore := ft[AlgoOrig].CPI - lk[AlgoOrig].CPI
 	gapAfter := ft[AlgoTry].CPI - lk[AlgoTry].CPI
 	if gapAfter > gapBefore {
@@ -265,13 +278,13 @@ func TestEvaluateClassAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Evaluate(w, predict.StaticArchs(), cfg)
+	r, err := evaluatePrograms([]*workload.Workload{w}, predict.StaticArchs(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := ClassAverage([]*ProgramResult{r}, workload.SPECfp, predict.StaticArchs())
-	got := avg.Cells[predict.ArchFallthrough][AlgoOrig].CPI
-	want := r.Cells[predict.ArchFallthrough][AlgoOrig].CPI
+	avg := ClassAverage("avg-"+string(workload.SPECfp), [][]metrics.Summary{r})
+	got := cell(avg, predict.ArchFallthrough, AlgoOrig).CPI
+	want := cell(r, predict.ArchFallthrough, AlgoOrig).CPI
 	if got != want {
 		t.Errorf("single-program average %.4f != program value %.4f", got, want)
 	}
@@ -285,18 +298,18 @@ func TestTryNNeverWorsensBTFNT(t *testing.T) {
 	// backward branch as mispredicts. With both fixed, TryN aligned for
 	// BT/FNT never loses to the original layout on these branchy kernels.
 	cfg := Config{Scale: 0.3, Programs: []string{"eqntott", "li", "compress"}}
-	results, err := Table3(cfg)
+	rows, err := Table3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if strings.HasPrefix(r.Program, "avg-") {
+	for _, r := range programBlocks(rows) {
+		if strings.HasPrefix(r[0].Program, "avg-") {
 			continue
 		}
-		cells := r.Cells[predict.ArchBTFNT]
+		cells := archCells(r, predict.ArchBTFNT)
 		if cells[AlgoTry].CPI > cells[AlgoOrig].CPI+0.01 {
 			t.Errorf("%s: BT/FNT Try15 CPI %.3f worse than Orig %.3f",
-				r.Program, cells[AlgoTry].CPI, cells[AlgoOrig].CPI)
+				r[0].Program, cells[AlgoTry].CPI, cells[AlgoOrig].CPI)
 		}
 	}
 }

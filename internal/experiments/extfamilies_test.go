@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"balign/internal/metrics"
+	"balign/internal/obs"
 	"balign/internal/predict"
 	"balign/internal/workload"
 )
@@ -93,5 +94,21 @@ func TestMeldStudyRuns(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted study missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestMeldStudyStreamsEachOriginalOnce pins the study's broadcasts: per
+// program, the base original and the melded original stream once each,
+// through all four study architectures, and each architecture streams its
+// two aligned layouts. Two programs make 2 x (2 + 2x4) = 20 broadcasts.
+func TestMeldStudyStreamsEachOriginalOnce(t *testing.T) {
+	t.Parallel()
+	cfg := fastCfg()
+	cfg.Obs = obs.New("test")
+	if _, err := MeldStudy(nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Obs.Report().Counters["sim.stream.broadcasts"]; n != 20 {
+		t.Errorf("sim.stream.broadcasts = %d, want 20", n)
 	}
 }

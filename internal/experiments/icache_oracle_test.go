@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"balign/internal/icache"
+	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/sim"
 )
@@ -18,8 +19,8 @@ var icacheOracleWorkloads = []string{"ora", "gcc", "alvinn", "tomcatv", "compres
 
 // TestICacheStreamMatchesRun is the oracle for the grid's i-cache scoring,
 // which rides each variant's broadcast as one more consumer of its packed
-// batches. For every variant gridVariants returns, the IC counters
-// runVariant attaches to each of the variant's cells must equal an
+// batches. For every variant gridVariants returns, the i-cache counts
+// runVariant writes into each of the variant's rows must equal an
 // icache.Sim fed the events w.Run pushes, in both kernel modes. That
 // push-fed replay is the pass preparation used to run; it survives only
 // here, as the reference.
@@ -29,7 +30,7 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 	for _, name := range icacheOracleWorkloads {
 		t.Run(name, func(t *testing.T) {
 			u, keys := gridVariants(t, name, archs)
-			want := make(map[string]ICacheCell, len(keys))
+			want := make(map[string]metrics.Summary, len(keys))
 			for _, key := range keys {
 				v := u.variants[key]
 				ic := icache.New(icache.DefaultConfig())
@@ -39,7 +40,7 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 				if ic.Fetches == 0 {
 					t.Fatalf("%s: the push-fed i-cache fetched nothing", key)
 				}
-				want[key] = ICacheCell{Fetches: ic.Fetches, Accesses: ic.Accesses, Misses: ic.Misses, MPKI: ic.MPKI()}
+				want[key] = metrics.Summary{ICFetches: ic.Fetches, ICAccesses: ic.Accesses, ICMisses: ic.Misses, ICMPKI: ic.MPKI()}
 			}
 			for _, kern := range []string{"flat", "ref"} {
 				exec, err := sim.NewExecutor(kern, nil)
@@ -48,18 +49,23 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 				}
 				str := sim.NewStreamer(0, 0, nil)
 				for _, key := range keys {
-					cells := make([]Cell, len(u.specs[key]))
-					if err := runVariant(context.Background(), u, key, simPath{str: str, exec: exec}, cells, 0); err != nil {
+					rows := make([]metrics.Summary, len(archs)*len(Algos()))
+					if err := runVariant(context.Background(), u, key, simPath{str: str, exec: exec}, rows); err != nil {
 						t.Fatalf("kernel=%s %s: runVariant: %v", kern, key, err)
 					}
-					for i, c := range cells {
-						if c.IC != want[key] {
+					for _, spec := range u.specs[key] {
+						if got := icacheOf(rows[spec.row]); got != want[key] {
 							t.Errorf("kernel=%s %s/%s: streamed i-cache %+v, w.Run-fed %+v",
-								kern, key, u.specs[key][i].arch, c.IC, want[key])
+								kern, key, spec.arch, got, want[key])
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// icacheOf returns only r's i-cache counts and MPKI.
+func icacheOf(r metrics.Summary) metrics.Summary {
+	return metrics.Summary{ICFetches: r.ICFetches, ICAccesses: r.ICAccesses, ICMisses: r.ICMisses, ICMPKI: r.ICMPKI}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"balign/internal/core"
@@ -57,8 +58,8 @@ func TestKernelMatchesReferenceGrid(t *testing.T) {
 // the same variant, so TestFoldMatchesDigest covers it instead) plus the
 // paper's Cost heuristic under the FALLTHROUGH model with no chain order,
 // which the tables ablate but evalUnit does not fan out. That extra
-// variant gets one FALLTHROUGH cell, so runVariant can evaluate it like
-// any other.
+// variant gets one FALLTHROUGH cell, in the grid's FALLTHROUGH/cost row,
+// so runVariant can evaluate it like any other.
 func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit, []string) {
 	t.Helper()
 	cfg := fastCfg(name)
@@ -76,7 +77,8 @@ func gridVariants(t *testing.T, name string, archs []predict.ArchID) (*evalUnit,
 		t.Fatalf("AlignProgram(cost): %v", err)
 	}
 	u.variants["cost"] = &variant{prog: cres.Prog, prof: cres.Prof}
-	u.specs["cost"] = []simSpec{{predict.ArchFallthrough, AlgoCost}}
+	row := slices.Index(archs, predict.ArchFallthrough)*len(Algos()) + slices.Index(Algos(), AlgoCost)
+	u.specs["cost"] = []simSpec{{predict.ArchFallthrough, AlgoCost, row}}
 	return u, append(append([]string{}, u.keys...), "cost")
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"balign/internal/core"
 	"balign/internal/cost"
+	"balign/internal/metrics"
 	"balign/internal/predict"
 	"balign/internal/workload"
 )
@@ -71,6 +72,16 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 			return err
 		}
 
+		// Each original streams once, through every study architecture;
+		// only the aligned layouts differ per architecture.
+		origs, instrs, err := p.stream(ctx, base, &variant{prog: base.Prog, prof: basePf}, archs, nil)
+		if err != nil {
+			return err
+		}
+		melds, meldInstrs, err := p.stream(ctx, meld, &variant{prog: meld.Prog, prof: meldPf}, archs, nil)
+		if err != nil {
+			return err
+		}
 		for j, arch := range archs {
 			model, err := cost.ForArch(arch)
 			if err != nil {
@@ -89,14 +100,12 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 				return err
 			}
 
-			row := MeldRow{Program: name, Arch: arch, Sites: sites}
-			if row.CPIOrig, err = p.cpi(ctx, base, &variant{prog: base.Prog, prof: basePf}, arch, origInstrs); err != nil {
-				return err
+			row := MeldRow{
+				Program: name, Arch: arch, Sites: sites,
+				CPIOrig: metrics.RelativeCPI(origInstrs, instrs, metrics.BEPFromResult(origs[j])),
+				CPIMeld: metrics.RelativeCPI(origInstrs, meldInstrs, metrics.BEPFromResult(melds[j])),
 			}
 			if row.CPIAligned, err = p.cpi(ctx, base, &variant{prog: alignedBase.Prog, prof: alignedBase.Prof}, arch, origInstrs); err != nil {
-				return err
-			}
-			if row.CPIMeld, err = p.cpi(ctx, meld, &variant{prog: meld.Prog, prof: meldPf}, arch, origInstrs); err != nil {
 				return err
 			}
 			if row.CPIMeldAligned, err = p.cpi(ctx, meld, &variant{prog: alignedMeld.Prog, prof: alignedMeld.Prof}, arch, origInstrs); err != nil {

@@ -105,8 +105,11 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 		if len(rep.Spans) == 0 {
 			t.Errorf("parallelism %d: no engine spans recorded", par)
 		}
-		if rep.Sections["engine"] == nil || rep.Sections["stream"] == nil || rep.Sections["grid"] == nil {
-			t.Errorf("parallelism %d: report sections missing: %v", par, rep.Sections)
+		if rep.Counters["sim.stream.broadcasts"] == 0 || rep.Counters["sim.exec.stream_cells"] == 0 {
+			t.Errorf("parallelism %d: stream and executor counters missing: %v", par, rep.Counters)
+		}
+		if rep.Sections["grid"] == nil || len(rep.Sections) != 1 {
+			t.Errorf("parallelism %d: report sections %v; want the grid alone", par, rep.Sections)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"balign/internal/metrics"
 	"balign/internal/obs"
 	"balign/internal/predict"
 	"balign/internal/profile"
@@ -63,16 +64,16 @@ func TestVMFoldReadsOnlyBranchCounts(t *testing.T) {
 	}
 	key := u.keys[len(u.keys)-1]
 	base := u.variants[key]
-	cells := func(change func(*profile.Profile)) []Cell {
+	cells := func(change func(*profile.Profile)) []metrics.Summary {
 		prof := copyProfile(base.prof)
 		change(prof)
 		u.variants["probe"] = &variant{prog: base.prog, prof: prof}
 		u.specs["probe"] = nil
-		for _, arch := range archs {
-			u.specs["probe"] = append(u.specs["probe"], simSpec{arch, AlgoOrig})
+		for i, arch := range archs {
+			u.specs["probe"] = append(u.specs["probe"], simSpec{arch, AlgoOrig, i})
 		}
-		out := make([]Cell, len(archs))
-		if err := runVariant(context.Background(), u, "probe", simPath{str: sim.NewStreamer(0, 0, nil), exec: exec}, out, 0); err != nil {
+		out := make([]metrics.Summary, len(archs))
+		if err := runVariant(context.Background(), u, "probe", simPath{str: sim.NewStreamer(0, 0, nil), exec: exec}, out); err != nil {
 			t.Fatal(err)
 		}
 		return out

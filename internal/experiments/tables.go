@@ -79,43 +79,87 @@ func FormatTable2(rows []Table2Row) string {
 // Table3 evaluates the static prediction architectures (paper Table 3):
 // relative CPI under FALLTHROUGH, BT/FNT and LIKELY for the original,
 // Greedy-aligned and Try15-aligned program, plus fall-through percentages.
-func Table3(cfg Config) ([]*ProgramResult, error) {
+// The rows are the grid's, then each class's average rows.
+func Table3(cfg Config) ([]metrics.Summary, error) {
 	return evaluateSuite(cfg, predict.StaticArchs())
 }
 
 // Table4 evaluates the dynamic prediction architectures (paper Table 4).
-func Table4(cfg Config) ([]*ProgramResult, error) {
+func Table4(cfg Config) ([]metrics.Summary, error) {
 	return evaluateSuite(cfg, predict.DynamicArchs())
 }
 
-func evaluateSuite(cfg Config, archs []predict.ArchID) ([]*ProgramResult, error) {
+func evaluateSuite(cfg Config, archs []predict.ArchID) ([]metrics.Summary, error) {
 	ws, err := cfg.workloads()
 	if err != nil {
 		return nil, err
 	}
-	// The engine shards the whole {program x arch x algo} grid; results come
+	// The engine shards the whole {program x arch x algo} grid; rows come
 	// back in suite order regardless of parallelism.
-	results, err := evaluatePrograms(ws, archs, cfg)
+	rows, err := evaluatePrograms(ws, archs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := append([]*ProgramResult(nil), results...)
 	// Per-class averages, as the paper prints.
+	n := len(archs) * len(cfg.algos())
 	for _, class := range []workload.Class{workload.SPECfp, workload.SPECint, workload.Other} {
-		if hasClass(out, class) {
-			out = append(out, ClassAverage(out, class, archs))
+		var members [][]metrics.Summary
+		for i, w := range ws {
+			if w.Class == class {
+				members = append(members, rows[i*n:(i+1)*n])
+			}
+		}
+		if len(members) > 0 {
+			rows = append(rows, ClassAverage("avg-"+string(class), members)...)
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
-func hasClass(rs []*ProgramResult, class workload.Class) bool {
-	for _, r := range rs {
-		if r.Class == class && !strings.HasPrefix(r.Program, "avg-") {
-			return true
+// ClassAverage returns the paper's per-group average rows, named program.
+// Each of programs holds one program's rows in one cell order, and each
+// average row's CPI, FallPct and CondAccuracy are the arithmetic means of
+// its cell over them.
+func ClassAverage(program string, programs [][]metrics.Summary) []metrics.Summary {
+	avg := make([]metrics.Summary, len(programs[0]))
+	for i, r := range programs[0] {
+		a := metrics.Summary{Program: program, Arch: r.Arch, Algo: r.Algo}
+		for _, rows := range programs {
+			a.CPI += rows[i].CPI
+			a.FallPct += rows[i].FallPct
+			a.CondAccuracy += rows[i].CondAccuracy
+		}
+		n := float64(len(programs))
+		a.CPI /= n
+		a.FallPct /= n
+		a.CondAccuracy /= n
+		avg[i] = a
+	}
+	return avg
+}
+
+// programBlocks splits rows into runs of one program's rows.
+func programBlocks(rows []metrics.Summary) [][]metrics.Summary {
+	var out [][]metrics.Summary
+	for len(rows) > 0 {
+		n := 1
+		for n < len(rows) && rows[n].Program == rows[0].Program {
+			n++
+		}
+		out = append(out, rows[:n])
+		rows = rows[n:]
+	}
+	return out
+}
+
+// cell returns block's row for arch and algo, or the zero row.
+func cell(block []metrics.Summary, arch predict.ArchID, algo Algo) metrics.Summary {
+	for _, r := range block {
+		if r.Arch == string(arch) && r.Algo == string(algo) {
+			return r
 		}
 	}
-	return false
+	return metrics.Summary{}
 }
 
 // algoHeading maps an algorithm to its table-column heading.
@@ -127,10 +171,10 @@ var algoHeading = map[Algo]string{
 	AlgoExtTSP: "ExtTSP",
 }
 
-// FormatCPITable renders Table 3/4-style results: one row per program, an
+// FormatCPITable renders Table 3/4-style rows: one line per program, an
 // arch x algorithm grid of relative CPI columns (one column per entry of
 // Algos()), and (when withFallPct) the fall-through percentage columns.
-func FormatCPITable(results []*ProgramResult, archs []predict.ArchID, withFallPct bool) string {
+func FormatCPITable(rows []metrics.Summary, archs []predict.ArchID, withFallPct bool) string {
 	var sb strings.Builder
 	tw := tabwriter.NewWriter(&sb, 2, 4, 1, ' ', tabwriter.AlignRight)
 	fmt.Fprint(tw, "Program\t")
@@ -146,18 +190,18 @@ func FormatCPITable(results []*ProgramResult, archs []predict.ArchID, withFallPc
 		}
 	}
 	fmt.Fprintln(tw)
-	for _, r := range results {
-		fmt.Fprintf(tw, "%s\t", r.Program)
+	for _, block := range programBlocks(rows) {
+		fmt.Fprintf(tw, "%s\t", block[0].Program)
 		for _, arch := range archs {
 			for _, algo := range Algos() {
-				fmt.Fprintf(tw, "%.3f\t", r.Cells[arch][algo].CPI)
+				fmt.Fprintf(tw, "%.3f\t", cell(block, arch, algo).CPI)
 			}
 		}
 		if withFallPct {
 			first := archs[0]
-			fmt.Fprintf(tw, "%.0f\t%.0f\t", r.Cells[first][AlgoOrig].FallPct, r.Cells[first][AlgoGreedy].FallPct)
+			fmt.Fprintf(tw, "%.0f\t%.0f\t", cell(block, first, AlgoOrig).FallPct, cell(block, first, AlgoGreedy).FallPct)
 			for _, arch := range archs {
-				fmt.Fprintf(tw, "%.0f\t", r.Cells[arch][AlgoTry].FallPct)
+				fmt.Fprintf(tw, "%.0f\t", cell(block, arch, AlgoTry).FallPct)
 			}
 		}
 		fmt.Fprintln(tw)

@@ -188,38 +188,38 @@ func FallthroughPct(r predict.Result) float64 {
 
 // Summary is one cell of the evaluation grid — a (program, architecture,
 // algorithm) measurement — in reducible form: the exact simulation counts
-// plus the derived paper metrics. Summaries are the unit the parallel
-// experiment engine's reducer merges; because every field is either an
-// exact integer or a float computed from exact integers by a fixed
+// plus the derived paper metrics. It is the grid's one row type: the
+// tables, the run report's grid section and balignd's /v1/simulate rows
+// all carry it, under the JSON keys below. Because every field is either
+// an exact integer or a float computed from exact integers by a fixed
 // expression, two runs that executed the same simulations produce
 // byte-identical encodings regardless of scheduling.
 type Summary struct {
-	Program string
-	Arch    string
-	Algo    string
+	Program string `json:"program"`
+	Arch    string `json:"arch"`
+	Algo    string `json:"algo"`
 
 	// Exact counts from the traced simulation.
-	Instrs      uint64 // instructions retired by the traced variant
-	BEP         uint64 // branch execution penalty in cycles
-	Events      uint64
-	Misfetches  uint64
-	Mispredicts uint64
-	Cond        uint64
-	CondTaken   uint64
-	CondCorrect uint64
+	Instrs      uint64 `json:"instrs"` // instructions retired by the traced variant
+	BEP         uint64 `json:"bep"`    // branch execution penalty in cycles
+	Events      uint64 `json:"events"`
+	Misfetches  uint64 `json:"misfetches"`
+	Mispredicts uint64 `json:"mispredicts"`
+	Cond        uint64 `json:"cond"`
+	CondTaken   uint64 `json:"cond_taken"`
+	CondCorrect uint64 `json:"cond_correct"`
 
 	// Exact instruction-cache counts (an icache.Sim replay of the variant's
-	// trace; zero when the producer ran no cache simulation) and the derived
-	// misses-per-kilo-instruction metric.
-	ICFetches  uint64
-	ICAccesses uint64
-	ICMisses   uint64
-	ICMPKI     float64
+	// trace; zero when the producer ran no cache simulation).
+	ICFetches  uint64 `json:"ic_fetches,omitempty"`
+	ICAccesses uint64 `json:"ic_accesses,omitempty"`
+	ICMisses   uint64 `json:"ic_misses,omitempty"`
 
-	// Derived paper metrics.
-	CPI          float64
-	FallPct      float64
-	CondAccuracy float64
+	// Derived paper metrics, and the i-cache misses per kilo-instruction.
+	CPI          float64 `json:"cpi"`
+	FallPct      float64 `json:"fall_pct"`
+	CondAccuracy float64 `json:"cond_accuracy"`
+	ICMPKI       float64 `json:"ic_mpki,omitempty"`
 }
 
 // NewSummary builds a Summary from one simulation result; origInstrs is the

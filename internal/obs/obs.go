@@ -102,9 +102,10 @@ func (r *Recorder) Set(name string, v int64) {
 }
 
 // Attach stores an arbitrary JSON-marshalable value as a named report
-// section (an engine stats snapshot, the summary grid, ...). Attaching
-// the same name again overwrites the previous value, so a multi-phase run
-// reports each section's final state.
+// section (the summary grid, a table's rows, ...): results, never a copy
+// of a counter or gauge. Attaching the same name again overwrites the
+// previous value, so a multi-phase run reports each section's final
+// state.
 func (r *Recorder) Attach(name string, v any) {
 	if r == nil {
 		return
@@ -196,8 +197,8 @@ type Report struct {
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// Spans is the timing tree, in open order.
 	Spans []*SpanReport `json:"spans,omitempty"`
-	// Sections holds the attached structured snapshots (engine stats,
-	// trace-cache stats, the summary grid, ...).
+	// Sections holds the attached structured results (the summary grid,
+	// bastat's Table 2 rows).
 	Sections map[string]any `json:"sections,omitempty"`
 }
 

@@ -7,8 +7,8 @@ import (
 	"balign/internal/obs"
 )
 
-// CacheStats snapshots the result cache. The JSON form is the run report's
-// "serve_cache" section.
+// CacheStats snapshots the result cache. The same counts are the
+// serve.cache.* counters and gauges of the daemon's recorder.
 type CacheStats struct {
 	// Hits and Misses count lookups; Puts counts stored bodies and
 	// Evictions the entries displaced by the entry/byte bounds.

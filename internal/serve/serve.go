@@ -74,10 +74,6 @@ type Config struct {
 	// tests; CacheBytes is then ignored).
 	CacheEntries int
 	CacheBytes   int64
-	// Kernel is the simulation executor for every request ("" = flat).
-	// Responses are byte-identical in both modes — the serve golden tests
-	// extend the repo's parity-oracle family with this.
-	Kernel string
 	// Parallelism is the per-request experiment-engine shard bound, in
 	// both simulate modes (0 = GOMAXPROCS). Cross-request parallelism comes
 	// from MaxInFlight; per-request sharding mainly helps latency on an idle
@@ -139,13 +135,15 @@ type Server struct {
 	// channel closes — the deterministic way the saturation and drain
 	// tests hold a slot without timing games.
 	testBlock chan struct{}
+	// kernel selects the simulation executor of every simulate request
+	// ("" = flat; test seam: the parity test serves the goldens from the
+	// reference simulators).
+	kernel string
 }
 
-// New validates cfg and returns a ready Server.
+// New returns a ready Server. Every Config field has a default, so the
+// error is nil for any cfg.
 func New(cfg Config) (*Server, error) {
-	if _, err := sim.ParseKernelMode(cfg.Kernel); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:   cfg,
 		obs:   cfg.Obs,
@@ -210,11 +208,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight returns the number of admitted requests currently executing.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
-
-// Streamer exposes the server's broadcast stage, which every simulate
-// request streams through in either mode (its stats back the ring-release
-// assertions in the cancellation tests and the run report).
-func (s *Server) Streamer() *sim.Streamer { return s.str }
 
 // CacheStats snapshots the result cache ({} when the cache is disabled).
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }

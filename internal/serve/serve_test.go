@@ -177,7 +177,8 @@ func TestKernelStreamParity(t *testing.T) {
 		t.Skip("parity check is not short")
 	}
 	t.Run("ref_on", func(t *testing.T) {
-		_, ts := newTestServer(t, Config{Kernel: "ref"})
+		s, ts := newTestServer(t, Config{})
+		s.kernel = "ref"
 		for _, tc := range goldenCases(t) {
 			status, _, body := post(t, ts.URL+tc.path, tc.req)
 			if status != http.StatusOK {
@@ -479,7 +480,8 @@ func TestDrainRejectsNewWorkAndFinishesInFlight(t *testing.T) {
 // trace — and the shared streamer's ring gauges must be back to zero,
 // proving the broadcast released every buffer.
 func TestSimulateDeadlineFreesStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Timeout: 150 * time.Millisecond})
+	rec := obs.New("test")
+	_, ts := newTestServer(t, Config{Timeout: 150 * time.Millisecond, Obs: rec})
 	req := simulateInlineWalk(t)
 	req["max_instrs"] = 1 << 24
 	req["algos"] = []string{"orig"}
@@ -497,8 +499,9 @@ func TestSimulateDeadlineFreesStream(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Errorf("cancelled request took %v; cancellation is not prompt", elapsed)
 	}
-	if st := s.Streamer().Stats(); st.LiveBuffers != 0 || st.LiveBytes != 0 {
-		t.Errorf("stream ring not released after cancel: %+v", st)
+	if g := rec.Report().Gauges; g["sim.stream.live_buffers"] != 0 || g["sim.stream.live_bytes"] != 0 {
+		t.Errorf("stream ring not released after cancel: %d buffers, %d bytes live",
+			g["sim.stream.live_buffers"], g["sim.stream.live_bytes"])
 	}
 }
 

@@ -37,9 +37,8 @@ const (
 //     runs through the same grid as a one-workload suite, so equal variants
 //     fold and every row divides by the original's instruction count.
 //
-// The executor kernel is server configuration, not a request field:
-// responses are byte-identical across flat and ref servers, and the golden
-// tests pin that parity.
+// Every request simulates on the flat kernel. Responses are byte-identical
+// on the reference simulators, and the golden tests pin that parity.
 type SimulateRequest struct {
 	// Suite mode.
 	Programs []string `json:"programs,omitempty"`
@@ -72,36 +71,13 @@ type SimulateRequest struct {
 	Window int `json:"window,omitempty"`
 }
 
-// SummaryJSON is one evaluation cell in the response: metrics.Summary with
-// a stable JSON schema.
-type SummaryJSON struct {
-	Program      string  `json:"program"`
-	Arch         string  `json:"arch"`
-	Algo         string  `json:"algo"`
-	Instrs       uint64  `json:"instrs"`
-	BEP          uint64  `json:"bep"`
-	Events       uint64  `json:"events"`
-	Misfetches   uint64  `json:"misfetches"`
-	Mispredicts  uint64  `json:"mispredicts"`
-	Cond         uint64  `json:"cond"`
-	CondTaken    uint64  `json:"cond_taken"`
-	CondCorrect  uint64  `json:"cond_correct"`
-	ICFetches    uint64  `json:"ic_fetches,omitempty"`
-	ICAccesses   uint64  `json:"ic_accesses,omitempty"`
-	ICMisses     uint64  `json:"ic_misses,omitempty"`
-	CPI          float64 `json:"cpi"`
-	FallPct      float64 `json:"fall_pct"`
-	CondAccuracy float64 `json:"cond_accuracy"`
-	ICMPKI       float64 `json:"ic_mpki,omitempty"`
-}
-
 // SimulateResponse is the /v1/simulate result: the cell grid in canonical
 // (program, arch, algo) order plus its stable text encoding — the same
 // bytes `baexp suite` prints for the same inputs in suite mode.
 type SimulateResponse struct {
-	Mode      string        `json:"mode"`
-	Summaries []SummaryJSON `json:"summaries"`
-	Report    string        `json:"report"`
+	Mode      string            `json:"mode"`
+	Summaries []metrics.Summary `json:"summaries"`
+	Report    string            `json:"report"`
 }
 
 // parseSimulateRequest decodes and canonicalizes a simulate body.
@@ -207,7 +183,7 @@ func (s *Server) computeSimulate(ctx context.Context, reqAny any) (any, *apiErro
 	}
 	cfg := experiments.Config{
 		Window:      req.Window,
-		Kernel:      s.cfg.Kernel,
+		Kernel:      s.kernel,
 		Parallelism: s.cfg.Parallelism,
 		Obs:         s.obs,
 		Ctx:         ctx,
@@ -242,23 +218,7 @@ func (s *Server) computeSimulate(ctx context.Context, reqAny any) (any, *apiErro
 	if err != nil {
 		return nil, gridError(err)
 	}
-	resp := &SimulateResponse{
-		Mode:      mode,
-		Summaries: make([]SummaryJSON, len(summaries)),
-		Report:    metrics.EncodeSummaries(summaries),
-	}
-	for i, sm := range summaries {
-		resp.Summaries[i] = SummaryJSON{
-			Program: sm.Program, Arch: sm.Arch, Algo: sm.Algo,
-			Instrs: sm.Instrs, BEP: sm.BEP, Events: sm.Events,
-			Misfetches: sm.Misfetches, Mispredicts: sm.Mispredicts,
-			Cond: sm.Cond, CondTaken: sm.CondTaken, CondCorrect: sm.CondCorrect,
-			ICFetches: sm.ICFetches, ICAccesses: sm.ICAccesses, ICMisses: sm.ICMisses,
-			CPI: sm.CPI, FallPct: sm.FallPct, CondAccuracy: sm.CondAccuracy,
-			ICMPKI: sm.ICMPKI,
-		}
-	}
-	return resp, nil
+	return &SimulateResponse{Mode: mode, Summaries: summaries, Report: metrics.EncodeSummaries(summaries)}, nil
 }
 
 // inlineWorkload assembles the request's program and reads its optional

@@ -8,6 +8,7 @@ import (
 
 	"balign/internal/obs"
 	"balign/internal/predict"
+	"balign/internal/sim"
 )
 
 // simulate posts req to /v1/simulate and decodes the 200 response.
@@ -64,28 +65,28 @@ func TestInlineOrigRowsCPI(t *testing.T) {
 
 // TestOneStreamerPerDaemon runs a suite request and then an inline one on
 // one server: both broadcast through the server's streamer, so the
-// recorder's stream gauges and counters are that streamer's, and its peak
-// never falls.
+// recorder's stream gauges and counters are that streamer's. Its peak never
+// falls, and with the grid serial, every broadcast after the daemon's
+// first takes its whole ring from the streamer's arena.
 func TestOneStreamerPerDaemon(t *testing.T) {
 	rec := obs.New("test")
-	s, ts := newTestServer(t, Config{Obs: rec})
+	_, ts := newTestServer(t, Config{Obs: rec, Parallelism: 1})
 	var peak int64
 	for _, tc := range []struct {
 		name string
 		req  map[string]any
 	}{{"suite", simulateSuite()}, {"inline", simulateInlineVM(t)}} {
 		simulate(t, ts.URL, tc.req)
-		rep, st := rec.Report(), s.Streamer().Stats()
+		rep := rec.Report()
 		got := rep.Gauges["sim.stream.peak_live_bytes"]
 		if got < peak {
 			t.Errorf("after the %s request: sim.stream.peak_live_bytes fell from %d to %d", tc.name, peak, got)
 		}
 		peak = got
-		if uint64(got) != st.PeakLiveBytes {
-			t.Errorf("after the %s request: recorded peak %d, the server's streamer %d", tc.name, got, st.PeakLiveBytes)
-		}
-		if n := rep.Counters["sim.stream.broadcasts"]; n == 0 || uint64(n) != st.Broadcasts {
-			t.Errorf("after the %s request: recorded %d broadcasts, the server's streamer %d", tc.name, n, st.Broadcasts)
+		n, reuses := rep.Counters["sim.stream.broadcasts"], rep.Counters["sim.stream.arena_reuses"]
+		if n == 0 || reuses != sim.DefaultStreamBuffers*(n-1) {
+			t.Errorf("after the %s request: %d broadcasts reused %d ring buffers; want %d for each broadcast after the first",
+				tc.name, n, reuses, sim.DefaultStreamBuffers)
 		}
 	}
 }

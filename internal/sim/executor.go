@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"balign/internal/ir"
@@ -56,37 +55,15 @@ func ParseKernelMode(s string) (KernelMode, error) {
 	return "", fmt.Errorf("sim: unknown kernel mode %q (known: %s)", s, modeList(KernelModes()))
 }
 
-// ExecStats splits an executor's work into its compile and run phases. The
-// JSON form is the run report's "executor" section. Keeping the phases
-// separate keeps per-consumer setup (simulator construction or kernel
-// compilation) out of the simulation cost.
-type ExecStats struct {
-	// Mode is the executor's kernel mode (flat or ref).
-	Mode string `json:"mode"`
-	// StreamCells counts the (variant, architecture) results
-	// SimulateStream completed.
-	StreamCells uint64 `json:"stream_cells"`
-	// Events is the total number of break events simulated, counted once
-	// per architecture.
-	Events uint64 `json:"events"`
-	// CompileNs is the summed simulator-construction / kernel-compilation
-	// time; RunNs the summed event-consumption time.
-	CompileNs int64 `json:"compile_ns"`
-	RunNs     int64 `json:"run_ns"`
-}
-
 // Executor runs one variant's simulations — every architecture over one
 // streamed trace — in either kernel mode. It is safe for concurrent use;
-// the engine's shards share one executor so the compile/run split
-// aggregates across the grid.
+// the engine's shards share one executor. Its counts go to the recorder:
+// the sim.exec.* counters split its work into compile and run phases, so
+// per-consumer setup (simulator construction or kernel compilation) stays
+// out of the simulation cost.
 type Executor struct {
 	mode KernelMode
 	obs  *obs.Recorder
-
-	streamCells atomic.Uint64
-	events      atomic.Uint64
-	compileNs   atomic.Int64
-	runNs       atomic.Int64
 }
 
 // NewExecutor returns an executor in the given mode ("" = flat). rec
@@ -98,20 +75,6 @@ func NewExecutor(mode string, rec *obs.Recorder) (*Executor, error) {
 		return nil, err
 	}
 	return &Executor{mode: m, obs: rec}, nil
-}
-
-// Mode returns the resolved kernel mode.
-func (x *Executor) Mode() KernelMode { return x.mode }
-
-// Stats returns a snapshot of the executor's phase-split counters.
-func (x *Executor) Stats() ExecStats {
-	return ExecStats{
-		Mode:        string(x.mode),
-		StreamCells: x.streamCells.Load(),
-		Events:      x.events.Load(),
-		CompileNs:   x.compileNs.Load(),
-		RunNs:       x.runNs.Load(),
-	}
 }
 
 // SimulateStream runs every architecture over one streamed generation of a
@@ -151,7 +114,7 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 		run     func(*trace.Batch) error
 		results func() []predict.Result
 	)
-	cstart := time.Now()
+	cstart := x.obs.Now()
 	if x.mode == KernelRef {
 		sims := make([]predict.Simulator, n)
 		for i, arch := range archs {
@@ -181,7 +144,7 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 		}
 		run, results = k.RunBatch, k.Results
 	}
-	x.noteCompile(cstart)
+	x.obs.AddSince("sim.exec.compile_ns", cstart)
 
 	// The consumer's accumulators are written only by its own goroutine
 	// and read after Broadcast returns (its WaitGroup orders the accesses).
@@ -198,18 +161,8 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 		return nil, err
 	}
 	// Events count per architecture, as if each had consumed the stream.
-	events *= uint64(n)
-	x.runNs.Add(runNs)
-	x.events.Add(events)
 	x.obs.Add("sim.exec.run_ns", runNs)
-	x.obs.Add("sim.exec.events", int64(events))
-	x.streamCells.Add(uint64(n))
+	x.obs.Add("sim.exec.events", int64(events)*int64(n))
 	x.obs.Add("sim.exec.stream_cells", int64(n))
 	return results(), nil
-}
-
-func (x *Executor) noteCompile(start time.Time) {
-	d := int64(time.Since(start))
-	x.compileNs.Add(d)
-	x.obs.Add("sim.exec.compile_ns", d)
 }

@@ -35,7 +35,7 @@ func TestParseKernelMode(t *testing.T) {
 
 // TestExecutorModesAgree runs the same stream through both executors and
 // requires each to reproduce the reference simulators, then checks the
-// phase-split stats account for the work: each mode's compile and run
+// phase-split counters account for the work: each mode's compile and run
 // phases must both be populated so per-consumer setup is never
 // misattributed to simulation cost.
 func TestExecutorModesAgree(t *testing.T) {
@@ -43,7 +43,8 @@ func TestExecutorModesAgree(t *testing.T) {
 	archs := predict.AllArchs()
 	want := f.reference(t, archs)
 	for _, mode := range []KernelMode{KernelRef, KernelFlat} {
-		x, err := NewExecutor(string(mode), obs.New("test"))
+		rec := obs.New("test")
+		x, err := NewExecutor(string(mode), rec)
 		if err != nil {
 			t.Fatalf("NewExecutor(%s): %v", mode, err)
 		}
@@ -57,18 +58,15 @@ func TestExecutorModesAgree(t *testing.T) {
 					mode, arch, got[i], want[i])
 			}
 		}
-		st := x.Stats()
-		if st.Mode != string(mode) {
-			t.Errorf("%s: Stats.Mode = %q", mode, st.Mode)
+		c := rec.Report().Counters
+		if n := c["sim.exec.stream_cells"]; n != int64(len(archs)) {
+			t.Errorf("%s: sim.exec.stream_cells = %d, want %d", mode, n, len(archs))
 		}
-		if st.StreamCells != uint64(len(archs)) {
-			t.Errorf("%s: Stats.StreamCells = %d, want %d", mode, st.StreamCells, len(archs))
+		if want := int64(len(archs)) * int64(len(f.events)); c["sim.exec.events"] != want {
+			t.Errorf("%s: sim.exec.events = %d, want %d", mode, c["sim.exec.events"], want)
 		}
-		if want := uint64(len(archs)) * uint64(len(f.events)); st.Events != want {
-			t.Errorf("%s: Stats.Events = %d, want %d", mode, st.Events, want)
-		}
-		if st.CompileNs <= 0 || st.RunNs <= 0 {
-			t.Errorf("%s: phase split not populated: compile %dns, run %dns", mode, st.CompileNs, st.RunNs)
+		if c["sim.exec.compile_ns"] <= 0 || c["sim.exec.run_ns"] <= 0 {
+			t.Errorf("%s: phase split not populated: compile %dns, run %dns", mode, c["sim.exec.compile_ns"], c["sim.exec.run_ns"])
 		}
 	}
 }

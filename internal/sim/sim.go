@@ -55,34 +55,15 @@ type Task struct {
 	Run   func(ctx context.Context) error
 }
 
-// Stats summarizes what an engine has executed so far. The JSON form is
-// part of the run-report schema (the report's "engine" section).
-type Stats struct {
-	// Tasks is the number of shards that ran to completion.
-	Tasks uint64 `json:"tasks"`
-	// Errors is the number of shards that returned a root-cause error
-	// (cancellation fallout from another shard's failure is not counted).
-	Errors uint64 `json:"errors"`
-	// Busy is the summed wall-clock time of all completed shards; on a
-	// multi-core run it exceeds elapsed time by roughly the achieved
-	// parallelism.
-	Busy time.Duration `json:"busy_ns"`
-	// QueueWait is the summed time shards spent waiting between Run
-	// submission and the start of their execution — the engine's
-	// queue-wait-vs-run-time split.
-	QueueWait time.Duration `json:"queue_wait_ns"`
-}
-
 // Engine executes task grids with bounded parallelism. The zero value is
 // not usable; call New. An Engine may be reused across many Run calls and
-// is safe for concurrent use.
+// is safe for concurrent use. Its counts go to Options.Obs: the sim.tasks
+// counter, the sim.task_errors counter of root-cause errors (a shard that
+// fails only because another's failure cancelled it is not counted), and
+// one sim.run span per Run.
 type Engine struct {
-	opts    Options
-	logMu   sync.Mutex
-	tasks   atomic.Uint64
-	errs    atomic.Uint64
-	busyNs  atomic.Int64
-	queueNs atomic.Int64
+	opts  Options
+	logMu sync.Mutex
 }
 
 // New returns an engine with the given options.
@@ -98,16 +79,6 @@ func (e *Engine) Parallelism() int {
 
 // Serial reports whether the engine runs the serial oracle path.
 func (e *Engine) Serial() bool { return e.Parallelism() == 1 }
-
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Tasks:     e.tasks.Load(),
-		Errors:    e.errs.Load(),
-		Busy:      time.Duration(e.busyNs.Load()),
-		QueueWait: time.Duration(e.queueNs.Load()),
-	}
-}
 
 // Logf writes one progress line when the engine is verbose. It is safe for
 // concurrent use and a no-op otherwise.
@@ -138,34 +109,41 @@ func (e *Engine) Run(ctx context.Context, tasks []Task) error {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	start := time.Now()
-	busy0 := e.busyNs.Load()
-	span := e.opts.Obs.Span("sim.run")
-	span.SetInt("tasks", int64(len(tasks)))
-	span.SetInt("workers", int64(workers))
-	err := e.run(ctx, tasks, workers, span, start)
-	if span != nil {
-		wall := time.Since(start)
-		busy := e.busyNs.Load() - busy0
-		span.SetInt("busy_ns", busy)
+	r := &runState{span: e.opts.Obs.Span("sim.run"), queued: time.Now()}
+	r.span.SetInt("tasks", int64(len(tasks)))
+	r.span.SetInt("workers", int64(workers))
+	err := e.run(ctx, tasks, workers, r)
+	if r.span != nil {
+		wall := time.Since(r.queued)
+		busy := r.busyNs.Load()
+		r.span.SetInt("busy_ns", busy)
 		if wall > 0 {
 			// Worker utilization in basis points: 10000 means every
 			// worker was busy for the whole run.
-			span.SetInt("util_bp", busy*10000/(int64(workers)*int64(wall)))
+			r.span.SetInt("util_bp", busy*10000/(int64(workers)*int64(wall)))
 		}
-		span.End()
+		r.span.End()
 	}
 	return err
 }
 
-func (e *Engine) run(ctx context.Context, tasks []Task, workers int, span *obs.Span, queued time.Time) error {
+// runState is one Run call's shared state: its span, its submission time
+// (every task queues from it) and the summed wall-clock time of its
+// completed tasks.
+type runState struct {
+	span   *obs.Span
+	queued time.Time
+	busyNs atomic.Int64
+}
+
+func (e *Engine) run(ctx context.Context, tasks []Task, workers int, r *runState) error {
 	if e.Serial() || len(tasks) == 1 {
 		for i := range tasks {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := e.exec(ctx, &tasks[i], span, queued); err != nil {
-				e.errs.Add(1)
+			if err := e.exec(ctx, &tasks[i], r); err != nil {
+				e.opts.Obs.Add("sim.task_errors", 1)
 				return err
 			}
 		}
@@ -203,12 +181,12 @@ func (e *Engine) run(ctx context.Context, tasks []Task, workers int, span *obs.S
 				if ctx.Err() != nil {
 					return
 				}
-				if err := e.exec(ctx, &tasks[i], span, queued); err != nil {
+				if err := e.exec(ctx, &tasks[i], r); err != nil {
 					if cancelled.Load() && errors.Is(err, context.Canceled) {
 						continue
 					}
 					errs[i] = err
-					e.errs.Add(1)
+					e.opts.Obs.Add("sim.task_errors", 1)
 					cancelled.Store(true)
 					cancel()
 				}
@@ -224,20 +202,16 @@ func (e *Engine) run(ctx context.Context, tasks []Task, workers int, span *obs.S
 	return ctx.Err()
 }
 
-func (e *Engine) exec(ctx context.Context, t *Task, parent *obs.Span, queued time.Time) error {
+func (e *Engine) exec(ctx context.Context, t *Task, r *runState) error {
 	start := time.Now()
-	wait := start.Sub(queued)
-	sp := parent.Child(t.Label)
-	sp.SetInt("queue_wait_ns", int64(wait))
+	sp := r.span.Child(t.Label)
+	sp.SetInt("queue_wait_ns", int64(start.Sub(r.queued)))
 	err := t.Run(ctx)
 	sp.End()
 	elapsed := time.Since(start)
-	e.tasks.Add(1)
-	e.busyNs.Add(int64(elapsed))
-	e.queueNs.Add(int64(wait))
+	r.busyNs.Add(int64(elapsed))
 	e.opts.Obs.Add("sim.tasks", 1)
 	if err != nil {
-		e.opts.Obs.Add("sim.task_errors", 1)
 		e.Logf("sim: shard %s failed after %v: %v", t.Label, elapsed.Round(time.Microsecond), err)
 		return err
 	}

@@ -14,7 +14,8 @@ import (
 
 func TestRunExecutesEveryTask(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
-		eng := New(Options{Parallelism: par})
+		rec := obs.New("test")
+		eng := New(Options{Parallelism: par, Obs: rec})
 		var ran [50]atomic.Int32
 		tasks := make([]Task, len(ran))
 		for i := range tasks {
@@ -32,8 +33,8 @@ func TestRunExecutesEveryTask(t *testing.T) {
 				t.Errorf("par=%d: task %d ran %d times", par, i, n)
 			}
 		}
-		if st := eng.Stats(); st.Tasks != uint64(len(tasks)) {
-			t.Errorf("par=%d: stats report %d tasks, want %d", par, st.Tasks, len(tasks))
+		if n := rec.Report().Counters["sim.tasks"]; n != int64(len(tasks)) {
+			t.Errorf("par=%d: sim.tasks = %d, want %d", par, n, len(tasks))
 		}
 	}
 }
@@ -99,7 +100,8 @@ func TestRunFirstErrorInTaskOrder(t *testing.T) {
 func TestRunReportsRootCauseNotCancellation(t *testing.T) {
 	boom := errors.New("root cause")
 	for trial := 0; trial < 20; trial++ {
-		eng := New(Options{Parallelism: 2})
+		rec := obs.New("test")
+		eng := New(Options{Parallelism: 2, Obs: rec})
 		started := make(chan struct{})
 		tasks := []Task{
 			{Label: "victim", Run: func(ctx context.Context) error {
@@ -116,6 +118,10 @@ func TestRunReportsRootCauseNotCancellation(t *testing.T) {
 		}
 		if err := eng.Run(context.Background(), tasks); !errors.Is(err, boom) {
 			t.Fatalf("trial %d: Run = %v, want root cause %v", trial, err, boom)
+		}
+		// The victim's cancellation is fallout, not a second error.
+		if n := rec.Report().Counters["sim.task_errors"]; n != 1 {
+			t.Fatalf("trial %d: sim.task_errors = %d, want the root cause alone", trial, n)
 		}
 	}
 }
@@ -219,9 +225,11 @@ func TestRunTelemetrySpans(t *testing.T) {
 				t.Errorf("par=%d: shard span %s missing queue wait or left open: %+v", par, c.Name, c)
 			}
 		}
-		st := eng.Stats()
-		if st.Tasks != uint64(len(tasks)) || st.Errors != 0 {
-			t.Errorf("par=%d: stats = %+v", par, st)
+		if n := rep.Counters["sim.task_errors"]; n != 0 {
+			t.Errorf("par=%d: sim.task_errors = %d, want 0", par, n)
+		}
+		if run.Attrs["busy_ns"] <= 0 {
+			t.Errorf("par=%d: run span busy_ns = %d, want positive", par, run.Attrs["busy_ns"])
 		}
 	}
 }

@@ -15,36 +15,6 @@ import (
 // the ring's footprint grow past a fraction of a megabyte per variant.
 const DefaultStreamBuffers = 4
 
-// StreamStats counts broadcast traffic and buffer-ring occupancy. The JSON
-// form is the run report's "stream" section.
-type StreamStats struct {
-	// Broadcasts is the number of variant streams fanned out.
-	Broadcasts uint64 `json:"broadcasts"`
-	// Batches and Events count what the producers generated (each batch is
-	// delivered to every consumer but counted once here).
-	Batches uint64 `json:"batches"`
-	Events  uint64 `json:"events"`
-	// StallsNs is the time producers spent blocked waiting for a free
-	// buffer — the backpressure signal: consumers were the bottleneck.
-	StallsNs int64 `json:"stalls_ns"`
-	// GenNs is the time producers spent inside Source.Fill — the
-	// generation half of the pipeline, measured at the same boundary the
-	// consumer half reports as sim.exec.run_ns, so overlap is visible as
-	// gen_ns + run_ns exceeding wall time.
-	GenNs int64 `json:"gen_ns"`
-	// LiveBuffers and LiveBytes gauge the ring buffers currently pinned
-	// across in-flight broadcasts; PeakLiveBytes is the high-water mark —
-	// the streaming replacement for the trace cache's live-bytes gauge.
-	LiveBuffers   int64  `json:"live_buffers"`
-	LiveBytes     uint64 `json:"live_bytes"`
-	PeakLiveBytes uint64 `json:"peak_live_bytes"`
-	// ArenaReuses counts ring buffers served from the streamer's arena
-	// instead of freshly allocated: broadcasts after the first reuse the
-	// previous variants' buffers, so steady-state streaming allocates no
-	// batch memory at all.
-	ArenaReuses uint64 `json:"arena_reuses"`
-}
-
 // Streamer is the broadcast stage of the streaming pipeline: it pulls
 // batches from one trace.Source at a time per Broadcast call and fans each
 // batch out to all consumers over a bounded ring of reusable buffers, so a
@@ -52,29 +22,27 @@ type StreamStats struct {
 // memory bounded by the ring, not the trace.
 //
 // One Streamer is shared across an experiment grid (Broadcast is safe for
-// concurrent use); its counters aggregate every broadcast and surface as
-// the sim.stream.* telemetry and the report's "stream" section.
+// concurrent use); its counts go to the recorder as the sim.stream.*
+// counters (broadcasts, batches, events, stalls_ns, gen_ns, arena_reuses)
+// and gauges (live_buffers, live_bytes, peak_live_bytes), which aggregate
+// every broadcast.
 type Streamer struct {
 	obs      *obs.Recorder
 	buffers  int
 	batchCap int
 
-	broadcasts    atomic.Uint64
-	batches       atomic.Uint64
-	events        atomic.Uint64
-	stallsNs      atomic.Int64
-	genNs         atomic.Int64
-	liveBuffers   atomic.Int64
-	liveBytes     atomic.Int64
-	peakLiveBytes atomic.Int64
-	arenaReuses   atomic.Uint64
-
-	// arena holds idle ring buffers between broadcasts so successive
-	// variants reuse one another's batch memory. Idle buffers are not
-	// accounted in the live gauges — those gauge what in-flight broadcasts
-	// have pinned, and must drain to zero when no broadcast is running.
-	mu    sync.Mutex
-	arena []*sharedBatch
+	// mu guards the arena and the live gauges. The arena holds idle ring
+	// buffers between broadcasts so successive variants reuse one
+	// another's batch memory. Idle buffers are not accounted in the live
+	// gauges — those gauge what in-flight broadcasts have pinned, and must
+	// drain to zero when no broadcast is running. Each gauge is set under
+	// mu, so however broadcasts interleave, the recorder's last value is
+	// the current one.
+	mu          sync.Mutex
+	arena       []*sharedBatch
+	liveBuffers int64
+	liveBytes   int64
+	peakBytes   int64
 }
 
 // NewStreamer returns a streamer with the given ring size and per-batch
@@ -106,23 +74,19 @@ type sharedBatch struct {
 // freshly allocated otherwise — and accounts it into the live gauges.
 func (s *Streamer) takeBuffer() *sharedBatch {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var sb *sharedBatch
 	if n := len(s.arena); n > 0 {
 		sb = s.arena[n-1]
 		s.arena[n-1] = nil
 		s.arena = s.arena[:n-1]
-	}
-	s.mu.Unlock()
-	if sb == nil {
+		s.obs.Add("sim.stream.arena_reuses", 1)
+	} else {
 		sb = &sharedBatch{}
 		sb.b.Ops = make([]int32, 0, s.batchCap)
 		sb.size = sb.b.SizeBytes()
-	} else {
-		s.arenaReuses.Add(1)
-		s.obs.Add("sim.stream.arena_reuses", 1)
 	}
-	s.accountBytes(int64(sb.size))
-	s.accountBuffers(1)
+	s.account(1, int64(sb.size))
 	return sb
 }
 
@@ -130,11 +94,21 @@ func (s *Streamer) takeBuffer() *sharedBatch {
 // the arena for the next broadcast. The batch's backing arrays are kept at
 // their grown capacity — that is the reuse.
 func (s *Streamer) returnBuffer(sb *sharedBatch) {
-	s.accountBytes(-int64(sb.size))
-	s.accountBuffers(-1)
 	s.mu.Lock()
+	s.account(-1, -int64(sb.size))
 	s.arena = append(s.arena, sb)
 	s.mu.Unlock()
+}
+
+// account moves the live gauges, keeps the bytes' high-water mark and sets
+// all three gauges. The caller holds s.mu.
+func (s *Streamer) account(buffers, bytes int64) {
+	s.liveBuffers += buffers
+	s.liveBytes += bytes
+	s.peakBytes = max(s.peakBytes, s.liveBytes)
+	s.obs.Set("sim.stream.live_buffers", s.liveBuffers)
+	s.obs.Set("sim.stream.live_bytes", s.liveBytes)
+	s.obs.Set("sim.stream.peak_live_bytes", s.peakBytes)
 }
 
 // Broadcast pulls src dry and delivers every batch to all consumers, in
@@ -236,7 +210,9 @@ func (s *Streamer) Broadcast(ctx context.Context, src trace.Source, consumers []
 		ok, err := src.Fill(&sb.b)
 		genNs += int64(time.Since(gstart))
 		if size := sb.b.SizeBytes(); size != sb.size {
-			s.accountBytes(int64(size) - int64(sb.size))
+			s.mu.Lock()
+			s.account(0, int64(size)-int64(sb.size))
+			s.mu.Unlock()
 			sb.size = size
 		}
 		if err != nil {
@@ -261,11 +237,6 @@ func (s *Streamer) Broadcast(ctx context.Context, src trace.Source, consumers []
 		s.returnBuffer(<-free)
 	}
 
-	s.broadcasts.Add(1)
-	s.batches.Add(batches)
-	s.events.Add(events)
-	s.stallsNs.Add(stallsNs)
-	s.genNs.Add(genNs)
 	s.obs.Add("sim.stream.broadcasts", 1)
 	s.obs.Add("sim.stream.batches", int64(batches))
 	s.obs.Add("sim.stream.events", int64(events))
@@ -281,49 +252,4 @@ func (s *Streamer) Broadcast(ctx context.Context, src trace.Source, consumers []
 		}
 	}
 	return nil
-}
-
-// accountBytes moves the pinned-bytes gauge and maintains its high-water
-// mark.
-func (s *Streamer) accountBytes(delta int64) {
-	if delta == 0 {
-		return
-	}
-	live := s.liveBytes.Add(delta)
-	for {
-		peak := s.peakLiveBytes.Load()
-		if live <= peak || s.peakLiveBytes.CompareAndSwap(peak, live) {
-			break
-		}
-	}
-	s.obs.Set("sim.stream.live_bytes", live)
-	s.obs.Set("sim.stream.peak_live_bytes", s.peakLiveBytes.Load())
-}
-
-// accountBuffers moves the live-buffer gauge.
-func (s *Streamer) accountBuffers(delta int64) {
-	s.obs.Set("sim.stream.live_buffers", s.liveBuffers.Add(delta))
-}
-
-// Stats returns a snapshot of the streamer's counters.
-func (s *Streamer) Stats() StreamStats {
-	live := s.liveBytes.Load()
-	peak := s.peakLiveBytes.Load()
-	if live < 0 {
-		live = 0
-	}
-	if peak < 0 {
-		peak = 0
-	}
-	return StreamStats{
-		Broadcasts:    s.broadcasts.Load(),
-		Batches:       s.batches.Load(),
-		Events:        s.events.Load(),
-		StallsNs:      s.stallsNs.Load(),
-		GenNs:         s.genNs.Load(),
-		LiveBuffers:   s.liveBuffers.Load(),
-		LiveBytes:     uint64(live),
-		PeakLiveBytes: uint64(peak),
-		ArenaReuses:   s.arenaReuses.Load(),
-	}
 }

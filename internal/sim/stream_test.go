@@ -172,24 +172,23 @@ func TestSimulateStreamMatchesReference(t *testing.T) {
 				}
 			}
 
-			st := str.Stats()
-			if st.Broadcasts != 1 {
-				t.Errorf("Broadcasts = %d, want 1", st.Broadcasts)
+			rep := rec.Report()
+			c, g := rep.Counters, rep.Gauges
+			if c["sim.stream.broadcasts"] != 1 {
+				t.Errorf("sim.stream.broadcasts = %d, want 1", c["sim.stream.broadcasts"])
 			}
-			if st.Events != uint64(len(f.events)) {
-				t.Errorf("stream Events = %d, want %d", st.Events, len(f.events))
+			if c["sim.stream.events"] != int64(len(f.events)) {
+				t.Errorf("sim.stream.events = %d, want %d", c["sim.stream.events"], len(f.events))
 			}
-			if wantBatches := (uint64(len(f.events)) + 511) / 512; st.Batches != wantBatches {
-				t.Errorf("Batches = %d, want %d", st.Batches, wantBatches)
+			if wantBatches := (int64(len(f.events)) + 511) / 512; c["sim.stream.batches"] != wantBatches {
+				t.Errorf("sim.stream.batches = %d, want %d", c["sim.stream.batches"], wantBatches)
 			}
-			if st.PeakLiveBytes == 0 {
-				t.Error("PeakLiveBytes = 0, want ring footprint recorded")
+			if g["sim.stream.peak_live_bytes"] == 0 {
+				t.Error("sim.stream.peak_live_bytes = 0, want ring footprint recorded")
 			}
-			if st.LiveBuffers != 0 || st.LiveBytes != 0 {
-				t.Errorf("ring not released: %d buffers, %d bytes live", st.LiveBuffers, st.LiveBytes)
-			}
-			if xs := x.Stats(); xs.StreamCells != uint64(len(archs)) {
-				t.Errorf("StreamCells = %d, want %d", xs.StreamCells, len(archs))
+			checkRingDrained(t, rec)
+			if n := c["sim.exec.stream_cells"]; n != int64(len(archs)) {
+				t.Errorf("sim.exec.stream_cells = %d, want %d", n, len(archs))
 			}
 		})
 	}
@@ -204,11 +203,13 @@ func TestSimulateStreamBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	str := NewStreamer(4, 1024, nil)
+	rec := obs.New("test")
+	str := NewStreamer(4, 1024, rec)
 	if _, err := x.SimulateStream(nil, str, f.lay, f.source(t, 1024), f.w.Prog, f.prof, predict.AllArchs()); err != nil {
 		t.Fatal(err)
 	}
-	peak, whole := str.Stats().PeakLiveBytes, uint64(len(f.events))*uint64(unsafe.Sizeof(trace.Event{}))
+	peak := rec.Report().Gauges["sim.stream.peak_live_bytes"]
+	whole := int64(len(f.events)) * int64(unsafe.Sizeof(trace.Event{}))
 	if peak*5 > whole {
 		t.Errorf("streaming peak %d bytes is not >=5x below the recorded trace's %d bytes", peak, whole)
 	}
@@ -218,7 +219,8 @@ func TestSimulateStreamBoundedMemory(t *testing.T) {
 // without deadlock and surface its error.
 func TestBroadcastConsumerError(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(2, 64, nil)
+	rec := obs.New("test")
+	str := NewStreamer(2, 64, rec)
 	var healthyBatches atomic.Int64
 	err := str.Broadcast(nil, f.source(t, 64), []func(*trace.Batch) error{
 		func(*trace.Batch) error { healthyBatches.Add(1); return nil },
@@ -227,9 +229,7 @@ func TestBroadcastConsumerError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "consumer blew up") {
 		t.Fatalf("Broadcast error = %v, want consumer failure", err)
 	}
-	if st := str.Stats(); st.LiveBuffers != 0 {
-		t.Errorf("ring not released after failure: %d buffers live", st.LiveBuffers)
-	}
+	checkRingDrained(t, rec)
 	if healthyBatches.Load() == 0 {
 		t.Error("healthy consumer saw no batches before the abort")
 	}
@@ -270,10 +270,10 @@ func TestBroadcastSourceError(t *testing.T) {
 				t.Errorf("extra consumer saw %d batches, the kernel's %d architectures %d in all; want %d per consumer",
 					extra.Load(), len(archs), got, k)
 			}
-			if st := str.Stats(); st.Batches != uint64(k) || st.LiveBuffers != 0 || st.LiveBytes != 0 {
-				t.Errorf("streamed %d batches with %d buffers, %d bytes live; want %d batches, ring drained",
-					st.Batches, st.LiveBuffers, st.LiveBytes, k)
+			if n := rec.Report().Counters["sim.stream.batches"]; n != int64(k) {
+				t.Errorf("streamed %d batches, want %d", n, k)
 			}
+			checkRingDrained(t, rec)
 			checkGoroutinesSettle(t, start)
 		})
 	}
@@ -298,7 +298,8 @@ func TestSimulateStreamCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			str := NewStreamer(ring, batchCap, nil)
+			rec := obs.New("test")
+			str := NewStreamer(ring, batchCap, rec)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			src := f.packed(t, batchCap, k, func() error { cancel(); return nil })
@@ -307,10 +308,10 @@ func TestSimulateStreamCancel(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("SimulateStream error = %v, want context.Canceled", err)
 			}
-			if st := str.Stats(); st.Batches > uint64(k+1) || st.LiveBuffers != 0 || st.LiveBytes != 0 {
-				t.Errorf("streamed %d batches with %d buffers, %d bytes live; want at most %d batches, ring drained",
-					st.Batches, st.LiveBuffers, st.LiveBytes, k+1)
+			if n := rec.Report().Counters["sim.stream.batches"]; n > int64(k+1) {
+				t.Errorf("streamed %d batches, want at most %d", n, k+1)
 			}
+			checkRingDrained(t, rec)
 			checkGoroutinesSettle(t, start)
 		})
 	}
@@ -365,11 +366,8 @@ func TestShardSlowConsumerStallIsolation(t *testing.T) {
 		t.Errorf("fast consumer's max lead over the slow one = %d batches; want >= 2 (independent progress up to the ring)",
 			maxLead.Load())
 	}
-	if str.Stats().StallsNs == 0 {
-		t.Error("producer never stalled against the slow consumer")
-	}
 	if rec.Report().Counters["sim.stream.stalls_ns"] == 0 {
-		t.Error("sim.stream.stalls_ns counter did not increment")
+		t.Error("producer never stalled against the slow consumer: sim.stream.stalls_ns did not increment")
 	}
 }
 
@@ -393,17 +391,9 @@ func TestStreamGaugesDrainOnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("Broadcast with failing consumer succeeded")
 	}
-	st := str.Stats()
-	if st.LiveBuffers != 0 || st.LiveBytes != 0 {
-		t.Errorf("gauges not drained after error: %d buffers, %d bytes live", st.LiveBuffers, st.LiveBytes)
-	}
-	if st.PeakLiveBytes == 0 {
+	checkRingDrained(t, rec)
+	if rec.Report().Gauges["sim.stream.peak_live_bytes"] == 0 {
 		t.Error("peak gauge lost after error")
-	}
-	g := rec.Report().Gauges
-	if g["sim.stream.live_bytes"] != 0 || g["sim.stream.live_buffers"] != 0 {
-		t.Errorf("obs gauges not drained: live_bytes=%d live_buffers=%d",
-			g["sim.stream.live_bytes"], g["sim.stream.live_buffers"])
 	}
 }
 
@@ -412,27 +402,32 @@ func TestStreamGaugesDrainOnError(t *testing.T) {
 // drained between and after.
 func TestStreamArenaReuse(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(3, 128, nil)
+	rec := obs.New("test")
+	str := NewStreamer(3, 128, rec)
 	consume := []func(*trace.Batch) error{func(*trace.Batch) error { return nil }}
 	if err := str.Broadcast(nil, f.source(t, 128), consume); err != nil {
 		t.Fatal(err)
 	}
-	first := str.Stats()
-	if first.ArenaReuses != 0 {
-		t.Errorf("first broadcast reused %d buffers from an empty arena", first.ArenaReuses)
+	if n := rec.Report().Counters["sim.stream.arena_reuses"]; n != 0 {
+		t.Errorf("first broadcast reused %d buffers from an empty arena", n)
 	}
-	if first.LiveBuffers != 0 || first.LiveBytes != 0 {
-		t.Errorf("gauges not drained between broadcasts: %+v", first)
-	}
+	checkRingDrained(t, rec)
 	if err := str.Broadcast(nil, f.source(t, 128), consume); err != nil {
 		t.Fatal(err)
 	}
-	second := str.Stats()
-	if second.ArenaReuses != 3 {
-		t.Errorf("second broadcast reused %d ring buffers, want all 3", second.ArenaReuses)
+	if n := rec.Report().Counters["sim.stream.arena_reuses"]; n != 3 {
+		t.Errorf("second broadcast reused %d ring buffers, want all 3", n)
 	}
-	if second.LiveBuffers != 0 || second.LiveBytes != 0 {
-		t.Errorf("gauges not drained after reuse: %+v", second)
+	checkRingDrained(t, rec)
+}
+
+// checkRingDrained fails t unless rec's live ring gauges read zero: every
+// broadcast returned every ring buffer it took.
+func checkRingDrained(t *testing.T, rec *obs.Recorder) {
+	t.Helper()
+	g := rec.Report().Gauges
+	if g["sim.stream.live_buffers"] != 0 || g["sim.stream.live_bytes"] != 0 {
+		t.Errorf("ring not released: %d buffers, %d bytes live", g["sim.stream.live_buffers"], g["sim.stream.live_bytes"])
 	}
 }
 
@@ -459,7 +454,8 @@ func checkGoroutinesSettle(t *testing.T, start int) {
 func TestBroadcastBackpressure(t *testing.T) {
 	f := newStreamFixture(t)
 	const ring = 2
-	str := NewStreamer(ring, 32, nil)
+	rec := obs.New("test")
+	str := NewStreamer(ring, 32, rec)
 	src := &fillCounter{Source: f.source(t, 32)}
 	defer src.Close()
 	held := false
@@ -478,11 +474,11 @@ func TestBroadcastBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := str.Stats()
-	if st.Batches == 0 {
+	c := rec.Report().Counters
+	if c["sim.stream.batches"] == 0 {
 		t.Fatal("no batches broadcast")
 	}
-	if st.StallsNs == 0 {
+	if c["sim.stream.stalls_ns"] == 0 {
 		t.Error("producer never stalled against a deliberately slow consumer")
 	}
 }
@@ -507,7 +503,8 @@ func (s *fillCounter) Fill(b *trace.Batch) (bool, error) {
 // broadcast stage's data-race probe.
 func TestBroadcastConcurrent(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(3, 128, obs.New("test"))
+	rec := obs.New("test")
+	str := NewStreamer(3, 128, rec)
 	const grids = 4
 	errc := make(chan error, grids)
 	var events atomic.Uint64
@@ -526,16 +523,14 @@ func TestBroadcastConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := str.Stats()
-	if st.Broadcasts != grids {
-		t.Errorf("Broadcasts = %d, want %d", st.Broadcasts, grids)
+	c := rec.Report().Counters
+	if c["sim.stream.broadcasts"] != grids {
+		t.Errorf("sim.stream.broadcasts = %d, want %d", c["sim.stream.broadcasts"], grids)
 	}
-	if want := uint64(grids) * uint64(len(f.events)); st.Events != want || events.Load() != want {
-		t.Errorf("events: streamer %d, consumer %d, want %d", st.Events, events.Load(), want)
+	if want := uint64(grids) * uint64(len(f.events)); uint64(c["sim.stream.events"]) != want || events.Load() != want {
+		t.Errorf("events: streamer %d, consumer %d, want %d", c["sim.stream.events"], events.Load(), want)
 	}
-	if st.LiveBuffers != 0 || st.LiveBytes != 0 {
-		t.Errorf("ring not fully released: %d buffers, %d bytes", st.LiveBuffers, st.LiveBytes)
-	}
+	checkRingDrained(t, rec)
 }
 
 // TestBroadcastContextCancel is the regression test for prompt context
@@ -545,7 +540,8 @@ func TestBroadcastConcurrent(t *testing.T) {
 // every ring buffer (the live-bytes gauge returns to zero).
 func TestBroadcastContextCancel(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(2, 32, nil)
+	rec := obs.New("test")
+	str := NewStreamer(2, 32, rec)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -590,17 +586,15 @@ func TestBroadcastContextCancel(t *testing.T) {
 	if consumed.Load() == 0 {
 		t.Error("consumer saw no batches before the cancel")
 	}
-	st := str.Stats()
-	if st.LiveBuffers != 0 || st.LiveBytes != 0 {
-		t.Errorf("ring not released after cancel: %d buffers, %d bytes live", st.LiveBuffers, st.LiveBytes)
-	}
+	checkRingDrained(t, rec)
 }
 
 // TestBroadcastPreCancelledContext: a broadcast handed an already-cancelled
 // context must do no consumer work and release the ring.
 func TestBroadcastPreCancelledContext(t *testing.T) {
 	f := newStreamFixture(t)
-	str := NewStreamer(0, 64, nil)
+	rec := obs.New("test")
+	str := NewStreamer(0, 64, rec)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := f.source(t, 64)
@@ -615,7 +609,5 @@ func TestBroadcastPreCancelledContext(t *testing.T) {
 	if consumed.Load() != 0 {
 		t.Errorf("consumer ran %d batches under a pre-cancelled context", consumed.Load())
 	}
-	if st := str.Stats(); st.LiveBuffers != 0 || st.LiveBytes != 0 {
-		t.Errorf("ring not released: %d buffers, %d bytes live", st.LiveBuffers, st.LiveBytes)
-	}
+	checkRingDrained(t, rec)
 }
