@@ -57,9 +57,7 @@ govulncheck:
 	fi
 
 # fuzz-smoke runs each fuzz target briefly — long enough to execute the
-# committed seed corpora plus a burst of new inputs, short enough for CI —
-# plus a race-enabled pass over the streaming broadcast stage (producer,
-# ring and consumer goroutines under contention).
+# committed seed corpora plus a burst of new inputs, short enough for CI.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFile -fuzztime=10s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
@@ -71,7 +69,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/profile
 	$(GO) test -fuzz=FuzzTaggedStep -fuzztime=10s -run '^$$' ./internal/predict
 	$(GO) test -fuzz=FuzzKernelBatch -fuzztime=10s -run '^$$' ./internal/kernel
-	$(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 
 # serve-smoke boots a real balignd process on an ephemeral port, drives
 # /healthz, /v1/align and /v1/simulate over HTTP, runs a short closed-loop
@@ -84,9 +81,11 @@ serve-smoke:
 
 # suite-smoke reruns the multi-core determinism oracles with the Go
 # scheduler forced wide (GOMAXPROCS=4) under the race detector: the engine's
-# variant tasks, each broadcast's producer and its kernel and i-cache consumer
-# goroutines genuinely interleave even on smaller CI hosts, and any ordering
-# bug surfaces as a byte diff or a race report. The extended-families leg
+# variant tasks, each running its broadcast's source, kernel and i-cache in
+# turn, genuinely interleave even on smaller CI hosts, and any ordering
+# bug surfaces as a byte diff or a race report. The broadcast leg runs the
+# streamer's tests, among them concurrent broadcasts sharing one streamer's
+# arena and gauges (TestBroadcastConcurrent). The extended-families leg
 # runs the adversarial workloads (phase-flipping branches included) and an
 # imported CFG document through both kernel modes; the tagged leg pins the
 # TAGE/perceptron grid byte-identical across both kernel modes; the i-cache
@@ -98,9 +97,10 @@ serve-smoke:
 # concurrent requests and a cancelled request through the grid's engine,
 # whose variant tasks share the daemon's one streamer; the studies leg runs
 # baexp's studies golden in both kernel modes, whose Table 2 collector,
-# pipeline model and heuristic-LIKELY simulator run on broadcast consumer
-# goroutines and are read after the broadcast returns.
+# pipeline model and heuristic-LIKELY simulator run as broadcast consumers in
+# concurrent variant tasks and are read after the broadcast returns.
 suite-smoke:
+	GOMAXPROCS=4 $(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
 	GOMAXPROCS=4 $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments

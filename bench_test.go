@@ -371,10 +371,10 @@ func BenchmarkWalkerGenerateStream(b *testing.B) {
 }
 
 // BenchmarkSuiteStreamOn runs the evaluation grid through the streamed
-// broadcast pipeline: each variant's stream is generated once into a
-// bounded buffer ring and fanned out to all architectures. It reports the
+// broadcast pipeline: each variant's stream is generated once, one batch
+// at a time, and handed to all architectures. It reports the
 // heap-allocation delta per op (runtime.ReadMemStats) and the run's peak
-// live trace bytes (the ring's high-water gauge).
+// live trace bytes (the broadcast buffers' high-water gauge).
 func BenchmarkSuiteStreamOn(b *testing.B) {
 	cfg := experiments.Config{
 		Scale: 0.1, Window: 10,

@@ -91,6 +91,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *report != "" || *pprofAddr != "" {
 		cfg.Obs = obs.New("baexp")
 	}
+	// One streamer serves every experiment of the run, so its arena carries
+	// over and its gauges are the run's.
+	cfg.Streamer = sim.NewStreamer(cfg.Obs)
 	if *pprofAddr != "" {
 		cfg.Obs.Publish("baexp")
 		go func() {

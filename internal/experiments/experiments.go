@@ -9,7 +9,7 @@
 // profiling are prepared per program and equal variants fold, then each
 // distinct variant's event stream is generated once and broadcast
 // batch-by-batch to one kernel simulating all of its architectures,
-// holding only a bounded buffer ring in memory. Each cell writes its own
+// holding only one batch in memory. Each cell writes its own
 // metrics.Summary row of a slice laid out in canonical order, so every
 // kernel mode and parallelism setting produces byte-identical output; the
 // differential oracle tests enforce this. Every other experiment streams
@@ -17,6 +17,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -100,17 +101,18 @@ type Config struct {
 	// the differential oracle tests assert this.
 	Obs *obs.Recorder
 	// Ctx bounds the whole run: cancelling it (a server request deadline,
-	// an interrupted CLI) aborts in-flight shards promptly — including
-	// broadcasts blocked on the streaming buffer ring — and the run
-	// returns the context's error. Nil means context.Background().
+	// an interrupted CLI) aborts in-flight shards promptly — a broadcast
+	// stops at its next batch — and the run returns the context's error.
+	// Nil means context.Background().
 	Ctx context.Context
 	// Algos restricts the grid's columns (nil = all of Algos()).
 	// Preparation builds only the variants these columns replay, and rows
 	// come out in canonical column order whatever order Algos lists.
 	Algos []Algo
 	// Streamer is the broadcast stage every experiment streams through;
-	// nil means a fresh one per run. A daemon passes its own, so that one ring and one
-	// set of sim.stream.* gauges serve every request.
+	// nil means a fresh one per run. A process that runs several
+	// experiments or requests passes its own, so that one arena and one set
+	// of sim.stream.* gauges serve them all.
 	Streamer *sim.Streamer
 }
 
@@ -174,7 +176,7 @@ func (c Config) simPath() (simPath, error) {
 	}
 	str := c.Streamer
 	if str == nil {
-		str = sim.NewStreamer(0, 0, c.Obs)
+		str = sim.NewStreamer(c.Obs)
 	}
 	return simPath{str: str, exec: exec, rec: c.Obs}, nil
 }
@@ -190,7 +192,7 @@ func (p simPath) stream(ctx context.Context, w *workload.Workload, v *variant, a
 	if err != nil {
 		return nil, 0, err
 	}
-	src, err := w.Stream(v.prog, v.prof, lay, p.str.BatchCap())
+	src, err := w.Stream(v.prog, v.prof, lay, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -541,11 +543,12 @@ func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, rows []
 
 // evaluatePrograms runs the full evaluation grid over the given workloads:
 // a preparation pass (profile + alignments + the fold of equal variants,
-// sharded per program), then the cell grid, sharded per distinct variant,
-// each variant's stream generated once and broadcast to its kernel and its
-// i-cache consumer. Every variant writes its cells' rows in place, so the
-// rows come back in canonical order: workload, then architecture, then
-// algorithm.
+// sharded per program), then the cell grid, sharded per distinct variant
+// with the longest program's variants first, each variant's stream
+// generated once and broadcast to its kernel and its i-cache consumer.
+// Every variant writes its cells' rows in place, so the rows come back in
+// canonical order: workload, then architecture, then algorithm. A cell
+// phase error is the first in that longest-first task order.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]metrics.Summary, error) {
 	eng := cfg.engine()
 	p, err := cfg.simPath()
@@ -572,12 +575,22 @@ func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Confi
 
 	// Phase 2: the cell grid, one task per distinct variant. Each unit owns
 	// one block of rows, and each of its variants fills the rows of its
-	// cells.
+	// cells, so the task order does not change the rows'. Tasks queue
+	// longest program first, by the original's retired instructions: a
+	// variant runs about as long as its original, and a long variant
+	// started last would run alone while the other workers idle. The sort
+	// is stable, so equal programs keep workload order.
 	perUnit := len(archs) * len(cfg.algos())
 	rows := make([]metrics.Summary, len(units)*perUnit)
+	order := make([]int, len(units))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(units[b].origInstrs, units[a].origInstrs) })
 	var tasks []sim.Task
 	totalKeys := 0
-	for ui, u := range units {
+	for _, ui := range order {
+		u := units[ui]
 		totalKeys += u.totalKeys
 		block := rows[ui*perUnit : (ui+1)*perUnit]
 		for _, key := range u.keys {

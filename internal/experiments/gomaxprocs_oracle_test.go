@@ -12,9 +12,9 @@ import (
 // TestDeterminismAcrossGOMAXPROCS is the parallel-determinism oracle: the
 // whole-grid summary encoding must be byte-identical at GOMAXPROCS 1, 2 and
 // 8, in both kernel modes. Run under -race (make ci does) the GOMAXPROCS>1
-// legs also make the scheduler interleave producer, consumer and engine
-// goroutines for real, so ordering bugs surface as either a diff or a race
-// report.
+// legs also make the scheduler interleave the engine's variant tasks, which
+// share one streamer, for real, so ordering bugs surface as either a diff
+// or a race report.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	programs := []string{"ora", "compress"}
 	archs := predict.AllArchs()

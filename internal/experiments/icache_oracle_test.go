@@ -47,7 +47,7 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				str := sim.NewStreamer(0, 0, nil)
+				str := sim.NewStreamer(nil)
 				for _, key := range keys {
 					rows := make([]metrics.Summary, len(archs)*len(Algos()))
 					if err := runVariant(context.Background(), u, key, simPath{str: str, exec: exec}, rows); err != nil {

@@ -95,7 +95,7 @@ func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 	for _, name := range kernelWorkloads {
 		t.Run(name, func(t *testing.T) {
 			u, keys := gridVariants(t, name, archs)
-			str := sim.NewStreamer(0, 0, nil)
+			str := sim.NewStreamer(nil)
 			for _, key := range keys {
 				v := u.variants[key]
 				var rec trace.Recorder
@@ -107,7 +107,7 @@ func TestKernelPerSiteParityAcrossGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: CompileLayout: %v", key, err)
 				}
-				src, err := u.w.Stream(v.prog, v.prof, lay, str.BatchCap())
+				src, err := u.w.Stream(v.prog, v.prof, lay, 0)
 				if err != nil {
 					t.Fatalf("%s: Stream: %v", key, err)
 				}

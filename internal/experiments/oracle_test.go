@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,6 +63,55 @@ func TestParallelismSettingsAgree(t *testing.T) {
 		if got != want {
 			t.Errorf("parallelism %d diverges from serial oracle:\n%s", par, firstDiff(want, got))
 		}
+	}
+}
+
+// TestCellPhaseQueuesLongestFirst: the cell phase queues the variants of
+// the program whose original retires the most instructions first, and
+// equal programs in workload order. With one worker the tasks run in queue
+// order, so the cell phase's sim.run span lists its children that way,
+// while the rows still come out in workload order.
+func TestCellPhaseQueuesLongestFirst(t *testing.T) {
+	t.Parallel()
+	cfg := fastCfg("ora", "compress", "db++", "li")
+	cfg.Parallelism = 1
+	cfg.Obs = obs.New("test")
+	ws, err := cfg.workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrs := map[string]uint64{}
+	for _, w := range ws {
+		if _, instrs[w.Name], err = w.CollectProfile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Clone(cfg.Programs)
+	slices.SortStableFunc(want, func(a, b string) int { return cmp.Compare(instrs[b], instrs[a]) })
+	if slices.Equal(want, cfg.Programs) {
+		t.Fatalf("programs %v are already longest first (%v); the test needs another order", want, instrs)
+	}
+
+	rows, err := Summaries(cfg, predict.StaticArchs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perProgram := len(predict.StaticArchs()) * len(Algos())
+	for i, r := range rows {
+		if r.Program != cfg.Programs[i/perProgram] {
+			t.Fatalf("row %d is %s's; rows must stay in workload order %v", i, r.Program, cfg.Programs)
+		}
+	}
+	spans := cfg.Obs.Report().Spans
+	var started []string // each program once, in the order its variants ran
+	for _, c := range spans[len(spans)-1].Children {
+		name, _, _ := strings.Cut(c.Name, "/")
+		if len(started) == 0 || started[len(started)-1] != name {
+			started = append(started, name)
+		}
+	}
+	if !slices.Equal(started, want) {
+		t.Errorf("cell phase ran programs' variants in order %v; want longest first %v (instrs %v)", started, want, instrs)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestVMFoldReadsOnlyBranchCounts(t *testing.T) {
 			u.specs["probe"] = append(u.specs["probe"], simSpec{arch, AlgoOrig, i})
 		}
 		out := make([]metrics.Summary, len(archs))
-		if err := runVariant(context.Background(), u, "probe", simPath{str: sim.NewStreamer(0, 0, nil), exec: exec}, out); err != nil {
+		if err := runVariant(context.Background(), u, "probe", simPath{str: sim.NewStreamer(nil), exec: exec}, out); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -17,7 +17,7 @@
 // graceful shutdown, a bounded admission semaphore with queue-wait
 // measurement and 429 on saturation, a per-request deadline whose context
 // cancellation is threaded through the experiment engine down to the
-// streaming broadcast ring, a request body size limit, a keyed LRU result
+// streaming broadcast, a request body size limit, a keyed LRU result
 // cache (content hash of the canonical request), and panic-to-500 recovery.
 // Every failure is a JSON error envelope; every stage feeds serve.*
 // counters and gauges in the observability recorder.
@@ -65,7 +65,7 @@ type Config struct {
 	QueueWait time.Duration
 	// Timeout is the per-request deadline; the context it cancels is
 	// threaded through alignment and simulation down to the streaming
-	// broadcast ring. <=0 means DefaultTimeout.
+	// broadcast. <=0 means DefaultTimeout.
 	Timeout time.Duration
 	// MaxBodyBytes caps request bodies; <=0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -149,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 		obs:   cfg.Obs,
 		mux:   http.NewServeMux(),
 		slots: make(chan struct{}, cfg.maxInFlight()),
-		str:   sim.NewStreamer(0, 0, cfg.Obs),
+		str:   sim.NewStreamer(cfg.Obs),
 	}
 	if cfg.CacheEntries >= 0 {
 		entries, bytes := cfg.CacheEntries, cfg.CacheBytes

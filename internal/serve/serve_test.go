@@ -477,8 +477,8 @@ func TestDrainRejectsNewWorkAndFinishesInFlight(t *testing.T) {
 // TestSimulateDeadlineFreesStream is the serve-level cancellation
 // regression test: a /v1/simulate whose work exceeds the per-request
 // deadline must come back 504 promptly — not after draining the whole
-// trace — and the shared streamer's ring gauges must be back to zero,
-// proving the broadcast released every buffer.
+// trace — and the shared streamer's live gauges must be back to zero,
+// proving the broadcast released its buffer.
 func TestSimulateDeadlineFreesStream(t *testing.T) {
 	rec := obs.New("test")
 	_, ts := newTestServer(t, Config{Timeout: 150 * time.Millisecond, Obs: rec})
@@ -500,7 +500,7 @@ func TestSimulateDeadlineFreesStream(t *testing.T) {
 		t.Errorf("cancelled request took %v; cancellation is not prompt", elapsed)
 	}
 	if g := rec.Report().Gauges; g["sim.stream.live_buffers"] != 0 || g["sim.stream.live_bytes"] != 0 {
-		t.Errorf("stream ring not released after cancel: %d buffers, %d bytes live",
+		t.Errorf("stream buffers not released after cancel: %d buffers, %d bytes live",
 			g["sim.stream.live_buffers"], g["sim.stream.live_bytes"])
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"balign/internal/obs"
 	"balign/internal/predict"
-	"balign/internal/sim"
 )
 
 // simulate posts req to /v1/simulate and decodes the 200 response.
@@ -67,7 +66,7 @@ func TestInlineOrigRowsCPI(t *testing.T) {
 // one server: both broadcast through the server's streamer, so the
 // recorder's stream gauges and counters are that streamer's. Its peak never
 // falls, and with the grid serial, every broadcast after the daemon's
-// first takes its whole ring from the streamer's arena.
+// first takes its one buffer from the streamer's arena.
 func TestOneStreamerPerDaemon(t *testing.T) {
 	rec := obs.New("test")
 	_, ts := newTestServer(t, Config{Obs: rec, Parallelism: 1})
@@ -84,9 +83,9 @@ func TestOneStreamerPerDaemon(t *testing.T) {
 		}
 		peak = got
 		n, reuses := rep.Counters["sim.stream.broadcasts"], rep.Counters["sim.stream.arena_reuses"]
-		if n == 0 || reuses != sim.DefaultStreamBuffers*(n-1) {
-			t.Errorf("after the %s request: %d broadcasts reused %d ring buffers; want %d for each broadcast after the first",
-				tc.name, n, reuses, sim.DefaultStreamBuffers)
+		if n == 0 || reuses != n-1 {
+			t.Errorf("after the %s request: %d broadcasts reused %d buffers; want one for each broadcast after the first",
+				tc.name, n, reuses)
 		}
 	}
 }

@@ -88,18 +88,18 @@ func NewExecutor(mode string, rec *obs.Recorder) (*Executor, error) {
 // same events one by one — the executor and grid oracles enforce this byte
 // for byte.
 //
-// extra consumers ride the same broadcast beside the architectures' (the
+// extra consumers ride the same broadcast after the architectures' (the
 // experiment grid's i-cache scoring is one): each sees every batch in
-// stream order on its own goroutine, and an error from one aborts the
+// stream order, on the caller's goroutine, and an error from one aborts the
 // broadcast like the kernel's. They produce no result and count as no
 // cell.
 //
 // SimulateStream owns src: it is closed before returning.
 //
 // ctx bounds the broadcast: cancelling it (a request deadline, a failing
-// sibling shard) aborts the stream promptly and SimulateStream returns the
-// context's error with every ring buffer released. A nil ctx means
-// context.Background().
+// sibling shard) aborts the stream at the next batch and SimulateStream
+// returns the context's error with the broadcast's buffer released. A nil
+// ctx means context.Background().
 func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace.Layout, src trace.Source,
 	prog *ir.Program, prof *profile.Profile, archs []predict.ArchID, extra ...func(*trace.Batch) error) ([]predict.Result, error) {
 	defer src.Close()
@@ -146,8 +146,6 @@ func (x *Executor) SimulateStream(ctx context.Context, str *Streamer, lay *trace
 	}
 	x.obs.AddSince("sim.exec.compile_ns", cstart)
 
-	// The consumer's accumulators are written only by its own goroutine
-	// and read after Broadcast returns (its WaitGroup orders the accesses).
 	var runNs int64
 	var events uint64
 	consumers := append([]func(*trace.Batch) error{func(b *trace.Batch) error {

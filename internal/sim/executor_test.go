@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"balign/internal/obs"
@@ -33,6 +34,22 @@ func TestParseKernelMode(t *testing.T) {
 	}
 }
 
+// TestParseKernelModeEnumeratesModes pins the error-message contract: every
+// rejection must list every accepted value.
+func TestParseKernelModeEnumeratesModes(t *testing.T) {
+	for _, in := range []string{"bogus", "fast", "FLAT"} {
+		_, err := ParseKernelMode(in)
+		if err == nil {
+			t.Fatalf("ParseKernelMode(%q) succeeded", in)
+		}
+		for _, m := range KernelModes() {
+			if !strings.Contains(err.Error(), string(m)) {
+				t.Errorf("ParseKernelMode(%q) error %q does not mention mode %q", in, err, m)
+			}
+		}
+	}
+}
+
 // TestExecutorModesAgree runs the same stream through both executors and
 // requires each to reproduce the reference simulators, then checks the
 // phase-split counters account for the work: each mode's compile and run
@@ -48,7 +65,7 @@ func TestExecutorModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewExecutor(%s): %v", mode, err)
 		}
-		got, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(t, 0), f.w.Prog, f.prof, archs)
+		got, err := x.SimulateStream(nil, NewStreamer(nil), f.lay, f.source(t, 0), f.w.Prog, f.prof, archs)
 		if err != nil {
 			t.Fatalf("%s: SimulateStream: %v", mode, err)
 		}
@@ -81,7 +98,7 @@ func TestExecutorSimulateErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		archs := []predict.ArchID{predict.ArchLikely}
-		if _, err := x.SimulateStream(nil, NewStreamer(0, 0, nil), f.lay, f.source(t, 0), f.w.Prog, nil, archs); err == nil {
+		if _, err := x.SimulateStream(nil, NewStreamer(nil), f.lay, f.source(t, 0), f.w.Prog, nil, archs); err == nil {
 			t.Errorf("%s: SimulateStream(likely, nil profile) succeeded", mode)
 		}
 	}

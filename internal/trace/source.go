@@ -11,8 +11,8 @@ import (
 // materializing a workload's entire control-transfer history as []Event
 // (48 bytes per event, alive until every simulator has replayed it), a
 // producer emits fixed-size Batches of packed int32 ops that every consumer
-// shares read-only, so peak memory is bounded by the buffer ring rather
-// than the trace length.
+// shares read-only, so peak memory is bounded by one batch rather than the
+// trace length.
 //
 // The encoding reuses the simulation kernel's packed-slot idea: a
 // per-program Layout resolves every control-transfer site to a compact id
