@@ -120,14 +120,14 @@ perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet .
 	cd perfbench && GOWORK=off $(GO) test -count=1 -run 'TestCommittedDigests|TestBenchmarkJSON' .
 
-# report runs a small suite with run telemetry enabled, writing a JSON run
-# report (per-shard spans, the engine, stream and executor counters and
-# gauges, the summary grid) under $TMPDIR (default /tmp) and printing its
-# path, then sanity-checks the report schema via the dedicated test in
-# cmd/baexp.
+# report runs a small suite and its Table 2 with run telemetry enabled,
+# writing a JSON run report (per-shard spans, the engine, stream and
+# executor counters and gauges, and the grid and table2 sections) under
+# $TMPDIR (default /tmp) and printing its path, then sanity-checks the
+# report schema via the dedicated test in cmd/baexp.
 report:
 	@out="$${TMPDIR:-/tmp}/balign-report.json"; \
-	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report "$$out" suite && \
+	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report "$$out" suite table2 && \
 	echo "run report: $$out"
 	$(GO) test -run TestRunReportSchema ./cmd/baexp
 

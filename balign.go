@@ -247,8 +247,6 @@ type SuiteOptions struct {
 	Seed int64
 	// Window is the TryN group size; 0 means the paper's 15.
 	Window int
-	// MaxCombos caps TryN window enumeration; 0 means the default.
-	MaxCombos int
 	// Programs restricts the suite (nil = all 24 programs).
 	Programs []string
 	// Archs selects the simulated architectures (nil = every registered
@@ -258,9 +256,8 @@ type SuiteOptions struct {
 	// 0 = runtime.GOMAXPROCS(0), 1 = the serial oracle path. Output is
 	// byte-identical at every setting.
 	Parallelism int
-	// Verbose enables per-shard progress logging to Log.
-	Verbose bool
-	// Log receives progress output; nil discards it.
+	// Log receives per-shard progress lines; nil (the default) discards
+	// them.
 	Log io.Writer
 	// Kernel selects the simulation executor: "flat" (default, the
 	// compiled struct-of-arrays kernel) or "ref" (the reference
@@ -272,19 +269,17 @@ type SuiteOptions struct {
 // parallel experiment engine and returns one Summary per cell in canonical
 // order (suite program order, then architecture, then algorithm). Runs at
 // different Parallelism settings return byte-identical results; the engine's
-// differential oracle test enforces this.
+// differential oracle test enforces this. An unregistered architecture in
+// Archs is an error, returned before any work starts.
 func RunSuite(opts SuiteOptions) ([]Summary, error) {
 	archs := opts.Archs
 	if len(archs) == 0 {
 		archs = predict.AllArchs()
 	}
 	cfg := experiments.Config{
-		Scale: opts.Scale, Seed: opts.Seed,
-		Window: opts.Window, MaxCombos: opts.MaxCombos,
-		Programs:    opts.Programs,
-		Parallelism: opts.Parallelism,
-		Verbose:     opts.Verbose, Log: opts.Log,
-		Kernel: opts.Kernel,
+		Scale: opts.Scale, Seed: opts.Seed, Window: opts.Window,
+		Programs: opts.Programs, Parallelism: opts.Parallelism,
+		Log: opts.Log, Kernel: opts.Kernel,
 	}
 	return experiments.Summaries(cfg, archs)
 }

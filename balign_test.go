@@ -1,9 +1,11 @@
 package balign_test
 
 import (
+	"strings"
 	"testing"
 
 	"balign"
+	"balign/internal/predict"
 )
 
 const quickSrc = `
@@ -56,6 +58,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if balign.LayoutCost(res.Prog, res.Prof, balign.ModelFallthrough) >=
 		balign.LayoutCost(prog, prof, balign.ModelFallthrough) {
 		t.Error("alignment did not reduce layout cost")
+	}
+}
+
+// TestFacadeRunSuiteUnknownArch: an unregistered architecture is an error
+// that names every registered one, returned before any work starts, both
+// with one program and with several on the engine's workers.
+func TestFacadeRunSuiteUnknownArch(t *testing.T) {
+	for _, programs := range [][]string{{"compress"}, {"compress", "ora"}} {
+		_, err := balign.RunSuite(balign.SuiteOptions{
+			Programs: programs, Scale: 0.01, Archs: []balign.ArchID{"nope"}, Parallelism: 2,
+		})
+		if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+			t.Fatalf("%v: err = %v; want an unknown-architecture error", programs, err)
+		}
+		for _, name := range predict.KnownArchNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: error %q does not name %s", programs, err, name)
+			}
+		}
 	}
 }
 

@@ -25,8 +25,8 @@
 //	             identical either way
 //	-v           log per-shard progress to stderr
 //	-report f    write a JSON run report (timing spans, the engine, stream
-//	             and executor counters and gauges, the suite summary grid)
-//	             to file f
+//	             and executor counters and gauges, the suite summary grid,
+//	             the Table 2 rows) to file f
 //	-pprof addr  serve net/http/pprof and expvar on addr (e.g. :6060) for
 //	             the duration of the run; /debug/vars includes the live
 //	             run report under "baexp"
@@ -80,7 +80,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Window: *window,
 		Parallelism: *parallel, Kernel: *kernelMode,
-		Verbose: *verbose, Log: stderr,
+	}
+	if *verbose {
+		cfg.Log = stderr
 	}
 	if *programs != "" {
 		cfg.Programs = strings.Split(*programs, ",")

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"balign/internal/experiments"
 	"balign/internal/predict"
+	"balign/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -80,6 +82,71 @@ func TestGoldenStudies(t *testing.T) {
 			}
 			checkGolden(t, "studies.txt", out.Bytes())
 		})
+	}
+}
+
+// TestGoldenCFGTable2 runs Table 2 alone over the committed CFG fixture: it
+// must print exactly the Table 2 section that cfg_experiments.txt pins, so
+// the row does not depend on which experiments share the run.
+func TestGoldenCFGTable2(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-cfg", cfgFixture, "table2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "cfg_experiments.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(out.String(), "\n"); lines != 4 || !bytes.HasPrefix(golden, out.Bytes()) {
+		t.Errorf("table2 alone printed %d lines, not the Table 2 section of cfg_experiments.txt:\n%s", lines, out.String())
+	}
+}
+
+// TestRunTable2 prints Table 2 for one named program: the heading, the
+// column header and that program's row.
+func TestRunTable2(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-programs", "ora", "-scale", "0.02", "table2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[0], "Table 2") || !strings.Contains(lines[1], "%Taken") ||
+		strings.Fields(lines[2])[0] != "ora" {
+		t.Errorf("output malformed:\n%s", out.String())
+	}
+}
+
+// TestRunTable2Report runs Table 2 alone with -report: the document carries
+// the engine's counters and the table2 section alone, whose one row holds
+// the numbers the table prints.
+func TestRunTable2Report(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-programs", "ora", "-scale", "0.02", "-report", path, "table2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("report not written: %v", err)
+	}
+	var rep runReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
+	}
+	if rep.Tool != "baexp" || rep.Counters["sim.tasks"] == 0 {
+		t.Errorf("report malformed: tool=%q counters=%v", rep.Tool, rep.Counters)
+	}
+	if got := sortedKeys(rep.Sections); !slices.Equal(got, []string{"table2"}) {
+		t.Errorf("report sections %v; want table2 alone", got)
+	}
+	var rows []experiments.Table2Row
+	if err := json.Unmarshal(rep.Sections["table2"], &rows); err != nil || len(rows) != 1 || rows[0].Program != "ora" {
+		t.Fatalf("table2 section %s (%v); want the row of ora", rep.Sections["table2"], err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	row := strings.Fields(lines[len(lines)-1])
+	if want := []string{"ora", strconv.FormatUint(rows[0].Attr.Instrs, 10)}; len(row) < 2 || !slices.Equal(row[:2], want) {
+		t.Errorf("printed row %v; report row has %v", row, want)
 	}
 }
 
@@ -292,7 +359,8 @@ func TestRunReportSchema(t *testing.T) {
 
 // TestOneStreamerPerRun runs two experiments in one serial baexp run: one
 // streamer serves both, so every broadcast after the run's first takes its
-// one buffer from the arena, and the gauges are the whole run's.
+// one buffer from the arena, and the gauges are the whole run's. Each
+// experiment attaches its own rows, so the report carries both sections.
 func TestOneStreamerPerRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")
 	var out, errBuf bytes.Buffer
@@ -312,6 +380,14 @@ func TestOneStreamerPerRun(t *testing.T) {
 	if n < 2 || reuses != n-1 {
 		t.Errorf("%d broadcasts reused %d buffers; want one for each broadcast after the run's first", n, reuses)
 	}
+	if got := sortedKeys(rep.Sections); !slices.Equal(got, []string{"grid", "table2"}) {
+		t.Errorf("report sections %v; want grid and table2", got)
+	}
+	var rows []struct{ Program string }
+	if err := json.Unmarshal(rep.Sections["table2"], &rows); err != nil || len(rows) != 2 ||
+		rows[0].Program != "ora" || rows[1].Program != "compress" {
+		t.Errorf("table2 section %s (%v); want the rows of ora and compress", rep.Sections["table2"], err)
+	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -324,6 +400,35 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-programs", "nope", "table2"}, &buf, &buf); err == nil {
 		t.Error("unknown program should error")
+	}
+}
+
+// TestRunNoExperimentIsError runs with flags but no experiment id: the run
+// must fail before any work and name what is missing.
+func TestRunNoExperimentIsError(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	err := run([]string{"-programs", "ora", "-scale", "0.02"}, &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "experiment id is required") {
+		t.Errorf("run with no experiment id: err = %v; want the missing id named", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run with no experiment id printed:\n%s", out.String())
+	}
+}
+
+// TestRunUnknownProgramNamesAll checks the error for an unknown -programs
+// entry: it lists every program a run can name, the suite and the extended
+// families, so the error is the program listing.
+func TestRunUnknownProgramNamesAll(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-programs", "nope", "table2"}, &buf, &buf)
+	if err == nil {
+		t.Fatal("unknown program should error")
+	}
+	for _, name := range workload.AllNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-program error does not name %s: %v", name, err)
+		}
 	}
 }
 

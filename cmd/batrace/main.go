@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("batrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	progFile := fs.String("prog", "", "assembly file to execute")
-	bench := fs.String("bench", "", "suite benchmark name (see bastat -list)")
+	bench := fs.String("bench", "", "suite or extended benchmark name (an unknown name lists them all)")
 	out := fs.String("o", "", "profile output file (default: stdout)")
 	events := fs.String("events", "", "also write the raw break-event trace to this file")
 	stats := fs.Bool("stats", false, "print summary statistics to stderr")

@@ -11,17 +11,12 @@ import (
 
 // Import decodes a CFG document in either encoding (auto-detected: JSON when
 // the first non-space byte is '{', DOT otherwise) and builds a validated
-// ir.Program plus its profile.Profile, using default Options.
+// ir.Program plus its profile.Profile.
 func Import(data []byte) (*ir.Program, *profile.Profile, error) {
-	return ImportOptions(data, Options{})
-}
-
-// ImportOptions is Import with explicit validation options.
-func ImportOptions(data []byte, opt Options) (*ir.Program, *profile.Profile, error) {
 	if looksJSON(data) {
-		return importJSONOptions(data, opt)
+		return importJSON(data)
 	}
-	return importDOTOptions(data, opt)
+	return importDOT(data)
 }
 
 // identRe matches names the asm text form can round-trip: they must survive
@@ -58,7 +53,7 @@ func termSlots(kind string) int {
 }
 
 // build validates d and lowers it to a program and profile.
-func build(d *doc, opt Options) (*ir.Program, *profile.Profile, error) {
+func build(d *doc) (*ir.Program, *profile.Profile, error) {
 	if len(d.procs) == 0 {
 		return nil, nil, errAt(d.format, 0, "", "document has no procedures")
 	}
@@ -105,10 +100,8 @@ func build(d *doc, opt Options) (*ir.Program, *profile.Profile, error) {
 			return nil, nil, err
 		}
 	}
-	if opt.slack() >= 0 {
-		if err := checkWeights(d, entry, opt.slack()); err != nil {
-			return nil, nil, err
-		}
+	if err := checkWeights(d, entry); err != nil {
+		return nil, nil, err
 	}
 
 	prog := &ir.Program{Name: d.name, MemWords: d.memWords, EntryProc: entry}
@@ -364,15 +357,16 @@ func inFlow(dp *docProc) []uint64 {
 }
 
 // checkWeights enforces flow conservation: per block, inflow must match
-// outflow within slack (sinks exempt), and per non-entry procedure the
-// entry_count must match the weighted call-site total within slack.
-func checkWeights(d *doc, entry int, slack float64) error {
+// outflow within weightSlack (sinks exempt), and per non-entry procedure
+// the entry_count must match the weighted call-site total within
+// weightSlack.
+func checkWeights(d *doc, entry int) error {
 	within := func(a, b uint64) bool {
 		hi, lo := a, b
 		if hi < lo {
 			hi, lo = lo, hi
 		}
-		tol := uint64(1) + uint64(slack*float64(hi))
+		tol := uint64(1) + uint64(weightSlack*float64(hi))
 		return hi-lo <= tol
 	}
 
@@ -393,7 +387,7 @@ func checkWeights(d *doc, entry int, slack float64) error {
 			default:
 				if !within(in[bi], out) {
 					return errAt(d.format, db.line, blockElem(dp.name, bi),
-						"weight not conserved: inflow %d vs outflow %d (slack %.4g)", in[bi], out, slack)
+						"weight not conserved: inflow %d vs outflow %d (slack %.4g)", in[bi], out, weightSlack)
 				}
 			}
 			for _, callee := range db.calls {
@@ -411,7 +405,7 @@ func checkWeights(d *doc, entry int, slack float64) error {
 		if got := callFlow[dp.name]; !within(got, dp.entryCount) {
 			return errAt(d.format, dp.line, procElem(dp.name),
 				"entry_count %d does not match weighted call-site total %d (slack %.4g)",
-				dp.entryCount, got, slack)
+				dp.entryCount, got, weightSlack)
 		}
 	}
 	return nil

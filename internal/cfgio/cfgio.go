@@ -17,7 +17,7 @@
 // Imports are validated structurally (dense block indices, per-kind edge
 // shape, reachability from each procedure's entry block, resolvable call
 // targets) and quantitatively (per-block weight conservation and call-count
-// consistency within a configurable slack, since real profiles are sampled).
+// consistency within a fixed slack, since real profiles are sampled).
 // The importer synthesizes an ir.Program whose block sizes, terminators and
 // call sites match the document — filler slots become nops, conditional
 // terminators become beqz — plus a profile.Profile carrying the edge
@@ -48,27 +48,13 @@ const (
 	maxNameLen       = 256
 )
 
-// DefaultWeightSlack is the default relative tolerance for the weight
-// conservation checks. Real edge profiles are sampled, so per-block inflow
-// and outflow rarely agree exactly; 1% plus one absolute count covers
-// sampling skew without letting structurally broken profiles through.
-const DefaultWeightSlack = 0.01
-
-// Options tunes import validation.
-type Options struct {
-	// WeightSlack is the relative tolerance for weight conservation:
-	// per-block |inflow-outflow| and per-procedure |callers-entry_count|
-	// must not exceed max(1, WeightSlack*flow). Zero selects
-	// DefaultWeightSlack; a negative value disables both checks.
-	WeightSlack float64
-}
-
-func (o Options) slack() float64 {
-	if o.WeightSlack == 0 {
-		return DefaultWeightSlack
-	}
-	return o.WeightSlack
-}
+// weightSlack is the relative tolerance of the weight conservation checks:
+// per-block |inflow-outflow| and per-procedure |callers-entry_count| must
+// not exceed 1 + weightSlack*flow. Real edge profiles are sampled, so
+// per-block inflow and outflow rarely agree exactly; 1% plus one absolute
+// count covers sampling skew without letting structurally broken profiles
+// through.
+const weightSlack = 0.01
 
 // Error describes an import failure with as much position information as the
 // encoding provides: DOT errors carry the source line, JSON decode errors

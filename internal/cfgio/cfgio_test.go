@@ -47,9 +47,9 @@ func mustImport(t *testing.T, data string) (*ir.Program, *profile.Profile) {
 }
 
 func TestImportJSONBuildsProgramAndProfile(t *testing.T) {
-	prog, pf, err := ImportJSON([]byte(demoJSON))
+	prog, pf, err := importJSON([]byte(demoJSON))
 	if err != nil {
-		t.Fatalf("ImportJSON: %v", err)
+		t.Fatalf("importJSON: %v", err)
 	}
 	if prog.Name != "demo" || len(prog.Procs) != 2 {
 		t.Fatalf("got program %q with %d procs", prog.Name, len(prog.Procs))
@@ -468,24 +468,20 @@ func TestImportErrors(t *testing.T) {
 }
 
 // TestWeightSlackOption checks that sampled (slightly non-conserved)
-// profiles import under the default slack and that the check can be
-// disabled entirely.
+// profiles import under the fixed slack and that a larger skew is
+// rejected.
 func TestWeightSlackOption(t *testing.T) {
 	// Inflow 1000 vs outflow 1006: within 1% + 1.
 	loose := `{"procs": [{"name": "m", "entry_count": 1000, "blocks": [
 		{"size": 1, "kind": "cond", "edges": [{"to": 1, "weight": 500}, {"to": 1, "weight": 506, "taken": true}]},
 		{"size": 1, "kind": "halt"}]}]}`
 	if _, _, err := Import([]byte(loose)); err != nil {
-		t.Fatalf("default slack rejected a 0.6%% skew: %v", err)
+		t.Fatalf("slack rejected a 0.6%% skew: %v", err)
 	}
-	// Inflow 1000 vs outflow 1200: rejected by default...
+	// Inflow 1000 vs outflow 1200: rejected.
 	broken := strings.Replace(loose, "506", "700", 1)
 	if _, _, err := Import([]byte(broken)); err == nil {
-		t.Fatal("default slack accepted a 20% skew")
-	}
-	// ...but importable with the check disabled.
-	if _, _, err := ImportOptions([]byte(broken), Options{WeightSlack: -1}); err != nil {
-		t.Fatalf("disabled slack still rejected: %v", err)
+		t.Fatal("slack accepted a 20% skew")
 	}
 }
 

@@ -26,21 +26,17 @@ import (
 //	  }
 //	}
 
-// ImportDOT decodes the DOT CFG encoding with default options.
-func ImportDOT(data []byte) (*ir.Program, *profile.Profile, error) {
-	return importDOTOptions(data, Options{})
-}
-
 func dotErr(line int, elem, msg string, args ...any) error {
 	return &Error{Format: "dot", Line: line, Offset: -1, Elem: elem, Msg: fmt.Sprintf(msg, args...)}
 }
 
-func importDOTOptions(data []byte, opt Options) (*ir.Program, *profile.Profile, error) {
+// importDOT decodes the DOT CFG encoding.
+func importDOT(data []byte) (*ir.Program, *profile.Profile, error) {
 	d, err := parseDOT(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	return build(d, opt)
+	return build(d)
 }
 
 // dotProcState accumulates one subgraph before block order is finalized.

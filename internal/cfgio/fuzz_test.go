@@ -105,7 +105,7 @@ func FuzzImportDOT(f *testing.F) {
 	f.Add("// comment only\n")
 	f.Add("digraph \"\xff\" {\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, pf, err := ImportDOT([]byte(src))
+		prog, pf, err := importDOT([]byte(src))
 		if err != nil {
 			var ce *Error
 			if !errors.As(err, &ce) {
@@ -117,7 +117,7 @@ func FuzzImportDOT(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ExportDOT: %v", err)
 		}
-		prog2, pf2, err := ImportDOT(d1)
+		prog2, pf2, err := importDOT(d1)
 		if err != nil {
 			t.Fatalf("canonical DOT export does not re-import: %v\n%s", err, d1)
 		}

@@ -41,12 +41,8 @@ type jsonEdge struct {
 	Taken  bool   `json:"taken,omitempty"`
 }
 
-// ImportJSON decodes the JSON CFG encoding with default options.
-func ImportJSON(data []byte) (*ir.Program, *profile.Profile, error) {
-	return importJSONOptions(data, Options{})
-}
-
-func importJSONOptions(data []byte, opt Options) (*ir.Program, *profile.Profile, error) {
+// importJSON decodes the JSON CFG encoding.
+func importJSON(data []byte) (*ir.Program, *profile.Profile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var jd jsonDoc
@@ -76,7 +72,7 @@ func importJSONOptions(data []byte, opt Options) (*ir.Program, *profile.Profile,
 		}
 		d.procs = append(d.procs, dp)
 	}
-	return build(d, opt)
+	return build(d)
 }
 
 // jsonError wraps a JSON decode failure with the byte offset where decoding

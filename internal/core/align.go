@@ -61,10 +61,6 @@ type Options struct {
 	Order ChainOrder
 	// Window is the TryN group size (default DefaultWindow).
 	Window int
-	// MaxCombos caps one window's enumeration (default DefaultMaxCombos).
-	MaxCombos int
-	// MinWeight is the TryN minimum edge weight (default DefaultMinWeight).
-	MinWeight uint64
 	// Obs receives per-procedure alignment telemetry: plan (chain/cost/
 	// tryN) and rewrite timings plus procedure counters, under
 	// core.plan.<algorithm>.* / core.rewrite.* names. Nil disables
@@ -78,20 +74,6 @@ func (o *Options) window() int {
 		return DefaultWindow
 	}
 	return o.Window
-}
-
-func (o *Options) maxCombos() int {
-	if o.MaxCombos <= 0 {
-		return DefaultMaxCombos
-	}
-	return o.MaxCombos
-}
-
-func (o *Options) minWeight() uint64 {
-	if o.MinWeight == 0 {
-		return DefaultMinWeight
-	}
-	return o.MinWeight
 }
 
 // Result is the outcome of aligning a program.

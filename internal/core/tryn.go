@@ -66,7 +66,7 @@ func tryNLayout(p *ir.Proc, pp *profile.ProcProfile, opts Options) ([]ir.BlockID
 }
 
 // tryNOnce is one TryN pass: take the N hottest not-yet-decided edges
-// (weight ≥ MinWeight), gather their source nodes, and commit the
+// (weight ≥ DefaultMinWeight), gather their source nodes, and commit the
 // cheapest combination of the nodes' alignment choices under the cost
 // model. Nodes that share chains or targets are searched jointly;
 // independent nodes are optimized separately (an exact decomposition that
@@ -80,7 +80,7 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 			infos[i].posHint = posHint
 		}
 	}
-	edges := alignableEdges(p, pp.Weight, opts.minWeight())
+	edges := alignableEdges(p, pp.Weight, DefaultMinWeight)
 
 	decided := make(map[ir.BlockID]bool)
 	forceJump := make(map[ir.BlockID]bool)
@@ -117,7 +117,7 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 		})
 
 		for _, cluster := range clusterNodes(c, nodes) {
-			commitBest(search, cluster, forceJump, opts.maxCombos())
+			commitBest(search, cluster, forceJump)
 		}
 		for _, n := range nodes {
 			decided[n.info.id] = true
@@ -237,8 +237,8 @@ func clusterNodes(c *chains, nodes []*tryNode) [][]*tryNode {
 
 // commitBest finds the cheapest choice combination of one cluster against
 // the live chain state and commits it. Clusters whose combination count
-// exceeds maxCombos are split into sequential sub-clusters.
-func commitBest(s *windowSearch, cluster []*tryNode, forceJump map[ir.BlockID]bool, maxCombos int) {
+// exceeds DefaultMaxCombos are split into sequential sub-clusters.
+func commitBest(s *windowSearch, cluster []*tryNode, forceJump map[ir.BlockID]bool) {
 	c := s.c
 	for len(cluster) > 0 {
 		// Take the longest prefix whose combination count fits the budget.
@@ -246,7 +246,7 @@ func commitBest(s *windowSearch, cluster []*tryNode, forceJump map[ir.BlockID]bo
 		combos := 1
 		for n < len(cluster) {
 			next := combos * len(cluster[n].choices)
-			if n > 0 && next > maxCombos {
+			if n > 0 && next > DefaultMaxCombos {
 				break
 			}
 			combos = next

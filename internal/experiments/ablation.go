@@ -89,7 +89,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		if row.CostCost, err = ladder(core.Options{Algorithm: core.AlgoCost, Model: m}); err != nil {
 			return err
 		}
-		if row.CostTryN, err = ladder(core.Options{Algorithm: core.AlgoTryN, Model: m, Window: cfg.window(), MaxCombos: cfg.MaxCombos}); err != nil {
+		if row.CostTryN, err = ladder(core.Options{Algorithm: core.AlgoTryN, Model: m, Window: cfg.Window}); err != nil {
 			return err
 		}
 		if row.CostExtTSP, err = ladder(core.Options{Algorithm: core.AlgoExtTSP}); err != nil {
@@ -98,7 +98,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 
 		// Window sweep.
 		for _, win := range []int{5, 10, 15} {
-			v, err := ladder(core.Options{Algorithm: core.AlgoTryN, Model: m, Window: win, MaxCombos: cfg.MaxCombos})
+			v, err := ladder(core.Options{Algorithm: core.AlgoTryN, Model: m, Window: win})
 			if err != nil {
 				return err
 			}

@@ -69,8 +69,6 @@ type Config struct {
 	Seed int64
 	// Window is the TryN group size; 0 means the paper's 15.
 	Window int
-	// MaxCombos caps TryN window enumeration; 0 means the default.
-	MaxCombos int
 	// Programs restricts the suite (nil = all 24 programs). Extended
 	// workload families (workload.ExtNames) are addressable here too.
 	Programs []string
@@ -89,16 +87,16 @@ type Config struct {
 	// shards. 0 means runtime.GOMAXPROCS(0); 1 selects the serial oracle
 	// path. Results are byte-identical at every setting.
 	Parallelism int
-	// Verbose enables per-shard progress logging to Log.
-	Verbose bool
-	// Log receives -v progress output; nil discards it.
+	// Log receives per-shard progress lines; nil (the default) discards
+	// them.
 	Log io.Writer
 	// Obs receives run telemetry: per-shard engine spans, the engine,
 	// stream and executor counters and gauges, per-procedure alignment
-	// timings, and the summary grid as the "grid" report section. Nil (the
-	// default) disables telemetry at zero cost. Telemetry is
-	// observation-only, so results are byte-identical with it on or off —
-	// the differential oracle tests assert this.
+	// timings, and two report sections: the summary grid as "grid" and
+	// Table 2's rows as "table2". Nil (the default) disables telemetry at
+	// zero cost. Telemetry is observation-only, so results are
+	// byte-identical with it on or off — the differential oracle tests
+	// assert this.
 	Obs *obs.Recorder
 	// Ctx bounds the whole run: cancelling it (a server request deadline,
 	// an interrupted CLI) aborts in-flight shards promptly — a broadcast
@@ -132,16 +130,9 @@ func (c Config) algos() []Algo {
 	return slices.DeleteFunc(Algos(), func(a Algo) bool { return !slices.Contains(c.Algos, a) })
 }
 
-func (c Config) window() int {
-	if c.Window <= 0 {
-		return core.DefaultWindow
-	}
-	return c.Window
-}
-
 // engine returns the experiment engine configured by c.
 func (c Config) engine() *sim.Engine {
-	return sim.New(sim.Options{Parallelism: c.Parallelism, Verbose: c.Verbose, Log: c.Log, Obs: c.Obs})
+	return sim.New(sim.Options{Parallelism: c.Parallelism, Log: c.Log, Obs: c.Obs})
 }
 
 // runIndexed shards fn(ctx, p, i) over n items on the configured engine and
@@ -414,7 +405,7 @@ func newEvalUnit(w *workload.Workload, archs []predict.ArchID, cfg Config) (*eva
 			opts.Algorithm, opts.Model = core.AlgoCost, m
 		default: // try-*
 			opts.Algorithm, opts.Model = core.AlgoTryN, m
-			opts.Window, opts.MaxCombos = cfg.window(), cfg.MaxCombos
+			opts.Window = cfg.Window
 		}
 		res, err := core.AlignProgram(w.Prog, pf, opts)
 		if err != nil {
@@ -548,8 +539,15 @@ func runVariant(ctx context.Context, u *evalUnit, key string, p simPath, rows []
 // generated once and broadcast to its kernel and its i-cache consumer.
 // Every variant writes its cells' rows in place, so the rows come back in
 // canonical order: workload, then architecture, then algorithm. A cell
-// phase error is the first in that longest-first task order.
+// phase error is the first in that longest-first task order. An
+// unregistered architecture is an error before any work starts.
 func evaluatePrograms(ws []*workload.Workload, archs []predict.ArchID, cfg Config) ([]metrics.Summary, error) {
+	for _, a := range archs {
+		if _, ok := predict.Lookup(a); !ok {
+			return nil, fmt.Errorf("experiments: unknown architecture %q (known: %s)",
+				a, strings.Join(predict.KnownArchNames(), ", "))
+		}
+	}
 	eng := cfg.engine()
 	p, err := cfg.simPath()
 	if err != nil {

@@ -40,8 +40,7 @@ func PenaltySweep(program string, cfg Config) ([]PenaltyRow, error) {
 		return nil, err
 	}
 	res, err := core.AlignProgram(w.Prog, pf, core.Options{
-		Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{},
-		Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+		Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: cfg.Window,
 	})
 	if err != nil {
 		return nil, err
@@ -125,8 +124,7 @@ func CrossTraining(programs []string, cfg Config) ([]CrossTrainRow, error) {
 			return err
 		}
 		res, err := core.AlignProgram(train.Prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{},
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: cfg.Window,
 		})
 		if err != nil {
 			return err
@@ -192,8 +190,7 @@ func UnrollStudy(programs []string, cfg Config) ([]UnrollRow, error) {
 			return err
 		}
 		opts := core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{},
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: cfg.Window,
 		}
 		aligned, err := core.AlignProgram(w.Prog, pf, opts)
 		if err != nil {
@@ -295,8 +292,7 @@ func ICacheStudy(programs []string, cfg Config) ([]ICacheRow, error) {
 			return err
 		}
 		tryn, err := core.AlignProgram(w.Prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.BTFNTModel{},
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: cost.BTFNTModel{}, Window: cfg.Window,
 		})
 		if err != nil {
 			return err

@@ -49,8 +49,7 @@ func Figure1(cfg Config) ([]Figure1Result, error) {
 	for _, arch := range predict.StaticArchs() {
 		m, order := trynModelFor(arch)
 		res, err := core.AlignProgram(frag.Prog, frag.Prof, core.Options{
-			Algorithm: core.AlgoTryN, Model: m, Order: order,
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: m, Order: order, Window: cfg.Window,
 		})
 		if err != nil {
 			return nil, err
@@ -186,8 +185,7 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 	frag := workload.Figure2()
 	m := cost.FallthroughModel{}
 	res, err := core.AlignProgram(frag.Prog, frag.Prof, core.Options{
-		Algorithm: core.AlgoTryN, Model: m,
-		Window: cfg.window(), MaxCombos: cfg.MaxCombos, MinWeight: 2,
+		Algorithm: core.AlgoTryN, Model: m, Window: cfg.Window,
 	})
 	if err != nil {
 		return nil, err
@@ -222,8 +220,7 @@ func Figure3(cfg Config) ([]Figure3Result, error) {
 			return nil, err
 		}
 		tryn, err := core.AlignProgram(frag.Prog, frag.Prof, core.Options{
-			Algorithm: core.AlgoTryN, Model: m, Order: core.OrderBTFNT,
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: m, Order: core.OrderBTFNT, Window: cfg.Window,
 		})
 		if err != nil {
 			return nil, err
@@ -293,8 +290,7 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 			return err
 		}
 		tryn, err := core.AlignProgram(w.Prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.BTBModel{},
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: cost.BTBModel{}, Window: cfg.Window,
 		})
 		if err != nil {
 			return err

@@ -88,8 +88,7 @@ func MeldStudy(programs []string, cfg Config) ([]MeldRow, error) {
 				return err
 			}
 			opts := core.Options{
-				Algorithm: core.AlgoTryN, Model: model,
-				Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+				Algorithm: core.AlgoTryN, Model: model, Window: cfg.Window,
 			}
 			alignedBase, err := core.AlignProgram(base.Prog, basePf, opts)
 			if err != nil {

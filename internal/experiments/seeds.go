@@ -63,8 +63,7 @@ func SeedSweep(programs []string, seeds int, cfg Config) ([]SeedRow, error) {
 			return err
 		}
 		res, err := core.AlignProgram(w.Prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{},
-			Window: cfg.window(), MaxCombos: cfg.MaxCombos,
+			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: cfg.Window,
 		})
 		if err != nil {
 			return err

@@ -33,7 +33,8 @@ type Table2Row struct {
 }
 
 // Table2 traces every program in the configured suite and measures its
-// attributes.
+// attributes. The rows are attached to cfg.Obs as the "table2" report
+// section.
 func Table2(cfg Config) ([]Table2Row, error) {
 	ws, err := cfg.workloads()
 	if err != nil {
@@ -58,6 +59,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Obs.Attach("table2", rows)
 	return rows, nil
 }
 

@@ -208,15 +208,6 @@ func (pr *Program) NumInstrs() int {
 	return n
 }
 
-// NumBlocks returns the total basic-block count of the program.
-func (pr *Program) NumBlocks() int {
-	n := 0
-	for _, p := range pr.Procs {
-		n += len(p.Blocks)
-	}
-	return n
-}
-
 // Clone returns a deep copy of the program.
 func (pr *Program) Clone() *Program {
 	np := &Program{

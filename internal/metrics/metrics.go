@@ -237,20 +237,6 @@ func NewSummary(program, arch, algo string, origInstrs, instrs uint64, r predict
 	}
 }
 
-// SortSummaries orders summaries canonically by (Program, Arch, Algo) so
-// per-shard results merged in any order reduce to one deterministic list.
-func SortSummaries(s []Summary) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Program != s[j].Program {
-			return s[i].Program < s[j].Program
-		}
-		if s[i].Arch != s[j].Arch {
-			return s[i].Arch < s[j].Arch
-		}
-		return s[i].Algo < s[j].Algo
-	})
-}
-
 // EncodeSummaries renders summaries in a stable line-oriented text format.
 // Two evaluation runs agree exactly if and only if their encodings are
 // byte-identical, which is what the differential parallel-vs-serial oracle

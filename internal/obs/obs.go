@@ -197,8 +197,8 @@ type Report struct {
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// Spans is the timing tree, in open order.
 	Spans []*SpanReport `json:"spans,omitempty"`
-	// Sections holds the attached structured results (the summary grid,
-	// bastat's Table 2 rows).
+	// Sections holds the structured results each experiment attaches (the
+	// suite's summary grid, Table 2's rows).
 	Sections map[string]any `json:"sections,omitempty"`
 }
 

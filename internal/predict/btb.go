@@ -111,14 +111,6 @@ func (b *BTB) Reset() {
 	b.tick, b.Lookups, b.Hits = 0, 0, 0
 }
 
-// HitRate returns the fraction of lookups that hit.
-func (b *BTB) HitRate() float64 {
-	if b.Lookups == 0 {
-		return 0
-	}
-	return float64(b.Hits) / float64(b.Lookups)
-}
-
 // ReturnStack is a fixed-depth return address stack (the paper simulates 32
 // entries in every configuration). Pushing past the capacity wraps around
 // and overwrites the oldest entry, as hardware stacks do.

@@ -203,9 +203,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // InFlight returns the number of admitted requests currently executing.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 

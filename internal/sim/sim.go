@@ -37,9 +37,8 @@ type Options struct {
 	// 0 (or negative) means runtime.GOMAXPROCS(0); 1 selects the serial
 	// oracle path (a plain loop, no goroutines).
 	Parallelism int
-	// Verbose enables per-shard progress logging to Log.
-	Verbose bool
-	// Log receives progress output when Verbose is set; nil discards it.
+	// Log receives per-shard progress lines; nil (the default) discards
+	// them.
 	Log io.Writer
 	// Obs receives run telemetry: one span per Run with a child span per
 	// shard (queue wait, run time) plus engine counters. Nil disables
@@ -80,10 +79,10 @@ func (e *Engine) Parallelism() int {
 // Serial reports whether the engine runs the serial oracle path.
 func (e *Engine) Serial() bool { return e.Parallelism() == 1 }
 
-// Logf writes one progress line when the engine is verbose. It is safe for
-// concurrent use and a no-op otherwise.
+// Logf writes one progress line to Options.Log. It is safe for concurrent
+// use and a no-op when Log is nil.
 func (e *Engine) Logf(format string, args ...any) {
-	if !e.opts.Verbose || e.opts.Log == nil {
+	if e.opts.Log == nil {
 		return
 	}
 	e.logMu.Lock()

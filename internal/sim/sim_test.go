@@ -236,7 +236,7 @@ func TestRunTelemetrySpans(t *testing.T) {
 
 func TestVerboseLogging(t *testing.T) {
 	var sb strings.Builder
-	eng := New(Options{Parallelism: 1, Verbose: true, Log: &sb})
+	eng := New(Options{Parallelism: 1, Log: &sb})
 	tasks := []Task{{Label: "alpha", Run: func(context.Context) error { return nil }}}
 	if err := eng.Run(context.Background(), tasks); err != nil {
 		t.Fatal(err)
