@@ -58,17 +58,21 @@ govulncheck:
 
 # fuzz-smoke runs each fuzz target briefly — long enough to execute the
 # committed seed corpora plus a burst of new inputs, short enough for CI.
+# Every leg that selects tests by name (here, in suite-smoke,
+# perfbench-check and report) runs through scripts/gotest_named.sh, which
+# fails when an alternative of its -fuzz or -run pattern names no test:
+# go test alone passes such a pattern, so a renamed test would drop out.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzReadFile -fuzztime=10s -run '^$$' ./internal/trace
-	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
-	$(GO) test -fuzz=FuzzAlignHandler -fuzztime=10s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzSimulateHandler -fuzztime=10s -run '^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzExtTSPSemantics -fuzztime=10s -run '^$$' ./internal/core
-	$(GO) test -fuzz=FuzzImportCFG -fuzztime=10s -run '^$$' ./internal/cfgio
-	$(GO) test -fuzz=FuzzImportDOT -fuzztime=10s -run '^$$' ./internal/cfgio
-	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/profile
-	$(GO) test -fuzz=FuzzTaggedStep -fuzztime=10s -run '^$$' ./internal/predict
-	$(GO) test -fuzz=FuzzKernelBatch -fuzztime=10s -run '^$$' ./internal/kernel
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzReadFile -fuzztime=10s -run '^$$' ./internal/trace
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzAlignHandler -fuzztime=10s -run '^$$' ./internal/serve
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzSimulateHandler -fuzztime=10s -run '^$$' ./internal/serve
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzExtTSPSemantics -fuzztime=10s -run '^$$' ./internal/core
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzImportCFG -fuzztime=10s -run '^$$' ./internal/cfgio
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzImportDOT -fuzztime=10s -run '^$$' ./internal/cfgio
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzRead -fuzztime=10s -run '^$$' ./internal/profile
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzTaggedStep -fuzztime=10s -run '^$$' ./internal/predict
+	bash scripts/gotest_named.sh $(GO) test -fuzz=FuzzKernelBatch -fuzztime=10s -run '^$$' ./internal/kernel
 
 # serve-smoke boots a real balignd process on an ephemeral port, drives
 # /healthz, /v1/align and /v1/simulate over HTTP, runs a short closed-loop
@@ -100,15 +104,15 @@ serve-smoke:
 # pipeline model and heuristic-LIKELY simulator run as broadcast consumers in
 # concurrent variant tasks and are read after the broadcast returns.
 suite-smoke:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
-	GOMAXPROCS=4 $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
-	GOMAXPROCS=4 $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
-	GOMAXPROCS=4 $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments
-	GOMAXPROCS=4 $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
-	GOMAXPROCS=4 $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
-	GOMAXPROCS=4 $(GO) test -race -run 'TestVirtualReport' ./internal/load
-	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream' ./internal/serve
-	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenStudies' ./cmd/baexp
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestExtendedFamiliesStreamParity' ./internal/experiments
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestVirtualReport' ./internal/load
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream' ./internal/serve
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestGoldenStudies' ./cmd/baexp
 
 # perfbench-check covers the nested perfbench module, which the root
 # module's `go build ./...` and `go test ./...` do not reach: a root API
@@ -118,7 +122,7 @@ suite-smoke:
 # short for its 5% attribution tolerance (ROADMAP item 1).
 perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet .
-	cd perfbench && GOWORK=off $(GO) test -count=1 -run 'TestCommittedDigests|TestBenchmarkJSON' .
+	cd perfbench && GOWORK=off bash ../scripts/gotest_named.sh $(GO) test -count=1 -run 'TestCommittedDigests|TestBenchmarkJSON' .
 
 # report runs a small suite and its Table 2 with run telemetry enabled,
 # writing a JSON run report (per-shard spans, the engine, stream and
@@ -129,7 +133,7 @@ report:
 	@out="$${TMPDIR:-/tmp}/balign-report.json"; \
 	$(GO) run ./cmd/baexp -scale 0.1 -programs ora,compress -parallel 0 -report "$$out" suite table2 && \
 	echo "run report: $$out"
-	$(GO) test -run TestRunReportSchema ./cmd/baexp
+	bash scripts/gotest_named.sh $(GO) test -run TestRunReportSchema ./cmd/baexp
 
 # bench runs every root micro-benchmark once, as a smoke pass. The
 # repository's benchmark is perfbench/ (BENCHMARK.json, perfbench/run.sh).

@@ -148,6 +148,23 @@ func TestRunTable2Report(t *testing.T) {
 	if want := []string{"ora", strconv.FormatUint(rows[0].Attr.Instrs, 10)}; len(row) < 2 || !slices.Equal(row[:2], want) {
 		t.Errorf("printed row %v; report row has %v", row, want)
 	}
+	// The section's keys are snake_case, as the grid section's are.
+	var raw []map[string]json.RawMessage
+	if err := json.Unmarshal(rep.Sections["table2"], &raw); err != nil || len(raw) != 1 {
+		t.Fatalf("table2 section %s (%v); want one row", rep.Sections["table2"], err)
+	}
+	var attr map[string]json.RawMessage
+	if err := json.Unmarshal(raw[0]["attr"], &attr); err != nil {
+		t.Fatalf("table2 row %v has no attr object (%v)", sortedKeys(raw[0]), err)
+	}
+	if got, want := sortedKeys(raw[0]), []string{"attr", "class", "program"}; !slices.Equal(got, want) {
+		t.Errorf("table2 row keys %v; want %v", got, want)
+	}
+	wantAttr := []string{"instrs", "pct_br", "pct_breaks", "pct_call", "pct_cbr", "pct_ij", "pct_ret", "pct_taken",
+		"q100", "q50", "q90", "q99", "static_sites"}
+	if got := sortedKeys(attr); !slices.Equal(got, wantAttr) {
+		t.Errorf("table2 attr keys %v; want %v", got, wantAttr)
+	}
 }
 
 func TestRunTable1(t *testing.T) {

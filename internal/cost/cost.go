@@ -219,33 +219,7 @@ func ForArch(id predict.ArchID) (Model, error) {
 // branch/target positions).
 func ProcCost(p *ir.Proc, pp *profile.ProcProfile, m Model) float64 {
 	total := 0.0
-	for id, b := range p.Blocks {
-		term, ok := b.Terminator()
-		if !ok {
-			continue
-		}
-		switch term.Kind() {
-		case ir.CondBr:
-			tgt := p.Block(term.TargetBlock)
-			wTaken := pp.Weight(ir.BlockID(id), term.TargetBlock)
-			var wFall uint64
-			if f := ir.BlockID(id) + 1; int(f) < len(p.Blocks) {
-				wFall = pp.Weight(ir.BlockID(id), f)
-				if term.TargetBlock == f {
-					// Degenerate branch: both directions reach the same
-					// block; treat the recorded outcome split if present.
-					c := pp.Branches[ir.BlockID(id)]
-					if c.Total() > 0 {
-						wTaken, wFall = c.Taken, c.Fall
-					}
-				}
-			}
-			backward := tgt.Addr <= b.TermAddr()
-			total += m.CondBranch(wFall, wTaken, backward)
-		case ir.Br:
-			total += m.Uncond(pp.Weight(ir.BlockID(id), term.TargetBlock))
-		}
-	}
+	eachSite(p, pp, m, func(s SiteCost) { total += s.Cost })
 	return total
 }
 

@@ -194,6 +194,17 @@ func TestProcCostDegenerateBranch(t *testing.T) {
 	approx(t, "degenerate", ProcCost(p, pp, FallthroughModel{}), 26)
 }
 
+// TestProcCostAllocatesNothing keeps ProcCost free of allocations: the
+// alignment algorithms price each aligned procedure twice.
+func TestProcCostAllocatesNothing(t *testing.T) {
+	p, pp := loopProc()
+	for _, m := range []Model{FallthroughModel{}, BTFNTModel{}, LikelyModel{}} {
+		if n := testing.AllocsPerRun(100, func() { ProcCost(p, pp, m) }); n != 0 {
+			t.Errorf("%s: ProcCost allocates %v times per call, want 0", m.Name(), n)
+		}
+	}
+}
+
 func TestProgramCost(t *testing.T) {
 	p, pp := loopProc()
 	prog := &ir.Program{Name: "x", Procs: []*ir.Proc{p}}

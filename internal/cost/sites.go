@@ -10,7 +10,7 @@ import (
 // summing Cost over ProcSiteCosts(p, pp, m) equals ProcCost(p, pp, m)
 // exactly (same floating-point operations in the same per-site order), so
 // site diffs between two layouts always reconcile with the procedure
-// totals they came from.
+// totals they came from. Both read the one pricing loop, eachSite.
 type SiteCost struct {
 	// Block is the site's block ID in p; Orig is that block's provenance
 	// (ir.Block.Orig — ir.NoBlock for rewriter-synthesized jump blocks),
@@ -32,39 +32,42 @@ type SiteCost struct {
 // excluded there too). The procedure must have addresses assigned.
 func ProcSiteCosts(p *ir.Proc, pp *profile.ProcProfile, m Model) []SiteCost {
 	var sites []SiteCost
+	eachSite(p, pp, m, func(s SiteCost) { sites = append(sites, s) })
+	return sites
+}
+
+// eachSite prices p's conditional and unconditional branch sites under m
+// and hands each to f, in block order. It is the one pricing loop behind
+// ProcCost and ProcSiteCosts.
+func eachSite(p *ir.Proc, pp *profile.ProcProfile, m Model, f func(SiteCost)) {
 	for id, b := range p.Blocks {
 		term, ok := b.Terminator()
 		if !ok {
 			continue
 		}
-		switch term.Kind() {
+		s := SiteCost{Block: ir.BlockID(id), Orig: b.Orig, PC: b.TermAddr(), Kind: term.Kind()}
+		switch s.Kind {
 		case ir.CondBr:
-			tgt := p.Block(term.TargetBlock)
-			wTaken := pp.Weight(ir.BlockID(id), term.TargetBlock)
+			wTaken := pp.Weight(s.Block, term.TargetBlock)
 			var wFall uint64
-			if f := ir.BlockID(id) + 1; int(f) < len(p.Blocks) {
-				wFall = pp.Weight(ir.BlockID(id), f)
-				if term.TargetBlock == f {
+			if fall := s.Block + 1; int(fall) < len(p.Blocks) {
+				wFall = pp.Weight(s.Block, fall)
+				if term.TargetBlock == fall {
 					// Degenerate branch: both directions reach the same
-					// block; use the recorded outcome split if present
-					// (mirrors ProcCost).
-					c := pp.Branches[ir.BlockID(id)]
+					// block; use the recorded outcome split if present.
+					c := pp.Branches[s.Block]
 					if c.Total() > 0 {
 						wTaken, wFall = c.Taken, c.Fall
 					}
 				}
 			}
-			backward := tgt.Addr <= b.TermAddr()
-			sites = append(sites, SiteCost{
-				Block: ir.BlockID(id), Orig: b.Orig, PC: b.TermAddr(),
-				Kind: ir.CondBr, Cost: m.CondBranch(wFall, wTaken, backward),
-			})
+			backward := p.Block(term.TargetBlock).Addr <= s.PC
+			s.Cost = m.CondBranch(wFall, wTaken, backward)
 		case ir.Br:
-			sites = append(sites, SiteCost{
-				Block: ir.BlockID(id), Orig: b.Orig, PC: b.TermAddr(),
-				Kind: ir.Br, Cost: m.Uncond(pp.Weight(ir.BlockID(id), term.TargetBlock)),
-			})
+			s.Cost = m.Uncond(pp.Weight(s.Block, term.TargetBlock))
+		default:
+			continue
 		}
+		f(s)
 	}
-	return sites
 }

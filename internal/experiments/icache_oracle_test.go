@@ -29,7 +29,10 @@ func TestICacheStreamMatchesRun(t *testing.T) {
 	archs := predict.AllArchs()
 	for _, name := range icacheOracleWorkloads {
 		t.Run(name, func(t *testing.T) {
-			u, keys := gridVariants(t, name, archs)
+			u, keys, err := gridVariants(name, archs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := make(map[string]metrics.Summary, len(keys))
 			for _, key := range keys {
 				v := u.variants[key]

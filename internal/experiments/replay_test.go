@@ -57,7 +57,10 @@ func TestReplayCountersReportTheLog(t *testing.T) {
 func TestVMFoldReadsOnlyBranchCounts(t *testing.T) {
 	t.Parallel()
 	archs := predict.AllArchs()
-	u, _ := gridVariants(t, "compress", archs)
+	u, _, err := gridVariants("compress", archs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec, err := sim.NewExecutor("", nil)
 	if err != nil {
 		t.Fatal(err)

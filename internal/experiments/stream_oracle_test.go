@@ -101,80 +101,3 @@ func streamedRuns(t *testing.T, w *workload.Workload, key string, prog *ir.Progr
 	}
 	return rr.Runs(), src.Instrs()
 }
-
-// streamMatchesRun streams prog under pf and requires the decoded batches
-// and the instruction count to equal what w.Run pushes.
-func streamMatchesRun(t *testing.T, w *workload.Workload, key string, prog *ir.Program, pf *profile.Profile) {
-	t.Helper()
-	var rec trace.Recorder
-	instrs, err := w.Run(prog, pf, &rec, nil)
-	if err != nil {
-		t.Fatalf("%s/%s: Run: %v", w.Name, key, err)
-	}
-	if len(rec.Events) == 0 {
-		t.Fatalf("%s/%s: Run pushed no events", w.Name, key)
-	}
-	lay, err := trace.CompileLayout(prog)
-	if err != nil {
-		t.Fatalf("%s/%s: CompileLayout: %v", w.Name, key, err)
-	}
-	src, err := w.Stream(prog, pf, lay, 0)
-	if err != nil {
-		t.Fatalf("%s/%s: Stream: %v", w.Name, key, err)
-	}
-	defer src.Close()
-	var got []trace.Event
-	var b trace.Batch
-	for {
-		ok, err := src.Fill(&b)
-		if err != nil {
-			t.Fatalf("%s/%s: Fill: %v", w.Name, key, err)
-		}
-		if !ok {
-			break
-		}
-		if err := lay.Decode(&b, func(e trace.Event) { got = append(got, e) }); err != nil {
-			t.Fatalf("%s/%s: Decode: %v", w.Name, key, err)
-		}
-	}
-	if len(got) != len(rec.Events) {
-		t.Errorf("%s/%s: streamed %d events, Run pushed %d", w.Name, key, len(got), len(rec.Events))
-	}
-	for i := range min(len(got), len(rec.Events)) {
-		if got[i] != rec.Events[i] {
-			t.Errorf("%s/%s: event %d: stream %+v, Run %+v", w.Name, key, i, got[i], rec.Events[i])
-			break
-		}
-	}
-	if got := src.Instrs(); got != instrs {
-		t.Errorf("%s/%s: streamed %d instrs, Run retired %d", w.Name, key, got, instrs)
-	}
-}
-
-// replayWorkloads are every VM workload: the eight paper kernels and the
-// five extended families, two of which (mp, kmp) repeat their run.
-var replayWorkloads = append(append([]string{}, kernelWorkloads...), workload.ExtNames()...)
-
-// TestStreamPerSiteParityAcrossGrid is the generation half of the per-site
-// guarantee for the VM workloads: for every variant gridVariants returns,
-// the batches w.Stream produces — the original's decision log replayed
-// through the variant's layout — decoded through the layout, equal the
-// events w.Run pushes as the VM executes that layout, field for field, with
-// the same instruction count. Equal event sequences give every consumer —
-// flat kernel, reference simulator, per-site recorder — the same per-site
-// attribution from either generator, so a divergence in
-// TestKernelPerSiteParityAcrossGrid that this test does not share lies in
-// the kernel, not in the stream. A walker-backed workload's stream needs
-// no such check: Run decodes the same trace.WalkSource.
-func TestStreamPerSiteParityAcrossGrid(t *testing.T) {
-	t.Parallel()
-	for _, name := range replayWorkloads {
-		t.Run(name, func(t *testing.T) {
-			u, keys := gridVariants(t, name, predict.AllArchs())
-			for _, key := range keys {
-				v := u.variants[key]
-				streamMatchesRun(t, u.w, key, v.prog, v.prof)
-			}
-		})
-	}
-}

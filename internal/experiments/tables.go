@@ -27,9 +27,9 @@ func Table1() string {
 
 // Table2Row is one program's measured attributes (paper Table 2).
 type Table2Row struct {
-	Program string
-	Class   workload.Class
-	Attr    metrics.Attributes
+	Program string             `json:"program"`
+	Class   workload.Class     `json:"class"`
+	Attr    metrics.Attributes `json:"attr"`
 }
 
 // Table2 traces every program in the configured suite and measures its

@@ -19,18 +19,25 @@ import (
 // Attributes are the per-program measurements of the paper's Table 2.
 type Attributes struct {
 	// Instrs is the number of instructions traced.
-	Instrs uint64
+	Instrs uint64 `json:"instrs"`
 	// PctBreaks is the percentage of instructions that break control flow.
-	PctBreaks float64
+	PctBreaks float64 `json:"pct_breaks"`
 	// Q50/Q90/Q99/Q100 are the numbers of conditional branch sites that
 	// account for 50/90/99/100% of executed conditional branches.
-	Q50, Q90, Q99, Q100 int
+	Q50  int `json:"q50"`
+	Q90  int `json:"q90"`
+	Q99  int `json:"q99"`
+	Q100 int `json:"q100"`
 	// StaticSites is the number of conditional branch sites in the binary.
-	StaticSites int
+	StaticSites int `json:"static_sites"`
 	// PctTaken is the percentage of executed conditional branches taken.
-	PctTaken float64
+	PctTaken float64 `json:"pct_taken"`
 	// Break-kind mix, as percentages of all breaks.
-	PctCBr, PctIJ, PctBr, PctCall, PctRet float64
+	PctCBr  float64 `json:"pct_cbr"`
+	PctIJ   float64 `json:"pct_ij"`
+	PctBr   float64 `json:"pct_br"`
+	PctCall float64 `json:"pct_call"`
+	PctRet  float64 `json:"pct_ret"`
 }
 
 // Collector accumulates the dynamic inputs to Attributes from an event
