@@ -32,6 +32,7 @@
 package balign
 
 import (
+	"context"
 	"io"
 
 	"balign/internal/asm"
@@ -44,6 +45,7 @@ import (
 	"balign/internal/profile"
 	"balign/internal/trace"
 	"balign/internal/vm"
+	"balign/internal/workload"
 )
 
 // Core data types, re-exported for external use.
@@ -136,20 +138,10 @@ func ModelFor(arch ArchID) (CostModel, error) { return cost.ForArch(arch) }
 
 // ProfileVM executes the program on the VM (setup, which may be nil,
 // initializes registers and memory first) and returns the edge profile and
-// the number of instructions executed.
+// the number of instructions executed. It is the experiment grid's training
+// run.
 func ProfileVM(prog *Program, setup func(*VM)) (*Profile, uint64, error) {
-	machine := vm.New(prog)
-	if setup != nil {
-		setup(machine)
-	}
-	col := profile.NewCollector(prog)
-	res, err := machine.Run(nil, col)
-	if err != nil {
-		return nil, 0, err
-	}
-	pf := col.Profile()
-	pf.Instrs = res.Instrs
-	return pf, res.Instrs, nil
+	return workload.FromProgram(prog.Name, prog, setup, 0).CollectProfile()
 }
 
 // Align reorders every procedure of prog guided by the profile. The input
@@ -159,24 +151,19 @@ func Align(prog *Program, prof *Profile, opts Options) (*AlignResult, error) {
 	return core.AlignProgram(prog, prof, opts)
 }
 
-// SimulateVM executes prog on the VM while feeding its control-transfer
-// events to the named prediction architecture, returning the simulation
-// result and the instruction count. prof is required by the LIKELY
-// architecture (per-site hint bits) and ignored by the others.
+// SimulateVM executes prog on the VM (after setup, which may be nil) and
+// simulates its control-transfer events on the named prediction
+// architecture, returning the simulation result and the instruction count.
+// prof is required by the LIKELY architecture (per-site hint bits) and
+// ignored by the others. The events reach the experiment grid's flat
+// kernel as the grid's do: replayed from the decision log of one VM run.
 func SimulateVM(arch ArchID, prog *Program, prof *Profile, setup func(*VM)) (SimResult, uint64, error) {
-	sim, err := predict.NewSimulator(arch, prog, prof)
+	w := workload.FromProgram(prog.Name, prog, setup, 0)
+	res, instrs, err := experiments.Stream(context.TODO(), w, w.Prog, prof, []ArchID{arch})
 	if err != nil {
 		return SimResult{}, 0, err
 	}
-	machine := vm.New(prog)
-	if setup != nil {
-		setup(machine)
-	}
-	res, err := machine.Run(sim, nil)
-	if err != nil {
-		return SimResult{}, 0, err
-	}
-	return sim.Result(), res.Instrs, nil
+	return res[0], instrs, nil
 }
 
 // BEP returns a simulation's branch execution penalty in cycles using the

@@ -6,6 +6,7 @@ import (
 
 	"balign"
 	"balign/internal/predict"
+	"balign/internal/vm"
 )
 
 const quickSrc = `
@@ -156,5 +157,175 @@ endproc
 	}
 	if ro.Procs[0].Name != "main" {
 		t.Errorf("entry proc moved to %q", ro.Procs[0].Name)
+	}
+}
+
+// alvinnSrc and alvinnSetup are examples/alvinn's program and input. Its
+// inner loop is a single block, so Unroll has work.
+const alvinnSrc = `
+mem 8192
+proc main
+    li r20, 10
+pass:
+    call input_hidden
+    addi r20, r20, -1
+    bnez r20, pass
+    halt
+endproc
+
+proc input_hidden
+    li r1, 0
+    li r11, 960
+iloop:
+    ld r5, 0(r1)
+    add r6, r4, r1
+    andi r6, r6, 4095
+    ld r7, 0(r6)
+    mul r8, r5, r7
+    add r3, r3, r8
+    mov r12, r3
+    add r13, r12, r5
+    xor r13, r13, r7
+    addi r1, r1, 1
+    blt r1, r11, iloop
+    ret
+endproc
+`
+
+func alvinnSetup(v *balign.VM) {
+	words := make([]int64, 4096)
+	for i := range words {
+		words[i] = int64(i%97 - 48)
+	}
+	v.SetMem(0, words)
+}
+
+// scanSrc branches on its input, which alvinn does not: scan counts the
+// nonzero words scanSetup stores, so a run without the setup takes other
+// branches.
+const scanSrc = `
+mem 256
+proc main
+    li r20, 8
+pass:
+    call scan
+    addi r20, r20, -1
+    bnez r20, pass
+    halt
+endproc
+
+proc scan
+    li r1, 0
+    li r11, 128
+sloop:
+    ld r5, 0(r1)
+    beqz r5, skip
+    addi r3, r3, 1
+skip:
+    addi r1, r1, 1
+    blt r1, r11, sloop
+    ret
+endproc
+`
+
+func scanSetup(v *balign.VM) {
+	words := make([]int64, 128)
+	for i := range words {
+		words[i] = int64(i % 3)
+	}
+	v.SetMem(0, words)
+}
+
+// referenceVM is the public API's oracle: vm.Run feeding a reference
+// simulator event by event.
+func referenceVM(t *testing.T, arch balign.ArchID, prog *balign.Program, prof *balign.Profile, setup func(*balign.VM)) (balign.SimResult, uint64) {
+	t.Helper()
+	sim, err := predict.NewSimulator(arch, prog, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := vm.New(prog)
+	if setup != nil {
+		setup(machine)
+	}
+	res, err := machine.Run(sim, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.Result(), res.Instrs
+}
+
+// TestSimulateVMMatchesReference holds SimulateVM, the flat kernel on a
+// replayed decision log, to the reference path with the same setup, under
+// every registered architecture: on the original program, on its layouts
+// from each algorithm (Cost and TryN under the architecture's model) and
+// on the unrolled program aligned by TryN.
+func TestSimulateVMMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		setup func(*balign.VM)
+	}{
+		{"alvinn", alvinnSrc, alvinnSetup},
+		{"scan", scanSrc, scanSetup},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := balign.MustAssemble(tc.src)
+			prof, _, err := balign.ProfileVM(prog, tc.setup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			align := func(prog *balign.Program, prof *balign.Profile, opts balign.Options) *balign.AlignResult {
+				res, err := balign.Align(prog, prof, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			up, uprof, _, err := balign.Unroll(prog, prof, balign.DefaultUnrollOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			greedy := align(prog, prof, balign.Options{Algorithm: balign.AlgoGreedy})
+			exttsp := align(prog, prof, balign.Options{Algorithm: balign.AlgoExtTSP})
+			for _, arch := range predict.AllArchs() {
+				m, err := balign.ModelFor(arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost := align(prog, prof, balign.Options{Algorithm: balign.AlgoCost, Model: m})
+				tryn := align(prog, prof, balign.Options{Algorithm: balign.AlgoTryN, Model: m})
+				unrolled := align(up, uprof, balign.Options{Algorithm: balign.AlgoTryN, Model: m})
+				for _, l := range []struct {
+					name string
+					prog *balign.Program
+					prof *balign.Profile
+				}{
+					{"orig", prog, prof},
+					{"greedy", greedy.Prog, greedy.Prof},
+					{"exttsp", exttsp.Prog, exttsp.Prof},
+					{"cost", cost.Prog, cost.Prof},
+					{"tryn", tryn.Prog, tryn.Prof},
+					{"unroll+tryn", unrolled.Prog, unrolled.Prof},
+				} {
+					got, n, err := balign.SimulateVM(arch, l.prog, l.prof, tc.setup)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", arch, l.name, err)
+					}
+					want, wantN := referenceVM(t, arch, l.prog, l.prof, tc.setup)
+					if got != want || n != wantN {
+						t.Errorf("%s/%s: SimulateVM = %+v, %d instructions; reference %+v, %d", arch, l.name, got, n, want, wantN)
+					}
+				}
+			}
+		})
+	}
+	// The setup reaches scan's branches, so the comparison above fails
+	// when SimulateVM drops it.
+	prog := balign.MustAssemble(scanSrc)
+	with, _ := referenceVM(t, balign.ArchFallthrough, prog, nil, scanSetup)
+	without, _ := referenceVM(t, balign.ArchFallthrough, prog, nil, nil)
+	if with == without {
+		t.Fatal("scan's branches do not depend on its setup")
 	}
 }

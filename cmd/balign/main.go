@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"balign/internal/asm"
@@ -89,19 +90,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("either -cfg, or both -prog and -profile, are required")
 	}
 
-	opts := core.Options{Window: *window}
-	switch *algo {
-	case "greedy":
-		opts.Algorithm = core.AlgoGreedy
-	case "cost":
-		opts.Algorithm = core.AlgoCost
-	case "tryn":
-		opts.Algorithm = core.AlgoTryN
-	case "exttsp":
-		opts.Algorithm = core.AlgoExtTSP
-	case "orig":
-		opts.Algorithm = core.AlgoOriginal
-	default:
+	opts := core.Options{Algorithm: core.Algorithm(*algo), Window: *window}
+	if !slices.Contains(core.Algorithms(), opts.Algorithm) {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	if opts.Algorithm == core.AlgoCost || opts.Algorithm == core.AlgoTryN {

@@ -10,6 +10,7 @@ import (
 
 	"balign/internal/asm"
 	"balign/internal/cfgio"
+	"balign/internal/core"
 	"balign/internal/profile"
 	"balign/internal/vm"
 )
@@ -171,5 +172,22 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &out, &out); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunAlgorithmNames: -algo accepts every core algorithm name and names
+// an unknown one in its error.
+func TestRunAlgorithmNames(t *testing.T) {
+	dir := t.TempDir()
+	progPath, profPath := writeFixture(t, dir)
+	var out bytes.Buffer
+	for _, algo := range core.Algorithms() {
+		if err := run([]string{"-prog", progPath, "-profile", profPath, "-algo", string(algo)}, &out, &out); err != nil {
+			t.Errorf("-algo %s: %v", algo, err)
+		}
+	}
+	err := run([]string{"-prog", progPath, "-profile", profPath, "-algo", "bogus"}, &out, &out)
+	if err == nil || err.Error() != `unknown algorithm "bogus"` {
+		t.Errorf("-algo bogus: err = %v", err)
 	}
 }

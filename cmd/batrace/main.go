@@ -10,16 +10,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"balign/internal/asm"
+	"balign/internal/experiments"
 	"balign/internal/metrics"
-	"balign/internal/profile"
 	"balign/internal/trace"
-	"balign/internal/vm"
 	"balign/internal/workload"
 )
 
@@ -47,9 +47,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("exactly one of -prog or -bench is required")
 	}
 
-	sinks := trace.MultiSink{}
+	w, err := open(*progFile, *bench, workload.Config{Scale: *scale, Seed: *seed})
+	if err != nil {
+		return err
+	}
+	pf, instrs, err := w.CollectProfile()
+	if err != nil {
+		return err
+	}
+
+	// -stats and -events read the original program's stream, which
+	// repeats the training run's events in order: a VM program replays its
+	// decision log, and a walk draws from its native model with the
+	// training walk's seed.
 	col := metrics.NewCollector()
-	sinks = append(sinks, col)
+	var sinks []trace.Sink
+	if *stats {
+		sinks = append(sinks, col)
+	}
 	var evWriter *trace.FileWriter
 	if *events != "" {
 		f, err := os.Create(*events)
@@ -60,38 +75,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		evWriter = trace.NewFileWriter(f)
 		sinks = append(sinks, evWriter)
 	}
-
-	var pf *profile.Profile
-	if *progFile != "" {
-		src, err := os.ReadFile(*progFile)
-		if err != nil {
+	if len(sinks) > 0 {
+		if _, _, err := experiments.Stream(context.Background(), w, w.Prog, nil, nil, sinks...); err != nil {
 			return err
 		}
-		prog, err := asm.Assemble(string(src))
-		if err != nil {
-			return err
-		}
-		pcol := profile.NewCollector(prog)
-		res, err := vm.New(prog).Run(sinks, pcol)
-		if err != nil {
-			return err
-		}
-		pf = pcol.Profile()
-		pf.Instrs = res.Instrs
-		col.Instrs = res.Instrs
-	} else {
-		w, err := workload.ByName(*bench, workload.Config{Scale: *scale, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		pcol := profile.NewCollector(w.Prog)
-		instrs, err := w.Run(w.Prog, nil, sinks, pcol)
-		if err != nil {
-			return err
-		}
-		pf = pcol.Profile()
-		pf.Instrs = instrs
-		col.Instrs = instrs
 	}
 	if evWriter != nil {
 		if err := evWriter.Flush(); err != nil {
@@ -105,9 +92,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if cond == 0 {
 			cond = 1
 		}
-		fmt.Fprintf(stderr, "instructions traced: %d\n", col.Instrs)
+		fmt.Fprintf(stderr, "instructions traced: %d\n", instrs)
 		fmt.Fprintf(stderr, "breaks: %d (%.2f%% of instructions)\n",
-			c.Total, 100*float64(c.Total)/float64(col.Instrs))
+			c.Total, 100*float64(c.Total)/float64(instrs))
 		fmt.Fprintf(stderr, "conditional taken rate: %.1f%%\n",
 			100*float64(c.CondTaken)/float64(cond))
 	}
@@ -121,6 +108,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		_, err = pf.WriteTo(f)
 		return err
 	}
-	_, err := pf.WriteTo(stdout)
+	_, err = pf.WriteTo(stdout)
 	return err
+}
+
+// open builds the workload batrace traces: the assembly file progFile run
+// on the VM, or the named suite benchmark.
+func open(progFile, bench string, cfg workload.Config) (*workload.Workload, error) {
+	if bench != "" {
+		return workload.ByName(bench, cfg)
+	}
+	src, err := os.ReadFile(progFile)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := asm.Assemble(string(src))
+	if err != nil {
+		return nil, err
+	}
+	return workload.FromProgram(progFile, prog, nil, 0), nil
 }

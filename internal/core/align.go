@@ -35,6 +35,12 @@ const (
 	AlgoExtTSP Algorithm = "exttsp"
 )
 
+// Algorithms lists every alignment algorithm, the names a request or flag
+// may give.
+func Algorithms() []Algorithm {
+	return []Algorithm{AlgoOriginal, AlgoGreedy, AlgoCost, AlgoTryN, AlgoExtTSP}
+}
+
 // DefaultWindow is the paper's Try15 window size.
 const DefaultWindow = 15
 

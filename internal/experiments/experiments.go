@@ -208,6 +208,21 @@ func (p simPath) stream(ctx context.Context, w *workload.Workload, v *variant, a
 	return results, src.Instrs(), err
 }
 
+// Stream is the grid's simulation path for one program outside a grid:
+// it generates prog, w's program or a layout of it, once and broadcasts
+// it to the flat kernel simulating archs (if any) and to each sink, fed
+// the decoded events. pf is prog's profile, read for LIKELY's hints and a
+// walk's model; nil walks the original's native model. It returns the
+// results, index-aligned with archs, and the instructions prog retired.
+func Stream(ctx context.Context, w *workload.Workload, prog *ir.Program, pf *profile.Profile,
+	archs []predict.ArchID, sinks ...trace.Sink) ([]predict.Result, uint64, error) {
+	p, err := Config{}.simPath()
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.stream(ctx, w, &variant{prog: prog, prof: pf}, archs, nil, sinks...)
+}
+
 func (c Config) workloads() ([]*workload.Workload, error) {
 	wcfg := workload.Config{Scale: c.Scale, Seed: c.Seed}
 	if len(c.Programs) == 0 && len(c.CFG) == 0 {

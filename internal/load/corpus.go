@@ -8,9 +8,8 @@ import (
 
 	"balign/internal/asm"
 	"balign/internal/cfgio"
-	"balign/internal/profile"
 	"balign/internal/serve"
-	"balign/internal/vm"
+	"balign/internal/workload"
 )
 
 // Request-kind names: the five request encodings balignd accepts, which
@@ -123,9 +122,8 @@ endproc
 }
 
 // buildProgram assembles one corpus program and collects its exact edge
-// profile by executing it in the VM — the same training-run semantics the
-// serve layer uses, so the profile is always flow-conserved and CFG
-// exports validate.
+// profile with the experiment grid's VM training run, so the profile is
+// always flow-conserved and CFG exports validate.
 func buildProgram(name string, rng uint64) (asmText, profText string, cfgJSON, cfgDOT []byte, err error) {
 	bound := 100 + int(rng%256)
 	mask := []int{1, 3, 7, 15}[(rng>>8)%4]
@@ -135,15 +133,10 @@ func buildProgram(name string, rng uint64) (asmText, profText string, cfgJSON, c
 	if err != nil {
 		return "", "", nil, nil, fmt.Errorf("corpus program %s: %w", name, err)
 	}
-	machine := vm.New(prog)
-	machine.MaxSteps = 1 << 20
-	col := profile.NewCollector(prog)
-	res, err := machine.Run(nil, col)
+	pf, _, err := workload.FromProgram(name, prog, nil, 1<<20).CollectProfile()
 	if err != nil {
 		return "", "", nil, nil, fmt.Errorf("profiling corpus program %s: %w", name, err)
 	}
-	pf := col.Profile()
-	pf.Instrs = res.Instrs
 	var buf bytes.Buffer
 	if _, err := pf.WriteTo(&buf); err != nil {
 		return "", "", nil, nil, err

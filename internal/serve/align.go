@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -104,15 +105,6 @@ type SiteDelta struct {
 	Delta float64 `json:"delta"`
 }
 
-// validAlignAlgos maps request algorithm names onto core algorithms.
-var validAlignAlgos = map[string]core.Algorithm{
-	"orig":   core.AlgoOriginal,
-	"greedy": core.AlgoGreedy,
-	"cost":   core.AlgoCost,
-	"tryn":   core.AlgoTryN,
-	"exttsp": core.AlgoExtTSP,
-}
-
 // parseAlignRequest decodes and canonicalizes an align body.
 func parseAlignRequest(body []byte) (any, *apiError) {
 	req := &AlignRequest{}
@@ -141,7 +133,7 @@ func parseAlignRequest(body []byte) (any, *apiError) {
 		req.Algos = []string{"greedy", "cost", "tryn", "exttsp"}
 	}
 	for _, a := range req.Algos {
-		if _, ok := validAlignAlgos[a]; !ok {
+		if !slices.Contains(core.Algorithms(), core.Algorithm(a)) {
 			return nil, badRequest("bad_request", "unknown algorithm %q (known: cost, exttsp, greedy, orig, tryn)", a)
 		}
 	}
@@ -206,7 +198,7 @@ func (s *Server) computeAlign(ctx context.Context, reqAny any) (any, *apiError) 
 		if err := ctx.Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		algo := validAlignAlgos[algoName]
+		algo := core.Algorithm(algoName)
 		opts := core.Options{
 			Algorithm: algo,
 			Order:     order,

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"balign/internal/core"
 	"balign/internal/experiments"
 	"balign/internal/metrics"
 	"balign/internal/obs"
@@ -545,7 +546,8 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestLRUCacheBounds exercises the cache's entry and byte bounds directly.
 func TestLRUCacheBounds(t *testing.T) {
-	c := newResultCache(2, 100, nil)
+	rec := obs.New("test")
+	c := newResultCache(2, 100, rec)
 	c.Put("a", bytes.Repeat([]byte{'a'}, 40))
 	c.Put("b", bytes.Repeat([]byte{'b'}, 40))
 	c.Put("c", bytes.Repeat([]byte{'c'}, 40)) // evicts a (entries fine, bytes 120 > 100)
@@ -570,6 +572,27 @@ func TestLRUCacheBounds(t *testing.T) {
 	if st.Evictions == 0 || st.Entries != 2 {
 		t.Errorf("stats = %+v", st)
 	}
+	// A body of exactly the byte bound is stored and evicts every other
+	// entry; one byte more is refused.
+	c.Put("full", bytes.Repeat([]byte{'f'}, 100))
+	if _, ok := c.Get("full"); !ok {
+		t.Errorf("a body of exactly the byte bound was not cached")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 100 {
+		t.Errorf("after the full-size body: stats = %+v, want 1 entry of 100 bytes", st)
+	}
+	c.Put("over", bytes.Repeat([]byte{'o'}, 101))
+	if _, ok := c.Get("over"); ok {
+		t.Errorf("a body one byte over the bound was cached")
+	}
+	st = c.Stats()
+	if st.Entries != 1 || st.Bytes != 100 {
+		t.Errorf("after the over-size body: stats = %+v, want 1 entry of 100 bytes", st)
+	}
+	if g := rec.Report().Gauges; g["serve.cache.entries"] != int64(st.Entries) || g["serve.cache.bytes"] != st.Bytes {
+		t.Errorf("gauges entries=%d bytes=%d, Stats() %d and %d",
+			g["serve.cache.entries"], g["serve.cache.bytes"], st.Entries, st.Bytes)
+	}
 	// A nil cache is a valid no-op.
 	var nilCache *resultCache
 	nilCache.Put("x", []byte("y"))
@@ -578,5 +601,19 @@ func TestLRUCacheBounds(t *testing.T) {
 	}
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Errorf("nil cache stats = %+v", st)
+	}
+}
+
+// TestAlignAlgorithmNames: an align request accepts every core algorithm
+// name and lists them all when it names another.
+func TestAlignAlgorithmNames(t *testing.T) {
+	for _, algo := range core.Algorithms() {
+		if _, aerr := parseAlignRequest([]byte(`{"asm":"x","profile":"y","algos":["` + string(algo) + `"]}`)); aerr != nil {
+			t.Errorf("%s: %v", algo, aerr)
+		}
+	}
+	_, aerr := parseAlignRequest([]byte(`{"asm":"x","profile":"y","algos":["bogus"]}`))
+	if want := `unknown algorithm "bogus" (known: cost, exttsp, greedy, orig, tryn)`; aerr == nil || aerr.msg != want {
+		t.Errorf("bogus: err = %v, want %q", aerr, want)
 	}
 }

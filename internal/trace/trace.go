@@ -43,16 +43,6 @@ type SinkFunc func(Event)
 // Event implements Sink.
 func (f SinkFunc) Event(e Event) { f(e) }
 
-// MultiSink fans one event stream out to several sinks in order.
-type MultiSink []Sink
-
-// Event implements Sink.
-func (m MultiSink) Event(e Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
-}
-
 // EdgeSink consumes control-flow-graph-level observations: intraprocedural
 // block-to-block transitions, conditional branch outcomes and instruction
 // counts. Profile collection implements this interface.

@@ -13,8 +13,9 @@ const (
 	// branch-melding (if-conversion) variants of suite kernels (*-meld).
 	Adversarial Class = "Adversarial"
 	// Imported marks workloads built from a program supplied from outside
-	// rather than from a Spec: an external CFG document (internal/cfgio) or
-	// a program posted to balignd (Inline).
+	// rather than from a Spec: an external CFG document (internal/cfgio), a
+	// program posted to balignd (Inline) or a library caller's program
+	// (FromProgram).
 	Imported Class = "Imported"
 )
 

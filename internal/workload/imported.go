@@ -5,6 +5,7 @@ import (
 
 	"balign/internal/ir"
 	"balign/internal/profile"
+	"balign/internal/vm"
 )
 
 // FromProfile wraps an externally imported program (typically from
@@ -34,22 +35,41 @@ func FromProfile(name string, prog *ir.Program, pf *profile.Profile, cfg Config)
 	}, nil
 }
 
+// FromProgram wraps prog as a VM workload that runs once per trace: setup
+// (nil for none) initializes each run's registers and memory, and a run
+// that reaches budget steps fails (0 means vm.DefaultMaxSteps). Its
+// original is a copy of prog whose blocks are each their own provenance
+// (Block.Orig), so any program, an aligned layout included, is an original
+// whose layouts replay its decision log.
+func FromProgram(name string, prog *ir.Program, setup func(*vm.VM), budget uint64) *Workload {
+	own := prog.Clone()
+	for _, p := range own.Procs {
+		for id, b := range p.Blocks {
+			b.Orig = ir.BlockID(id)
+		}
+	}
+	return &Workload{Name: name, Class: Imported, Prog: own, setup: setup, budget: budget}
+}
+
 // Inline wraps a program posted to balignd's /v1/simulate as a workload.
 // Its CollectProfile returns pf after one run of the original that counts
 // its instructions, or collects a profile when pf is nil (VM only).
 //
-// A VM workload (walk false) runs every layout once, with no setup, and
-// fails a run that reaches budget steps. A walk workload needs pf: it walks
-// pf's model from seed, the original for budget instructions and an
-// aligned variant for the original's completed runs, within
-// min(3·budget, limit) instructions.
+// A VM workload (walk false) is FromProgram's, with no setup. A walk
+// workload needs pf: it walks pf's model from seed, the original for
+// budget instructions and an aligned variant for the original's completed
+// runs, within min(3·budget, limit) instructions.
 func Inline(name string, prog *ir.Program, pf *profile.Profile, walk bool, seed int64, budget, limit uint64) (*Workload, error) {
-	w := &Workload{Name: name, Class: Imported, Prog: prog, budget: budget, seed: seed, supplied: pf}
-	if walk {
-		if pf == nil {
-			return nil, fmt.Errorf("workload: inline walk %q needs a profile", name)
-		}
-		w.native, w.ceiling = pf.Model(prog), min(3*budget, limit)
+	if !walk {
+		w := FromProgram(name, prog, nil, budget)
+		w.supplied = pf
+		return w, nil
 	}
-	return w, nil
+	if pf == nil {
+		return nil, fmt.Errorf("workload: inline walk %q needs a profile", name)
+	}
+	return &Workload{
+		Name: name, Class: Imported, Prog: prog, supplied: pf,
+		native: pf.Model(prog), budget: budget, ceiling: min(3*budget, limit), seed: seed,
+	}, nil
 }

@@ -173,19 +173,13 @@ func (w *Workload) Run(prog *ir.Program, pf *profile.Profile, sink trace.Sink, e
 	return instrs, nil
 }
 
-// WithProgram returns a VM workload that runs prog, a rewrite of w's
+// WithProgram returns the FromProgram workload of prog, a rewrite of w's
 // program that is not a layout of it, on w's setup, repeats and step limit.
-// Its original is a copy of prog whose blocks are each their own
-// provenance (Block.Orig), so a layout aligned from it replays its decision
-// log. w must execute on the VM: a walk models only w's own program.
+// w must execute on the VM: a walk models only w's own program.
 func (w *Workload) WithProgram(prog *ir.Program) *Workload {
-	own := prog.Clone()
-	for _, p := range own.Procs {
-		for id, b := range p.Blocks {
-			b.Orig = ir.BlockID(id)
-		}
-	}
-	return &Workload{Name: w.Name, Class: w.Class, Prog: own, setup: w.setup, repeat: w.repeat, budget: w.budget}
+	u := FromProgram(w.Name, prog, w.setup, w.budget)
+	u.Class, u.repeat = w.Class, w.repeat
+	return u
 }
 
 // reps returns how many times a VM program runs per trace.
