@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke suite-smoke perfbench-check bench bench-suite bench-serve tables report
+.PHONY: build test verify ci staticcheck govulncheck fuzz-smoke serve-smoke suite-smoke perfbench-check bench bench-suite tables report
 
 # Pinned external analyzer versions; CI installs exactly these, local runs
 # use whatever is on PATH (or skip with a notice).
@@ -96,13 +96,15 @@ serve-smoke:
 # leg checks the i-cache consumer each broadcast runs beside its kernels
 # against a push-fed replay, in both kernel modes; the cfgio leg is the
 # importer/exporter round-trip oracle on the same machinery; the load leg
-# pins baload's virtual-mode report byte-identical under the same wide
-# scheduler; the serve leg runs balignd's goldens, both kernel modes, mixed
-# concurrent requests and a cancelled request through the grid's engine,
-# whose variant tasks share the daemon's one streamer; the studies leg runs
-# baexp's studies golden in both kernel modes, whose Table 2 collector,
-# pipeline model and heuristic-LIKELY simulator run as broadcast consumers in
-# concurrent variant tasks and are read after the broadcast returns.
+# pins the load runner's counts and latency histograms, under a fake
+# transport on the wall clock, identical under the same wide scheduler; the
+# serve leg runs balignd's goldens, both kernel modes, mixed concurrent
+# requests, a request that times out and one that its client abandons
+# mid-grid through the grid's engine, whose variant tasks share the
+# daemon's one streamer; the studies leg runs baexp's studies golden in
+# both kernel modes, whose Table 2 collector, pipeline model and
+# heuristic-LIKELY simulator run as broadcast consumers in concurrent
+# variant tasks and are read after the broadcast returns.
 suite-smoke:
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestDeterminismAcrossGOMAXPROCS' ./internal/experiments
@@ -110,8 +112,8 @@ suite-smoke:
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestTaggedPredictorStreamParity' ./internal/experiments
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestICacheStreamMatchesRun' ./internal/experiments
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestImportExportRoundTripOracle|TestEmptyFallBlockRoundTrips' ./internal/cfgio
-	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestVirtualReport' ./internal/load
-	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream' ./internal/serve
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestRunDeterministic' ./internal/load
+	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestGoldenEndpoints|TestKernelStreamParity|TestParallelMixedRequests|TestSimulateDeadlineFreesStream|TestSimulateClientDisconnect' ./internal/serve
 	GOMAXPROCS=4 bash scripts/gotest_named.sh $(GO) test -race -run 'TestGoldenStudies' ./cmd/baexp
 
 # perfbench-check covers the nested perfbench module, which the root
@@ -144,11 +146,6 @@ bench:
 # the 8-way sharded run on the same grid.
 bench-suite:
 	$(GO) test -bench 'BenchmarkSuite(Serial|Parallel)' -run '^$$' .
-
-# bench-serve regenerates BENCH_serve.json: the single-node saturation
-# sweep. See scripts/benchserve for what the sweep measures.
-bench-serve:
-	$(GO) run ./scripts/benchserve
 
 tables:
 	$(GO) run ./cmd/baexp -scale 0.2 all

@@ -1,22 +1,20 @@
 // Command baload is the closed-loop load generator for balignd. It drives
 // a piecewise-constant RPS schedule over a seeded deterministic request
-// corpus covering every request encoding the daemon accepts, records
-// log-bucketed latency histograms, and emits a stable JSON report (the
-// document BENCH_serve.json embeds).
-//
-// Modes:
-//
-//	real     wall clock + HTTP against -base (the benchmarking mode)
-//	virtual  virtual clocks + a seeded fake transport: the whole report is
-//	         a pure function of -seed, pinned byte-identical by tests
+// corpus covering every request encoding the daemon accepts, against the
+// daemon at -base on the wall clock, records log-bucketed latency
+// histograms, and emits a stable JSON report.
 //
 // Usage:
 //
-//	baload [-mode real] [-base http://127.0.0.1:8421]
+//	baload [-base http://127.0.0.1:8421]
 //	       [-schedule constant|ramp|sweep|burst] [-rps 50] [-rps-max 0]
 //	       [-rps-step 0] [-slot 2s] [-duration 10s] [-workers 16]
 //	       [-mix align-asm=40,simulate-suite=10,...] [-corpus 32] [-seed 1]
 //	       [-timeout 30s] [-report -] [-min-rps 0] [-max-unexpected -1]
+//
+// A saturation sweep is one schedule: -schedule sweep steps the target
+// rate from -rps by -rps-step up to -rps-max, -slot per step, and the
+// report's per-slot achieved_rps bends below target_rps at the knee.
 //
 // Exit status is nonzero if the run fails, if achieved RPS falls below
 // -min-rps, or if unexpected errors (non-200 excluding 429/503/504
@@ -45,8 +43,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("baload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	mode := fs.String("mode", "real", "real | virtual")
-	base := fs.String("base", "http://127.0.0.1:8421", "target base URL (real mode)")
+	base := fs.String("base", "http://127.0.0.1:8421", "target base URL")
 	schedule := fs.String("schedule", "constant", "constant | ramp | sweep | burst")
 	rps := fs.Float64("rps", 50, "base request rate")
 	rpsMax := fs.Float64("rps-max", 0, "peak rate for ramp/sweep/burst (0 = kind default)")
@@ -57,9 +54,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mixSpec := fs.String("mix", "", "request mix as kind=weight,... (default: realistic align-heavy mix)")
 	corpusSize := fs.Int("corpus", 32, "distinct requests in the corpus")
 	seed := fs.Int64("seed", 1, "corpus + plan seed")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline (real mode)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	report := fs.String("report", "-", "report path (- = stdout)")
-	errEvery := fs.Int("err-every", 0, "virtual mode: inject one 429 per N requests (0 = off)")
 	minRPS := fs.Float64("min-rps", 0, "fail if achieved RPS is below this")
 	maxUnexpected := fs.Int64("max-unexpected", -1, "fail if unexpected errors exceed this (-1 = no gate)")
 	if err := fs.Parse(args); err != nil {
@@ -80,26 +76,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	cfg := load.RunConfig{
+	fmt.Fprintf(stderr, "baload: %s schedule, %.0fs, %d workers against %s\n",
+		*schedule, sched.Duration().Seconds(), *workers, *base)
+	rep, err := load.Run(context.Background(), load.RunConfig{
 		Schedule: sched,
 		Corpus:   corpus,
+		Doer:     load.NewHTTPDoer(strings.TrimRight(*base, "/"), *timeout),
 		Workers:  *workers,
 		Seed:     *seed,
-	}
-	switch *mode {
-	case "virtual":
-		cfg.Virtual = true
-		cfg.Clocks = load.NewVirtualClocks()
-		cfg.Doer = &load.FakeDoer{Seed: *seed, ErrEvery: *errEvery}
-	case "real":
-		cfg.Clocks = load.NewWallClocks()
-		cfg.Doer = load.NewHTTPDoer(strings.TrimRight(*base, "/"), *timeout)
-	default:
-		return fmt.Errorf("unknown mode %q (known: real, virtual)", *mode)
-	}
-	fmt.Fprintf(stderr, "baload: %s run, %s schedule, %.0fs, %d workers\n",
-		*mode, *schedule, sched.Duration().Seconds(), *workers)
-	rep, err := load.Run(context.Background(), cfg)
+	})
 	if err != nil {
 		return err
 	}

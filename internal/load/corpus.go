@@ -267,9 +267,9 @@ func buildEntry(kind, name string, rng uint64) (Entry, error) {
 
 // Plan assigns n requests onto corpus entries: picks[i] is a pure function
 // of (corpus seed, i), and hits[i] reports whether an earlier request
-// already picked the same entry — the would-be cache-hit flag the fake
-// transport replays (the first request for a key computes, repeats hit the
-// result cache).
+// already picked the same entry — whether a daemon that caches every
+// result answers request i from its cache (the first request for a key
+// computes, repeats hit the result cache).
 func (c *Corpus) Plan(n int) (picks []int, hits []bool) {
 	picks = make([]int, n)
 	hits = make([]bool, n)

@@ -8,11 +8,10 @@ import (
 	"time"
 )
 
-// Report is the JSON document baload emits (and BENCH_serve.json embeds).
-// All latency fields are integer nanoseconds; all rates are computed from
-// integer counters, so a virtual-mode report is bit-reproducible.
+// Report is the JSON document baload emits. All latency fields are
+// integer nanoseconds, and every count is an integer sum, so two runs that
+// saw the same outcomes report the same counts and histograms.
 type Report struct {
-	Mode     string   `json:"mode"` // "real" or "virtual"
 	Seed     int64    `json:"seed"`
 	Schedule Schedule `json:"schedule"`
 	Workers  int      `json:"workers"`
@@ -29,8 +28,8 @@ type Report struct {
 	// that is not 200 and not expected backpressure (429/503/504).
 	UnexpectedErrors uint64 `json:"unexpected_errors"`
 
-	// AchievedRPS is requests / schedule duration (virtual: scheduled time;
-	// real: wall time), the number the saturation sweep knees on.
+	// AchievedRPS is requests / wall duration, the number a saturation
+	// sweep knees on.
 	AchievedRPS float64 `json:"achieved_rps"`
 	// TargetRPS is the schedule's request count over its nominal duration.
 	TargetRPS float64 `json:"target_rps"`
@@ -42,10 +41,9 @@ type Report struct {
 	Kinds   map[string]*KindReport `json:"kinds"`
 	Slots   []SlotReport           `json:"slots"`
 
-	// WallDurNs and Host are real-mode only (omitted in virtual mode so the
-	// report is machine- and run-independent).
-	WallDurNs int64 `json:"wall_dur_ns,omitempty"`
-	Host      *Host `json:"host,omitempty"`
+	// WallDurNs is the run's wall time; Host is the machine it ran on.
+	WallDurNs int64 `json:"wall_dur_ns"`
+	Host      *Host `json:"host"`
 }
 
 // ErrorBreakdown buckets failures by cause.
@@ -75,7 +73,7 @@ type SlotReport struct {
 	MeanLatNs   int64   `json:"mean_lat_ns"`
 }
 
-// Host describes the machine a real-mode run executed on.
+// Host describes the machine a run executed on.
 type Host struct {
 	GOOS     string `json:"goos"`
 	GOARCH   string `json:"goarch"`
@@ -98,9 +96,19 @@ type reportTotals struct {
 	wallDur    time.Duration
 }
 
+// thisHost describes the machine running this process.
+func thisHost() *Host {
+	host := &Host{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(), GoVer: runtime.Version()}
+	if hn, err := os.Hostname(); err == nil {
+		host.Hostname = hn
+	}
+	return host
+}
+
+// buildReport folds the runner's counters into a Report. It is a pure
+// function of its arguments; Run adds the Host block.
 func buildReport(cfg RunConfig, seed int64, arr []arrival, slots []slotAgg, kinds map[string]*kindAgg, t reportTotals) *Report {
 	r := &Report{
-		Mode:      "real",
 		Seed:      seed,
 		Schedule:  cfg.Schedule,
 		Workers:   cfg.Workers,
@@ -114,6 +122,7 @@ func buildReport(cfg RunConfig, seed int64, arr []arrival, slots []slotAgg, kind
 		},
 		UnexpectedErrors: t.badStatus + t.transport + t.deadline,
 		LatenessNs:       t.latenessNs,
+		WallDurNs:        int64(t.wallDur),
 		Latency:          t.overall.Summary(),
 		Kinds:            map[string]*KindReport{},
 	}
@@ -121,23 +130,8 @@ func buildReport(cfg RunConfig, seed int64, arr []arrival, slots []slotAgg, kind
 	if nominal > 0 {
 		r.TargetRPS = round2(float64(len(arr)) / nominal.Seconds())
 	}
-	// Achieved rate: wall time for a real run; nominal schedule time for a
-	// virtual one (virtual runs finish "instantly" in wall terms).
-	denom := t.wallDur
-	if cfg.Virtual {
-		r.Mode = "virtual"
-		denom = nominal
-	}
-	if denom > 0 {
-		r.AchievedRPS = round2(float64(t.sent) / denom.Seconds())
-	}
-	if !cfg.Virtual {
-		r.WallDurNs = int64(t.wallDur)
-		host := &Host{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(), GoVer: runtime.Version()}
-		if hn, err := os.Hostname(); err == nil {
-			host.Hostname = hn
-		}
-		r.Host = host
+	if t.wallDur > 0 {
+		r.AchievedRPS = round2(float64(t.sent) / t.wallDur.Seconds())
 	}
 
 	names := make([]string, 0, len(kinds))
@@ -197,7 +191,7 @@ func round2(f float64) float64 {
 }
 
 // JSON renders the report with stable formatting (two-space indent,
-// trailing newline) — the bytes the determinism oracle compares.
+// trailing newline).
 func (r *Report) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

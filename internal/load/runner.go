@@ -1,3 +1,15 @@
+// Package load is the closed-loop load harness behind cmd/baload: RPS
+// schedules (constant, ramp, sweep-to-saturation, burst), a seeded
+// deterministic request corpus covering every balignd request encoding,
+// bounded closed-loop workers paced on the wall clock, log-bucketed
+// latency histograms with p50/p99/p999, and a stable JSON report.
+//
+// The request sequence is a pure function of the seed: request i is
+// issued by worker i%W with the corpus entry Corpus.Plan picks for i, and
+// every aggregate is an order-independent integer sum. So a Doer whose
+// outcomes depend only on the request index yields the same counts and
+// histograms from any interleaving of the workers. The rates, the
+// lateness and the wall duration are measurements of the run.
 package load
 
 import (
@@ -13,13 +25,9 @@ type RunConfig struct {
 	Schedule Schedule
 	Corpus   *Corpus
 	Doer     Doer
-	Clocks   ClockFactory
 	Workers  int
 	// Seed drives the request→entry plan (defaults to the corpus seed).
 	Seed int64
-	// Virtual marks a virtual-clock run: the report omits wall-time and
-	// host fields so its bytes are machine-independent.
-	Virtual bool
 }
 
 // slotAgg accumulates one schedule slot's order-independent counters.
@@ -54,9 +62,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	if cfg.Clocks == nil {
-		cfg.Clocks = NewWallClocks()
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = cfg.Corpus.Seed
@@ -68,10 +73,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 	}
 	plan := *cfg.Corpus
 	plan.Seed = seed
-	picks, hits := plan.Plan(len(arr))
-	if fd, ok := cfg.Doer.(*FakeDoer); ok && fd.Hits == nil {
-		fd.Hits = hits
-	}
+	picks, _ := plan.Plan(len(arr))
 
 	slots := make([]slotAgg, len(cfg.Schedule.Slots))
 	kinds := map[string]*kindAgg{}
@@ -94,21 +96,20 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 		lateness  atomic.Uint64 // total ns issued after target time
 	)
 
-	wallStart := time.Now()
+	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			clk := cfg.Clocks()
 			for i := w; i < len(arr); i += cfg.Workers {
 				a := arr[i]
-				if !clk.SleepUntil(ctx, a.at) {
+				if !sleepUntil(ctx, start.Add(a.at)) {
 					return
 				}
-				issuedAt := clk.Now()
+				issuedAt := time.Since(start)
 				e := cfg.Corpus.Entries[picks[i]]
-				out := cfg.Doer.Do(ctx, clk, i, e)
+				out := cfg.Doer.Do(ctx, i, e)
 				if out.Err != nil && ctx.Err() != nil && errString(out.Err) != "deadline" {
 					return // run cancelled, not a request failure
 				}
@@ -165,12 +166,31 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 	}
 	wg.Wait()
 
-	return buildReport(cfg, seed, arr, slots, kinds, reportTotals{
+	r := buildReport(cfg, seed, arr, slots, kinds, reportTotals{
 		overall: &overall, sent: sent.Load(), ok: okCount.Load(),
 		cacheHits: cacheHits.Load(), s429: status429.Load(),
 		s503: status503.Load(), s504: status504.Load(),
 		badStatus: badStatus.Load(), transport: transport.Load(),
 		deadline: deadline.Load(), latenessNs: lateness.Load(),
-		wallDur: time.Since(wallStart),
-	}), nil
+		wallDur: time.Since(start),
+	})
+	r.Host = thisHost()
+	return r, nil
+}
+
+// sleepUntil waits for the wall-clock instant t. It reports false if ctx
+// ends first, or has already ended when t is past.
+func sleepUntil(ctx context.Context, t time.Time) bool {
+	d := time.Until(t)
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }

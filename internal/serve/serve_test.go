@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -504,6 +506,72 @@ func TestSimulateDeadlineFreesStream(t *testing.T) {
 		t.Errorf("stream buffers not released after cancel: %d buffers, %d bytes live",
 			g["sim.stream.live_buffers"], g["sim.stream.live_bytes"])
 	}
+}
+
+// TestSimulateClientDisconnect is the client-disconnect fault case: a
+// client abandons a suite-mode /v1/simulate once the grid has profiled its
+// first program. The handler must count the cancelled envelope (503) and
+// no 422 or 500, free its admission slot and the streamer's buffers, cache
+// nothing for the request's key, and leave no goroutine behind.
+func TestSimulateClientDisconnect(t *testing.T) {
+	rec := obs.New("test")
+	s, ts := newTestServer(t, Config{Obs: rec})
+	// Five VM programs: each prepares in milliseconds, then the grid
+	// replays their traces for most of a second, so the cancel lands while
+	// broadcasts hold stream buffers. (A walker program's preparation runs
+	// to its end after a cancel.)
+	body, err := json.Marshal(map[string]any{
+		"programs": []string{"espresso", "compress", "li", "eqntott", "sc"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := RequestKey("/v1/simulate", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return rec.Report().Counters["exp.profile.programs"] >= 1 })
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the request completed before the client cancelled it")
+	}
+	client.CloseIdleConnections()
+
+	waitFor(t, func() bool {
+		return rec.Report().Counters["serve.status.503"] >= 1 && s.InFlight() == 0
+	})
+	r := rec.Report()
+	for _, name := range []string{"serve.inflight", "sim.stream.live_buffers", "sim.stream.live_bytes"} {
+		if v := r.Gauges[name]; v != 0 {
+			t.Errorf("%s = %d after the disconnect, want 0", name, v)
+		}
+	}
+	for name, want := range map[string]int64{"serve.status.503": 1, "serve.status.422": 0, "serve.status.500": 0} {
+		if got := r.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if _, ok := s.cache.Get(key); ok {
+		t.Error("the abandoned request's result was cached")
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestPanicRecovery injects a handler panic and asserts the 500 envelope.

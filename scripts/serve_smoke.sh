@@ -77,7 +77,7 @@ echo "serve-smoke: /v1/simulate ok"
 # both endpoints and all three align encodings but leaves out
 # simulate-suite: a single cold suite compute can exceed the whole smoke
 # budget on a small runner.
-"$WORK/baload" -base "$BASE" -mode real \
+"$WORK/baload" -base "$BASE" \
     -schedule constant -rps 25 -duration 4s -workers 8 \
     -corpus 12 -seed 7 -timeout 60s \
     -mix "align-asm=2,align-cfg-json=1,align-cfg-dot=1,simulate-inline=1" \
@@ -85,7 +85,11 @@ echo "serve-smoke: /v1/simulate ok"
     -report "$WORK/load_report.json" \
     || fail "baload run failed its gates"
 
-grep -q '"mode": "real"' "$WORK/load_report.json" || fail "report missing mode"
+# The report records the run's wall time and the host it ran on.
+WALL=$(sed -n 's/^  "wall_dur_ns": \([0-9]*\),$/\1/p' "$WORK/load_report.json")
+[ -n "$WALL" ] && [ "$WALL" -gt 0 ] || fail "report missing wall_dur_ns (got '$WALL')"
+grep -q '^  "host": {$' "$WORK/load_report.json" || fail "report missing host block"
+grep -q '^    "cpus": [1-9]' "$WORK/load_report.json" || fail "report host block missing cpus"
 
 # The corpus repeats entries, so a healthy daemon must show cache hits.
 HITS=$(sed -n 's/^  "cache_hits": \([0-9]*\),$/\1/p' "$WORK/load_report.json")
